@@ -8,7 +8,9 @@ identical configurations and can be fed back into downstream commands.
 Exit codes: 0 success, 1 malformed input, 2 broken (unpairable) spectrum,
 3 exceptional point, 4 no metric operator, 5 overflow guard.
 The ``PTR_TOL`` environment variable overrides a command's default
-tolerance when ``--tol`` is not given.
+tolerance when ``--tol`` is not given.  For ``metric`` that tolerance is the
+relative eigenvalue-pairing cutoff of the intertwiner basis; the null-space
+singular-value cutoff it also sets applies only to a defective spectrum.
 """
 
 from __future__ import annotations
@@ -310,7 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=metric.POLICIES,
         default="hermitian-representative",
     )
-    m.add_argument("--tol", type=float)
+    m.add_argument(
+        "--tol",
+        type=float,
+        help="intertwiner basis: relative cutoff for pairing lambda_j with conj(lambda_i), "
+        "scaled by max(max|lambda|, 1); on a defective spectrum, the relative "
+        "singular-value cutoff of the null-space fallback (default 1e-10, or PTR_TOL)",
+    )
     m.add_argument("--output", help="metric JSON path (default stdout)")
     m.set_defaults(func=cmd_metric)
 

@@ -2,9 +2,9 @@
 
 Provides the biorthogonal eigendecomposition (right and left eigenvectors
 normalized to ``L_i R_j = delta_ij``) with detection of defective spectra,
-the vectorized null-space solver for the intertwiner equation
-``V H = H^dag V``, and the spectral time-evolution operator
-``U(t) = exp(-i H t)``.
+the solver for the intertwiner equation ``V H = H^dag V`` (from the
+eigensystem, or the vectorized null space when the spectrum is defective),
+and the spectral time-evolution operator ``U(t) = exp(-i H t)``.
 
 All routines work on plain ``numpy`` arrays of complex numbers; matrices are
 validated to be square with finite entries before use.
@@ -142,7 +142,10 @@ class IntertwinerSpace:
     """Basis of the solution space of ``V H = H^dag V``.
 
     The basis elements are orthonormal under the Frobenius inner product
-    (they come from an SVD null space), hence linearly independent.
+    (a QR factorization in the eigensystem route, an SVD null space for
+    defective input), hence linearly independent.  In the eigensystem route
+    ``basis[0]`` is invertible whenever every eigenvalue has a conjugate
+    partner.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -264,27 +267,15 @@ def eig(H, tol: float = 1e-10) -> EigenSystem:
     )
 
 
-def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
-    """Basis of all solutions V of the intertwiner equation ``V H = H^dag V``.
+def _kron_intertwiner(H: np.ndarray, tol: float) -> IntertwinerSpace:
+    """Intertwiner basis from the null space of the vectorized equation.
 
     The equation is vectorized row-major, giving the n^2 x n^2 linear map
     ``kron(I, H^T) - kron(H^dag, I)``; the solution space is read off from
     the singular vectors whose singular values fall below
-    ``tol * max(singular values)``.
-
-    Parameters
-    ----------
-    H : array_like, shape (n, n)
-    tol : float
-        Relative singular-value cutoff for the null space.
-
-    Returns
-    -------
-    IntertwinerSpace
+    ``tol * max(singular values)``.  O(n^6), but needs no eigenvectors, so it
+    serves defective input.
     """
-    H = as_matrix(H)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = H.shape[0]
     eye = np.eye(n)
     K = np.kron(eye, H.T) - np.kron(H.conj().T, eye)
@@ -296,6 +287,99 @@ def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
         null_idx = np.nonzero(s <= tol * smax)[0]
     basis = tuple(Vh[i].conj().reshape(n, n) for i in null_idx)
     return IntertwinerSpace(basis=basis, dimension=len(basis))
+
+
+def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, paired) -> np.ndarray:
+    """The X with ``X H - H^dag X = res[m]`` for each m, found in Schur coordinates.
+
+    With ``H = U S U^dag`` (U from a QR of the eigenvectors ``right``, S upper
+    triangular up to rounding) and ``Y = U^dag X U``, column c of Y solves a
+    lower-triangular system with diagonal ``S[c, c] - conj(S[i, i])``.  The
+    entries at the paired positions, where that diagonal vanishes, are held
+    at zero.  Unlike a solve in eigenvector coordinates, the triangular
+    solves stay accurate when the eigenvectors are ill-conditioned.
+    """
+    n = H.shape[0]
+    U, _ = np.linalg.qr(right)
+    S = np.triu(U.conj().T @ H @ U)
+    F = np.moveaxis(U.conj().T @ res @ U, 2, 0).copy()  # F[c]: column c of each res[m]
+    eye, SH = np.eye(n), S.conj().T
+    Y = np.zeros_like(F)
+    for c in range(n):
+        A = S[c, c] * eye - SH
+        rhs = F[c] - np.tensordot(S[:c, c], Y[:c], axes=(0, 0))
+        free = paired[:, c]
+        A[free, :] = 0.0
+        A[free, free] = 1.0
+        rhs[:, free] = 0.0
+        Y[c] = np.linalg.solve(A, rhs.T).T
+    return U @ np.moveaxis(Y, 0, 2) @ U.conj().T
+
+
+def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
+    """Basis of all solutions V of the intertwiner equation ``V H = H^dag V``.
+
+    Writing ``V = L^dag M L`` with the biorthonormal left eigenvectors L
+    turns the equation into ``M_ij lambda_j = conj(lambda_i) M_ij``, so the
+    solutions are spanned by the outer products ``L_i^dag L_j`` over the
+    index pairs with ``|lambda_j - conj(lambda_i)| <= tol * max(max|lambda|, 1)``.
+    Those are orthonormalized by a QR factorization, with the sum over a
+    matching of the pairs in front, so that ``basis[0]`` is invertible
+    whenever every eigenvalue has a conjugate partner.  When the eigenvectors
+    are ill-conditioned, that basis can miss the equation by more than
+    rounding; it is then corrected once by triangular solves in Schur
+    coordinates and orthonormalized again.  The cost is O(n^4) for a
+    spectrum without degeneracies.  A defective spectrum has no complete
+    eigenbasis; there the null space of the n^2 x n^2 vectorized equation is
+    taken instead, with singular-value cutoff ``tol * max(singular values)``.
+
+    Parameters
+    ----------
+    H : array_like, shape (n, n)
+    tol : float
+        Relative cutoff for pairing ``lambda_j`` with ``conj(lambda_i)``; for a
+        defective spectrum, the relative singular-value cutoff of the null
+        space.
+
+    Returns
+    -------
+    IntertwinerSpace
+    """
+    H = as_matrix(H)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    eigsys = eig(H)
+    if eigsys.defective:
+        return _kron_intertwiner(H, tol)
+    w, L = eigsys.eigenvalues, eigsys.left
+    n = eigsys.n
+    scale = max(float(np.max(np.abs(w))), 1.0)
+    paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= tol * scale
+    i, j = np.nonzero(paired)
+    k = i.size
+    if k == 0:
+        return IntertwinerSpace(basis=(), dimension=0)
+    outer = np.conj(L[i])[:, :, np.newaxis] * L[j][:, np.newaxis, :]
+    # Swap the rank-one first outer product for the sum over a greedy
+    # matching of the pairs (the first pair is in it, so the span is kept):
+    # L^dag P L with P a permutation, invertible when the spectrum pairs up.
+    used_i, used_j, match = set(), set(), np.zeros(k, dtype=bool)
+    for m in range(k):
+        if i[m] not in used_i and j[m] not in used_j:
+            used_i.add(i[m])
+            used_j.add(j[m])
+            match[m] = True
+    outer[0] = outer[match].sum(axis=0)
+    Q, _ = np.linalg.qr(outer.reshape(k, n * n).T)
+    B = Q.T.reshape(k, n, n)
+    res = B @ H - H.conj().T @ B
+    # The Kronecker null space reaches about 1.5 eps ||H||_F; correct only
+    # above 4 eps ||H||_F, since near rounding level a correction is noise.
+    if np.max(np.linalg.norm(res, axis=(1, 2))) > 4 * np.finfo(float).eps * np.linalg.norm(H, "fro"):
+        B = B - _null_space_correction(res, H, eigsys.right, paired)
+        Q, _ = np.linalg.qr(B.reshape(k, n * n).T)
+        B = Q.T.reshape(k, n, n)
+    return IntertwinerSpace(basis=tuple(B), dimension=k)
 
 
 def mat_exp_evolution(eigsys: EigenSystem, t: float) -> np.ndarray:

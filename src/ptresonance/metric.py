@@ -90,14 +90,15 @@ def _metric_matrix(V) -> np.ndarray:
     return as_matrix(V)
 
 
-def _is_hermitian(V: np.ndarray, tol: float = 1e-12) -> bool:
-    scale = max(float(np.linalg.norm(V, "fro")), 1e-300)
-    return float(np.linalg.norm(V - V.conj().T, "fro")) / scale <= tol
+# Both checks take one matrix or a stack of them (the last two axes).
+def _is_hermitian(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    scale = np.maximum(np.linalg.norm(V, axis=(-2, -1)), 1e-300)
+    return np.linalg.norm(V - np.conj(np.swapaxes(V, -2, -1)), axis=(-2, -1)) / scale <= tol
 
 
-def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> float:
-    denom = max(float(np.linalg.norm(V, "fro")) * float(np.linalg.norm(H, "fro")), 1e-300)
-    return float(np.linalg.norm(V @ H - H.conj().T @ V, "fro")) / denom
+def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> np.ndarray:
+    denom = np.maximum(np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(H, "fro"), 1e-300)
+    return np.linalg.norm(V @ H - H.conj().T @ V, axis=(-2, -1)) / denom
 
 
 def _fix_sign(V: np.ndarray) -> np.ndarray:
@@ -116,10 +117,10 @@ def _certify(V: np.ndarray, H: np.ndarray, cond_cap: float) -> MetricOperator:
     cond = float(np.linalg.cond(V, 2))
     return MetricOperator(
         V=V,
-        hermitian=_is_hermitian(V),
+        hermitian=bool(_is_hermitian(V)),
         invertible=bool(np.isfinite(cond) and cond <= cond_cap),
         condition_estimate=cond,
-        residual=_intertwiner_residual(V, H),
+        residual=float(_intertwiner_residual(V, H)),
     )
 
 
@@ -188,7 +189,9 @@ def build_metric(
         For a 2x2 diagonal conjugate-pair system only; returns the exact
         antisymmetric unit matrix ``[[0, -1], [1, 0]]``.
     ``first-basis``
-        First null-space basis element, normalized.
+        First intertwiner basis element, normalized; for a non-defective
+        spectrum, the invertible sum over a conjugate matching (see
+        ``solve_intertwiner``).
 
     The result is normalized to unit spectral norm with a deterministic sign
     and certified (Hermiticity, invertibility, intertwiner residual) against
@@ -219,37 +222,33 @@ def build_metric(
         V = _fix_sign(V / np.linalg.norm(V, 2))
         return _certify(V, H, cond_cap)
 
-    # hermitian-representative: collect Hermitian candidates, residual-check
-    # each, keep the best-conditioned one (first strict winner).
-    candidates: list[np.ndarray] = []
+    # hermitian-representative: Hermitian candidates in a fixed order (Gram
+    # matrix, Hermitian and anti-Hermitian parts of each basis element, seeded
+    # random real combinations of those parts), scored as one batch; the first
+    # strict winner on the smallest singular value at unit norm is kept.
+    B = np.stack(space.basis)
+    Bh = np.conj(np.swapaxes(B, 1, 2))
+    gens = np.stack([(B + Bh) / 2.0, (B - Bh) / 2.0j], axis=1).reshape(-1, n, n)
+    coeffs = np.random.default_rng(20250513).standard_normal((_SEARCH_SAMPLES, len(gens)))
+    parts = [gens, np.tensordot(coeffs, gens, axes=1)]
     gram = _gram_candidate(eigsys)
     if gram is not None:
-        candidates.append(gram)
-    for B in space.basis:
-        candidates.append((B + B.conj().T) / 2.0)
-        candidates.append((B - B.conj().T) / 2.0j)
-    rng = np.random.default_rng(20250513)
-    hermitian_gens = [c for c in candidates[(1 if gram is not None else 0) :]]
-    for _ in range(_SEARCH_SAMPLES):
-        coeffs = rng.standard_normal(len(hermitian_gens))
-        V = sum(c * g for c, g in zip(coeffs, hermitian_gens))
-        candidates.append(V)
+        parts.insert(0, gram[np.newaxis])
+    C = np.concatenate(parts)
+
+    s = np.linalg.svd(C, compute_uv=False)
+    nonzero = s[:, 0] >= 1e-14
+    nrm = np.where(nonzero, s[:, 0], 1.0)
+    C = C / nrm[:, np.newaxis, np.newaxis]
+    keep = nonzero & _is_hermitian(C, 1e-10) & (_intertwiner_residual(C, H) <= RESIDUAL_CAP)
+    smin = s[:, -1] / nrm
 
     best_v = None
     best_smin = -1.0
-    for V in candidates:
-        nrm = float(np.linalg.norm(V, 2))
-        if nrm < 1e-14:
-            continue
-        V = V / nrm
-        if not _is_hermitian(V, 1e-10):
-            continue
-        if _intertwiner_residual(V, H) > RESIDUAL_CAP:
-            continue
-        smin = float(np.linalg.svd(V, compute_uv=False)[-1])
-        if smin > best_smin * (1.0 + 1e-9):
-            best_smin = smin
-            best_v = V
+    for k in np.flatnonzero(keep):
+        if smin[k] > best_smin * (1.0 + 1e-9):
+            best_smin = float(smin[k])
+            best_v = C[k].copy()
 
     if best_v is None:
         raise NoMetricError("no Hermitian intertwiner found in the searched combinations")
@@ -330,6 +329,6 @@ def verify_pseudo_hermiticity(H, V) -> PseudoHermiticityResiduals:
     if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise ValueError(f"V is singular (condition estimate {cond:.3g})")
     h_norm = max(float(np.linalg.norm(H, "fro")), 1e-300)
-    inter = _intertwiner_residual(V, H)
+    inter = float(_intertwiner_residual(V, H))
     sim = float(np.linalg.norm(V @ H @ np.linalg.inv(V) - H.conj().T, "fro")) / h_norm
     return PseudoHermiticityResiduals(intertwiner=inter, similarity=sim)

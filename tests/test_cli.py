@@ -132,6 +132,7 @@ class TestMetric:
         obj = json.loads(out.read_text())
         assert obj["residual"] <= 1e-10
         assert obj["policy"] == "first-basis"
+        assert obj["invertible"] is True
 
 
 class TestEvolve:

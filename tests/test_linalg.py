@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import quadratic_eigenvalues, random_complex_matrix, random_pt_symmetric
+from ptresonance import linalg
 from ptresonance import (
     DefectiveMatrixError,
     OverflowRangeError,
@@ -145,6 +146,70 @@ class TestIntertwiner:
             solve_intertwiner(np.ones((2, 3)))
         with pytest.raises(ValueError):
             solve_intertwiner(np.eye(2), tol=-1.0)
+
+
+def _oracle_cases():
+    """(H, expected dimension, whether the defective fallback must run)."""
+    rng = np.random.default_rng(31)
+    cases = [
+        pytest.param(random_pt_symmetric(rng, n)[0], n, False, id=f"pt-symmetric-n{n}")
+        for n in (2, 3, 4, 6, 8)
+    ]
+    Q, _ = np.linalg.qr(random_complex_matrix(rng, 3))
+    return cases + [
+        pytest.param(np.diag([1 + 0.8j, 1 - 0.8j]), 2, False, id="diagonal-pair"),
+        pytest.param(np.eye(3, dtype=complex), 9, False, id="identity"),
+        pytest.param(Q @ np.diag([1.0, 1.0, 2.0]) @ Q.conj().T, 5, False, id="degenerate-hermitian"),
+        pytest.param(np.array([[1 + 1j, 0.3], [0.0, 2 - 0.5j]]), 0, False, id="generic"),
+        pytest.param(gain_loss_dimer(1.0 + 1e-6), 2, False, id="near-exceptional-dimer"),
+        pytest.param(gain_loss_dimer(1.0), 2, True, id="exceptional-dimer"),
+    ]
+
+
+class TestIntertwinerOracle:
+    """The eigensystem basis against the Kronecker null space of the vectorized equation."""
+
+    @pytest.mark.parametrize("H, dimension, fallback", _oracle_cases())
+    def test_matches_kronecker_null_space(self, monkeypatch, H, dimension, fallback):
+        calls = []
+        kron = linalg._kron_intertwiner
+
+        def spy(*args):
+            calls.append(args)
+            return kron(*args)
+
+        monkeypatch.setattr(linalg, "_kron_intertwiner", spy)
+        space = solve_intertwiner(H)
+        assert len(calls) == int(fallback)
+        oracle = kron(as_matrix(H), 1e-10)
+        assert space.dimension == oracle.dimension == len(space.basis) == dimension
+        if space.dimension == 0:
+            return
+        A = np.stack([B.reshape(-1) for B in space.basis], axis=1)
+        O = np.stack([B.reshape(-1) for B in oracle.basis], axis=1)
+        npt.assert_allclose(A.conj().T @ A, np.eye(space.dimension), atol=1e-12)
+        cosines = np.linalg.svd(A.conj().T @ O, compute_uv=False)
+        assert np.min(cosines) >= 1.0 - 1e-10
+        scale = max(np.linalg.norm(H, 2), 1.0)
+        for B in space.basis:
+            assert np.linalg.norm(B @ H - H.conj().T @ B) <= 1e-12 * scale
+        if not fallback:
+            # Every eigenvalue has its conjugate partner here, so the first
+            # element (the `first-basis` metric) must be invertible.
+            assert np.linalg.cond(space.basis[0]) < 1e8
+
+    def test_rounding_level_residual_with_ill_conditioned_eigenvectors(self):
+        """Orthonormalizing outer products of nearly parallel eigenvectors costs
+        about 2.5 digits here (residual 5e-13); the correction in Schur
+        coordinates keeps every basis element at rounding level, as the
+        Kronecker null space is."""
+        rng = np.random.default_rng(27)
+        for _ in range(9):
+            H, _ = random_pt_symmetric(rng, 8)
+        H = H / np.linalg.norm(H, 2)
+        assert np.linalg.cond(eig(H).right) > 1e3
+        for B in solve_intertwiner(H).basis:
+            assert np.linalg.norm(B @ H - H.conj().T @ B) <= 1e-14
 
 
 class TestEvolutionOperator:

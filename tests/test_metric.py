@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import random_complex_matrix, random_pt_symmetric
+from ptresonance import metric
 from ptresonance import (
     PAPER_GAUGE_V,
     DefectiveMatrixError,
@@ -60,6 +61,7 @@ class TestBuildMetric:
         op = _metric_for(H, policy="first-basis")
         assert np.linalg.norm(op.V, 2) == pytest.approx(1.0, abs=1e-12)
         assert op.residual <= 1e-12
+        assert op.invertible
 
     def test_defective_refused(self):
         H = gain_loss_dimer(1.0)
@@ -99,6 +101,49 @@ class TestBuildMetric:
             res = verify_pseudo_hermiticity(H, op.V)
             assert res.intertwiner <= 1e-10
             assert res.similarity <= 1e-10
+
+
+def _reference_search(eigsys, space, H):
+    """The hermitian-representative search scored one candidate at a time."""
+    candidates = []
+    gram = metric._gram_candidate(eigsys)
+    if gram is not None:
+        candidates.append(gram)
+    gens = []
+    for B in space.basis:
+        gens += [(B + B.conj().T) / 2.0, (B - B.conj().T) / 2.0j]
+    candidates += gens
+    rng = np.random.default_rng(20250513)
+    for _ in range(128):
+        coeffs = rng.standard_normal(len(gens))
+        candidates.append(sum(c * g for c, g in zip(coeffs, gens)))
+    best_v, best_smin = None, -1.0
+    for V in candidates:
+        nrm = np.linalg.norm(V, 2)
+        if nrm < 1e-14:
+            continue
+        V = V / nrm
+        fro = np.linalg.norm(V, "fro")
+        if np.linalg.norm(V - V.conj().T, "fro") / fro > 1e-10:
+            continue
+        if np.linalg.norm(V @ H - H.conj().T @ V, "fro") / (fro * np.linalg.norm(H, "fro")) > 1e-10:
+            continue
+        smin = np.linalg.svd(V, compute_uv=False)[-1]
+        if smin > best_smin * (1.0 + 1e-9):
+            best_v, best_smin = V, smin
+    return metric._fix_sign(best_v)
+
+
+class TestBatchedSearch:
+    def test_same_metric_as_per_candidate_search(self):
+        rng = np.random.default_rng(83)
+        inputs = [DIAG_PAIR, gain_loss_dimer(0.6), np.diag([1.0, 2.0, 2.0]).astype(complex)]
+        inputs += [random_pt_symmetric(rng, n)[0] for n in (2, 3, 4, 5, 6) for _ in range(4)]
+        for H in inputs:
+            eigsys = eig(H)
+            space = solve_intertwiner(H)
+            op = build_metric(eigsys, space, H=H)
+            npt.assert_allclose(op.V, _reference_search(eigsys, space, H), rtol=0, atol=1e-14)
 
 
 class TestInnerProduct:
