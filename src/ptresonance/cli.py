@@ -62,28 +62,25 @@ def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return linalg.matrix_from_json(obj)
+
+
+def _load_matrix(path: str) -> np.ndarray:
+    return linalg.matrix_from_json(_read_json(path))
 
 
 def _load_metric_matrix(path: str) -> np.ndarray:
     """Accept either a bare matrix file or a metric-operator JSON file."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    obj = _read_json(path)
     if isinstance(obj, dict) and "V" in obj:
-        return linalg.matrix_from_json(obj["V"])
+        obj = obj["V"]
     return linalg.matrix_from_json(obj)
 
 

@@ -45,6 +45,43 @@ DEFECT_FLOOR = 1e-7
 # exp() overflows double precision near 709; stay clear of it.
 EXP_CAP = 300.0
 
+# Condition number above which a matrix is treated as singular.
+_CONDITION_CAP = 1e12
+
+
+def _guard_exponent(exponents, what: str) -> None:
+    """Raise ``OverflowRangeError`` when the largest exponent exceeds ``EXP_CAP``."""
+    top = float(np.max(exponents))
+    if top > EXP_CAP:
+        raise OverflowRangeError(f"{what} {top:.3g} exceeds cap {EXP_CAP:g}")
+
+
+def _require_invertible(M: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` when M's 2-norm condition number exceeds the cap."""
+    cond = np.linalg.cond(M, 2)
+    if not np.isfinite(cond) or cond > _CONDITION_CAP:
+        raise ValueError(f"{name} is singular (condition estimate {cond:.3g})")
+
+
+def _greedy_match(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
+    """Greedy nearest-partner matching of the points ``a`` to the points ``b``.
+
+    For each ``a[k]`` in order, ``match[k]`` is the index of the nearest
+    still-unused ``b`` with ``|b - a[k]| <= cutoff`` (ties go to the lowest
+    index), or -1 when there is none.
+    """
+    dist = np.abs(np.subtract.outer(a, b))
+    match = np.full(len(a), -1)
+    free = np.ones(len(b), dtype=bool)
+    for k in range(len(a)):
+        if not free.any():
+            break
+        m = int(np.argmin(np.where(free, dist[k], np.inf)))
+        if free[m] and dist[k, m] <= cutoff:
+            match[k] = m
+            free[m] = False
+    return match
+
 
 def as_matrix(data) -> np.ndarray:
     """Validate and return ``data`` as a square complex matrix.
@@ -73,7 +110,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if "entries" not in obj:
         raise ValueError("matrix JSON: missing field 'entries'")
     n = obj["n"]
-    if not isinstance(n, int) or n <= 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise ValueError(f"matrix JSON: field 'n' must be a positive integer, got {n!r}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n:
@@ -83,14 +120,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"matrix JSON: entries[{i}] must be a list of {n} entries")
         for j, pair in enumerate(row):
+            where = f"matrix JSON: entries[{i}][{j}]"
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"matrix JSON: entries[{i}][{j}] must be a [re, im] pair")
-            re, im = pair
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise ValueError(f"matrix JSON: entries[{i}][{j}] must hold two numbers")
-            if not (np.isfinite(re) and np.isfinite(im)):
-                raise ValueError(f"matrix JSON: entries[{i}][{j}] is non-finite")
-            m[i, j] = complex(re, im)
+                raise ValueError(f"{where} must be a [re, im] pair")
+            if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in pair):
+                raise ValueError(f"{where} must hold two numbers")
+            try:
+                z = complex(*pair)
+            except OverflowError:  # an integer beyond the double range
+                z = complex(np.inf)
+            if not np.isfinite(z):
+                raise ValueError(f"{where} is not finite in double precision")
+            m[i, j] = z
     return m
 
 
@@ -360,16 +401,13 @@ def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
     if k == 0:
         return IntertwinerSpace(basis=(), dimension=0)
     outer = np.conj(L[i])[:, :, np.newaxis] * L[j][:, np.newaxis, :]
-    # Swap the rank-one first outer product for the sum over a greedy
-    # matching of the pairs (the first pair is in it, so the span is kept):
-    # L^dag P L with P a permutation, invertible when the spectrum pairs up.
-    used_i, used_j, match = set(), set(), np.zeros(k, dtype=bool)
-    for m in range(k):
-        if i[m] not in used_i and j[m] not in used_j:
-            used_i.add(i[m])
-            used_j.add(j[m])
-            match[m] = True
-    outer[0] = outer[match].sum(axis=0)
+    # Put the sum over a conjugate matching of the pairs in front, in place of
+    # one of its own terms so that the span is kept: L^dag P L with P a
+    # permutation, invertible when the spectrum pairs up.
+    in_match = j == _greedy_match(np.conj(w), w, tol * scale)[i]
+    first = int(np.argmax(in_match))
+    outer[first] = outer[in_match].sum(axis=0)
+    outer[[0, first]] = outer[[first, 0]]
     Q, _ = np.linalg.qr(outer.reshape(k, n * n).T)
     B = Q.T.reshape(k, n, n)
     res = B @ H - H.conj().T @ B
@@ -397,10 +435,6 @@ def mat_exp_evolution(eigsys: EigenSystem, t: float) -> np.ndarray:
                 for d in eigsys.defects
             )
         )
-    growth = np.max(eigsys.eigenvalues.imag * t)
-    if growth > EXP_CAP:
-        raise OverflowRangeError(
-            f"exp({growth:.3g}) overflows double precision (cap {EXP_CAP:g})"
-        )
+    _guard_exponent(eigsys.eigenvalues.imag * t, "growing-mode exponent")
     phases = np.exp(-1j * eigsys.eigenvalues * t)
     return (eigsys.right * phases[np.newaxis, :]) @ eigsys.left

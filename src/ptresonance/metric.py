@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DefectiveMatrixError, NoMetricError
-from .linalg import EigenSystem, IntertwinerSpace, as_matrix
+from .linalg import _CONDITION_CAP, EigenSystem, IntertwinerSpace, _require_invertible, as_matrix
 
 __all__ = [
     "MetricOperator",
@@ -36,7 +36,6 @@ POLICIES = ("hermitian-representative", "paper-gauge", "first-basis")
 # diagonal conjugate-pair two-level system.
 PAPER_GAUGE_V = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
-CONDITION_CAP = 1e12
 RESIDUAL_CAP = 1e-10
 _SEARCH_SAMPLES = 128
 
@@ -113,58 +112,15 @@ def _fix_sign(V: np.ndarray) -> np.ndarray:
     return V if key > 0 else -V
 
 
-def _certify(V: np.ndarray, H: np.ndarray, cond_cap: float) -> MetricOperator:
+def _certify(V: np.ndarray, H: np.ndarray) -> MetricOperator:
     cond = float(np.linalg.cond(V, 2))
     return MetricOperator(
         V=V,
         hermitian=bool(_is_hermitian(V)),
-        invertible=bool(np.isfinite(cond) and cond <= cond_cap),
+        invertible=bool(np.isfinite(cond) and cond <= _CONDITION_CAP),
         condition_estimate=cond,
         residual=float(_intertwiner_residual(V, H)),
     )
-
-
-def _conjugate_pairing(eigenvalues: np.ndarray, tol: float) -> list[int] | None:
-    """Index map c with eigenvalue[c[i]] == conj(eigenvalue[i]), or None."""
-    n = eigenvalues.shape[0]
-    scale = max(float(np.max(np.abs(eigenvalues))), 1.0)
-    ptol = tol * scale
-    pair = [-1] * n
-    for i in range(n):
-        if pair[i] >= 0:
-            continue
-        if abs(eigenvalues[i].imag) <= ptol:
-            pair[i] = i
-            continue
-        target = np.conj(eigenvalues[i])
-        best, best_dist = -1, np.inf
-        for j in range(n):
-            if pair[j] >= 0 or j == i:
-                continue
-            d = abs(eigenvalues[j] - target)
-            if d < best_dist:
-                best, best_dist = j, d
-        if best < 0 or best_dist > ptol:
-            return None
-        pair[i], pair[best] = best, i
-    return pair
-
-
-def _gram_candidate(eigsys: EigenSystem) -> np.ndarray | None:
-    """Hermitian metric from left eigenvectors, V = sum_i L_i^dag L_c(i).
-
-    Real eigenvalues contribute their own Gram block; conjugate-pair partners
-    are cross-linked, which keeps the result both Hermitian and a solution of
-    the intertwiner equation.
-    """
-    pairing = _conjugate_pairing(eigsys.eigenvalues, 1e-8)
-    if pairing is None:
-        return None
-    L = eigsys.left
-    V = np.zeros((eigsys.n, eigsys.n), dtype=complex)
-    for i, j in enumerate(pairing):
-        V += np.outer(np.conj(L[i]), L[j])
-    return V
 
 
 def build_metric(
@@ -172,7 +128,6 @@ def build_metric(
     space: IntertwinerSpace,
     policy: str = "hermitian-representative",
     H=None,
-    cond_cap: float = CONDITION_CAP,
 ) -> MetricOperator:
     """Select a metric operator from the intertwiner solution space.
 
@@ -182,9 +137,9 @@ def build_metric(
         Searches real linear combinations of the basis elements and their
         adjoints (all Hermitian by construction) and keeps the one that
         maximizes the smallest singular value at unit spectral norm.  The
-        left-eigenvector Gram construction is tried first and wins ties, so
-        a Hermitian Hamiltonian with orthonormal eigenvectors yields the
-        identity.
+        Hermitian part of ``basis[0]``, the matching sum ``L^dag P L``, comes
+        first and wins ties, so a Hermitian Hamiltonian with orthonormal
+        eigenvectors yields the identity.
     ``paper-gauge``
         For a 2x2 diagonal conjugate-pair system only; returns the exact
         antisymmetric unit matrix ``[[0, -1], [1, 0]]``.
@@ -215,26 +170,22 @@ def build_metric(
     n = H.shape[0]
 
     if policy == "paper-gauge":
-        return _paper_gauge(H, cond_cap)
+        return _paper_gauge(H)
 
     if policy == "first-basis":
         V = space.basis[0]
         V = _fix_sign(V / np.linalg.norm(V, 2))
-        return _certify(V, H, cond_cap)
+        return _certify(V, H)
 
-    # hermitian-representative: Hermitian candidates in a fixed order (Gram
-    # matrix, Hermitian and anti-Hermitian parts of each basis element, seeded
+    # hermitian-representative: Hermitian candidates in a fixed order (the
+    # Hermitian and anti-Hermitian parts of each basis element, then seeded
     # random real combinations of those parts), scored as one batch; the first
     # strict winner on the smallest singular value at unit norm is kept.
     B = np.stack(space.basis)
     Bh = np.conj(np.swapaxes(B, 1, 2))
     gens = np.stack([(B + Bh) / 2.0, (B - Bh) / 2.0j], axis=1).reshape(-1, n, n)
     coeffs = np.random.default_rng(20250513).standard_normal((_SEARCH_SAMPLES, len(gens)))
-    parts = [gens, np.tensordot(coeffs, gens, axes=1)]
-    gram = _gram_candidate(eigsys)
-    if gram is not None:
-        parts.insert(0, gram[np.newaxis])
-    C = np.concatenate(parts)
+    C = np.concatenate([gens, np.tensordot(coeffs, gens, axes=1)])
 
     s = np.linalg.svd(C, compute_uv=False)
     nonzero = s[:, 0] >= 1e-14
@@ -252,17 +203,17 @@ def build_metric(
 
     if best_v is None:
         raise NoMetricError("no Hermitian intertwiner found in the searched combinations")
-    if best_smin < 1.0 / cond_cap:
+    if best_smin < 1.0 / _CONDITION_CAP:
         err = NoMetricError(
             "no invertible Hermitian intertwiner found: best candidate has "
             f"smallest singular value {best_smin:.3g} at unit spectral norm"
         )
         err.best_candidate = best_v
         raise err
-    return _certify(_fix_sign(best_v), H, cond_cap)
+    return _certify(_fix_sign(best_v), H)
 
 
-def _paper_gauge(H: np.ndarray, cond_cap: float) -> MetricOperator:
+def _paper_gauge(H: np.ndarray) -> MetricOperator:
     n = H.shape[0]
     scale = max(float(np.linalg.norm(H, "fro")), 1e-300)
     ptol = 1e-8 * scale
@@ -272,7 +223,7 @@ def _paper_gauge(H: np.ndarray, cond_cap: float) -> MetricOperator:
         raise ValueError("paper-gauge policy requires a diagonal system")
     if abs(H[1, 1] - np.conj(H[0, 0])) > ptol or abs(H[0, 0].imag) <= ptol:
         raise ValueError("paper-gauge policy requires a conjugate-pair diagonal system")
-    return _certify(PAPER_GAUGE_V.copy(), H, cond_cap)
+    return _certify(PAPER_GAUGE_V.copy(), H)
 
 
 def v_inner(x, y, V) -> complex:
@@ -325,9 +276,7 @@ def verify_pseudo_hermiticity(H, V) -> PseudoHermiticityResiduals:
     V = _metric_matrix(V)
     if H.shape != V.shape:
         raise ValueError(f"dimension mismatch: H {H.shape}, V {V.shape}")
-    cond = np.linalg.cond(V, 2)
-    if not np.isfinite(cond) or cond > CONDITION_CAP:
-        raise ValueError(f"V is singular (condition estimate {cond:.3g})")
+    _require_invertible(V, "V")
     h_norm = max(float(np.linalg.norm(H, "fro")), 1e-300)
     inter = float(_intertwiner_residual(V, H))
     sim = float(np.linalg.norm(V @ H @ np.linalg.inv(V) - H.conj().T, "fro")) / h_norm

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import EXP_CAP
+from .linalg import _greedy_match, _guard_exponent
 from .response import ResonanceParams
 
 __all__ = [
@@ -81,20 +81,9 @@ def damped_oscillator_equation(p: ResonanceParams):
     # energy-space roots E = i r
     energies = 1j * characteristic_roots(coeffs)
     expected = np.array([p.e0 - 1j * p.gamma, -p.e0 - 1j * p.gamma])
-    if _match_distance(energies, expected) > 1e-10 * max(1.0, abs(p.e0), p.gamma):
+    if np.any(_greedy_match(energies, expected, 1e-10 * max(1.0, abs(p.e0), p.gamma)) < 0):
         raise FloatingPointError("energy-space factorization check failed")
     return coeffs
-
-
-def _match_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Greatest distance under greedy nearest matching of the two sets."""
-    remaining = list(b)
-    worst = 0.0
-    for z in a:
-        j = min(range(len(remaining)), key=lambda k: abs(remaining[k] - z))
-        worst = max(worst, abs(remaining[j] - z))
-        remaining.pop(j)
-    return worst
 
 
 def _check_roots(coeffs, expected: np.ndarray):
@@ -103,7 +92,7 @@ def _check_roots(coeffs, expected: np.ndarray):
     # rounding the coefficients themselves shifts near-coalescent roots by
     # O(sqrt(eps)); well-separated roots sit at the 1e-10 level
     tol = (1e-10 + 4.0 * np.sqrt(np.finfo(float).eps)) * scale
-    if _match_distance(roots, expected) > tol:
+    if np.any(_greedy_match(roots, expected, tol) < 0):
         raise FloatingPointError("characteristic-root verification failed")
 
 
@@ -179,10 +168,7 @@ def integrate(ivp: SecondOrderIVP) -> TimeSeries:
             f"step {ivp.step:g} too large: step * max|root| = {ivp.step * rho:.3g} "
             f"exceeds {MAX_STEP_ROOT:g}"
         )
-    t_end = float(ivp.times[-1])
-    growth = float(np.max(roots.real)) * t_end
-    if growth > EXP_CAP:
-        raise OverflowRangeError(f"growing-mode exponent {growth:.3g} exceeds cap {EXP_CAP:g}")
+    _guard_exponent(roots.real * float(ivp.times[-1]), "growing-mode exponent")
 
     y = np.array([ivp.psi0, ivp.dpsi0], dtype=complex)
     t_prev = 0.0

@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OverflowRangeError
-from .linalg import EXP_CAP
+from .linalg import _guard_exponent
 
 __all__ = [
     "ResonanceParams",
@@ -241,11 +240,8 @@ def inverse_ft(model: PropagatorModel, t):
             continue
         poles = model.poles[pole_mask]
         residues = model.residues[pole_mask]
-        exponents = np.outer(poles.imag, ts[mask])  # |exp(-i p t)| = exp(Im p * t)
-        if np.max(exponents) > EXP_CAP:
-            raise OverflowRangeError(
-                f"residue exponent {np.max(exponents):.3g} exceeds cap {EXP_CAP:g}"
-            )
+        # |exp(-i p t)| = exp(Im p * t)
+        _guard_exponent(np.outer(poles.imag, ts[mask]), "residue exponent")
         out[mask] = sign * np.sum(
             residues[:, None] * np.exp(-1j * np.outer(poles, ts[mask])), axis=0
         )

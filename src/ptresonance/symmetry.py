@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DefectiveMatrixError
-from .linalg import EigenSystem, as_matrix, eig
+from .linalg import EigenSystem, _greedy_match, _require_invertible, as_matrix, eig
 
 __all__ = [
     "AntilinearSymmetry",
@@ -28,9 +28,6 @@ __all__ = [
     "pt_unbroken",
     "gain_loss_dimer",
 ]
-
-# Condition-number cap above which a linear part is treated as singular.
-CONDITION_CAP = 1e12
 
 # Classification tolerance, relative to the spectral radius.
 DEFAULT_CLASSIFY_TOL = 1e-9
@@ -51,16 +48,11 @@ class AntilinearSymmetry:
     """Antilinear map ``v -> P conj(v)``: invertible linear part P, T = K."""
 
     P: np.ndarray
-    conjugation: bool = True  # fixed: T is complex conjugation
 
     def __post_init__(self):
         P = as_matrix(self.P)
         object.__setattr__(self, "P", P)
-        if not self.conjugation:
-            raise ValueError("only T = K (complex conjugation) is supported")
-        cond = np.linalg.cond(P, 2)
-        if not np.isfinite(cond) or cond > CONDITION_CAP:
-            raise ValueError(f"linear part P is singular (condition estimate {cond:.3g})")
+        _require_invertible(P, "linear part P")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the antilinear map to a vector."""
@@ -183,33 +175,15 @@ def classify_spectrum(
         i = j + 1
 
     rest = w[~real_mask]
-    order = np.lexsort((rest.imag, rest.real))
-    rest = rest[order]
-    used = np.zeros(rest.size, dtype=bool)
-    pairs: list[tuple[float, float]] = []
-    unmatched: list[complex] = []
-    for a in range(rest.size):
-        if used[a] or rest[a].imag <= 0:
-            continue
-        target = np.conj(rest[a])
-        best, best_dist = -1, np.inf
-        for b in range(rest.size):
-            if used[b] or b == a or rest[b].imag >= 0:
-                continue
-            d = abs(rest[b] - target)
-            if d < best_dist:
-                best, best_dist = b, d
-        if best >= 0 and best_dist <= abs_tol:
-            used[a] = used[best] = True
-            e0 = float((rest[a].real + rest[best].real) / 2.0)
-            gamma = float((rest[a].imag - rest[best].imag) / 2.0)
-            pairs.append((e0, gamma))
-    for a in range(rest.size):
-        if not used[a]:
-            unmatched.append(complex(rest[a]))
-
-    pairs.sort()
-    unmatched.sort(key=lambda z: (z.real, z.imag))
+    rest = rest[np.lexsort((rest.imag, rest.real))]
+    upper, lower = rest[rest.imag > 0], rest[rest.imag < 0]
+    match = _greedy_match(upper, np.conj(lower), abs_tol)
+    hit = match >= 0
+    up, down = upper[hit], lower[match[hit]]
+    e0, gamma = (up.real + down.real) / 2.0, (up.imag - down.imag) / 2.0
+    pairs = sorted(zip(e0.tolist(), gamma.tolist()))
+    leftover = np.concatenate([upper[~hit], np.delete(lower, match[hit])])
+    unmatched = sorted((complex(z) for z in leftover), key=lambda z: (z.real, z.imag))
     return SpectrumReport(
         real_values=tuple(real_values),
         conjugate_pairs=tuple(pairs),

@@ -73,6 +73,20 @@ class TestClassify:
         assert main(["classify", "--input", str(bad)]) == 1
         assert "entries[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": True, "entries": [[[1, 0]]]},
+            {"n": 1, "entries": [[[True, False]]]},
+            {"n": 1, "entries": [[[10**400, 0]]]},
+        ],
+    )
+    def test_malformed_number_is_input_error(self, tmp_path, capsys, obj):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["classify", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_missing_input(self, capsys):
         assert main(["classify"]) == 1
         assert "--input" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import random_complex_matrix
+from helpers import random_complex_matrix, random_pt_symmetric
 from ptresonance import (
     PAPER_GAUGE_V,
     DefectiveMatrixError,
@@ -14,6 +14,7 @@ from ptresonance import (
     eig,
     evolve,
     gain_loss_dimer,
+    mat_exp_evolution,
     pseudounitarity_residual,
     solve_intertwiner,
     two_level_hamiltonian,
@@ -101,14 +102,34 @@ class TestPseudoUnitarity:
     def test_dirac_norm_not_conserved_meanwhile(self):
         H = gain_loss_dimer(0.6)
         es = eig(H)
-        from ptresonance import mat_exp_evolution
-
         U = mat_exp_evolution(es, 1.0)
         assert np.linalg.norm(U.conj().T @ U - np.eye(2)) >= 0.1
 
     def test_singular_metric_rejected(self):
         with pytest.raises(ValueError):
             pseudounitarity_residual(DIAG_PAIR, np.zeros((2, 2)), TIMES)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_batch_matches_per_time_loop(self, n):
+        """The batched residuals equal the per-time formula up to the order
+        of the Frobenius-norm sum."""
+        H, _ = random_pt_symmetric(np.random.default_rng(97 + n), n)
+        H = H / np.linalg.norm(H, 2)
+        es = eig(H)
+        V = build_metric(es, solve_intertwiner(H), H=H).V
+        times = np.linspace(-2.0, 3.0, 41)
+        V_inv = np.linalg.inv(V)
+        expected = [
+            np.linalg.norm(V_inv @ U.conj().T @ V @ U - np.eye(n), "fro")
+            for U in (mat_exp_evolution(es, t) for t in times)
+        ]
+        npt.assert_allclose(pseudounitarity_residual(H, V, times).residuals, expected, rtol=1e-14)
+
+    def test_defect_and_overflow_rejected(self):
+        with pytest.raises(DefectiveMatrixError):
+            pseudounitarity_residual(gain_loss_dimer(1.0), np.eye(2), TIMES)
+        with pytest.raises(OverflowRangeError):
+            pseudounitarity_residual(DIAG_PAIR, PAPER_GAUGE_V, np.linspace(0.0, 400.0, 5))
 
 
 class TestTwoLevelScenario:

@@ -212,6 +212,25 @@ class TestIntertwinerOracle:
             assert np.linalg.norm(B @ H - H.conj().T @ B) <= 1e-14
 
 
+class TestGreedyMatch:
+    def test_nearest_within_cutoff(self):
+        a = np.array([0.0, 10.0])
+        b = np.array([0.3, 0.1, 10.5])
+        npt.assert_array_equal(linalg._greedy_match(a, b, 1.0), [1, 2])
+        npt.assert_array_equal(linalg._greedy_match(a, b, 0.2), [1, -1])
+
+    def test_ties_go_to_lowest_index(self):
+        b = np.array([1j, 1.0, -1.0])  # all at distance 1
+        npt.assert_array_equal(linalg._greedy_match(np.array([0.0]), b, 2.0), [0])
+
+    def test_earlier_points_take_partners_first(self):
+        # a[0] takes b[0] although a[1] is nearer to it; then b is exhausted
+        a = np.array([0.0, 0.05, 0.1])
+        b = np.array([0.1])
+        npt.assert_array_equal(linalg._greedy_match(a, b, np.inf), [0, -1, -1])
+        assert linalg._greedy_match(np.array([1.0]), np.array([]), np.inf).tolist() == [-1]
+
+
 class TestEvolutionOperator:
     def test_identity_at_zero(self):
         rng = np.random.default_rng(3)
@@ -275,13 +294,21 @@ class TestMatrixJson:
             matrix_from_json({"n": 2, "entries": [[[1, 0]], [[0, 0], [1, 0]]]})
 
     def test_rejects_non_finite(self):
-        bad = {"n": 1, "entries": [[[float("inf"), 0.0]]]}
-        with pytest.raises(ValueError, match=r"entries\[0\]\[0\]"):
-            matrix_from_json(bad)
+        # 10**400 is a valid JSON integer but has no double value
+        for re in (float("inf"), 10**400):
+            with pytest.raises(ValueError, match=r"entries\[0\]\[0\]"):
+                matrix_from_json({"n": 1, "entries": [[[re, 0.0]]]})
 
     def test_rejects_bad_pair(self):
         with pytest.raises(ValueError, match=r"entries\[0\]\[0\]"):
             matrix_from_json({"n": 1, "entries": [[[1.0]]]})
+        # JSON booleans are Python ints; they must not pass as 1 + 0j
+        with pytest.raises(ValueError, match=r"entries\[0\]\[0\]"):
+            matrix_from_json({"n": 1, "entries": [[[True, False]]]})
+
+    def test_rejects_boolean_size(self):
+        with pytest.raises(ValueError, match="'n'"):
+            matrix_from_json({"n": True, "entries": [[[1.0, 0.0]]]})
 
     def test_as_matrix_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from ptresonance import (
     DefectiveMatrixError,
     NoMetricError,
     build_metric,
+    classify_hamiltonian,
     closure_check,
     dual_pair,
     eig,
@@ -103,16 +104,12 @@ class TestBuildMetric:
             assert res.similarity <= 1e-10
 
 
-def _reference_search(eigsys, space, H):
+def _reference_search(space, H):
     """The hermitian-representative search scored one candidate at a time."""
-    candidates = []
-    gram = metric._gram_candidate(eigsys)
-    if gram is not None:
-        candidates.append(gram)
     gens = []
     for B in space.basis:
         gens += [(B + B.conj().T) / 2.0, (B - B.conj().T) / 2.0j]
-    candidates += gens
+    candidates = list(gens)
     rng = np.random.default_rng(20250513)
     for _ in range(128):
         coeffs = rng.standard_normal(len(gens))
@@ -143,7 +140,36 @@ class TestBatchedSearch:
             eigsys = eig(H)
             space = solve_intertwiner(H)
             op = build_metric(eigsys, space, H=H)
-            npt.assert_allclose(op.V, _reference_search(eigsys, space, H), rtol=0, atol=1e-14)
+            npt.assert_allclose(op.V, _reference_search(space, H), rtol=0, atol=1e-14)
+
+
+class TestPairability:
+    """``classify_hamiltonian`` and ``build_metric`` agree on whether a
+    spectrum pairs up: paired spectra get a metric, unmatched ones none."""
+
+    def test_symmetric_inputs_pair_and_get_a_metric(self):
+        rng = np.random.default_rng(89)
+        for n in (2, 3, 4, 5, 6, 8):
+            for _ in range(3):
+                H, _ = random_pt_symmetric(rng, n)
+                report, eigsys = classify_hamiltonian(H)
+                assert not report.unmatched
+                assert build_metric(eigsys, solve_intertwiner(H), H=H).invertible
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            np.diag([1 + 1j, 2 - 1j]),
+            np.diag([1 + 1j, 1 - 1j, 3 + 0.5j]),
+            np.diag([2.0, 1 + 1j, 1 - 1j, 4 - 2j, 4 - 2j]),
+        ],
+    )
+    def test_broken_spectra_are_unmatched_and_get_no_metric(self, H):
+        H = H.astype(complex)
+        report, eigsys = classify_hamiltonian(H)
+        assert report.unmatched
+        with pytest.raises(NoMetricError):
+            build_metric(eigsys, solve_intertwiner(H), H=H)
 
 
 class TestInnerProduct:
