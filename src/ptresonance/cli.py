@@ -170,7 +170,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    tol = _resolve_tol(args, 1e-10)
+    tol = _resolve_tol(args, linalg.PAIR_TOL)
     H = _input_matrix(args)
     eigsys = linalg.eig(H)
     space = linalg.solve_intertwiner(H, tol=tol)

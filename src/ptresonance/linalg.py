@@ -45,6 +45,9 @@ DEFECT_FLOOR = 1e-7
 # exp() overflows double precision near 709; stay clear of it.
 EXP_CAP = 300.0
 
+# Default relative cutoff for pairing an eigenvalue with a conjugate partner.
+PAIR_TOL = 1e-10
+
 # Condition number above which a matrix is treated as singular.
 _CONDITION_CAP = 1e12
 
@@ -81,6 +84,15 @@ def _greedy_match(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
             match[k] = m
             free[m] = False
     return match
+
+
+def _pair_cutoff(w: np.ndarray, tol: float = PAIR_TOL) -> float:
+    """Distance within which ``lambda_j`` is the conjugate partner of ``lambda_i``.
+
+    ``|lambda_j - conj(lambda_i)| <= tol * max(max|lambda|, 1)``: the one
+    pairing rule of the intertwiner basis and the spectrum classification.
+    """
+    return tol * max(float(np.max(np.abs(w), initial=0.0)), 1.0)
 
 
 def as_matrix(data) -> np.ndarray:
@@ -357,7 +369,7 @@ def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, pa
     return U @ np.moveaxis(Y, 0, 2) @ U.conj().T
 
 
-def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
+def solve_intertwiner(H, tol: float = PAIR_TOL) -> IntertwinerSpace:
     """Basis of all solutions V of the intertwiner equation ``V H = H^dag V``.
 
     Writing ``V = L^dag M L`` with the biorthonormal left eigenvectors L
@@ -394,8 +406,8 @@ def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
         return _kron_intertwiner(H, tol)
     w, L = eigsys.eigenvalues, eigsys.left
     n = eigsys.n
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= tol * scale
+    cutoff = _pair_cutoff(w, tol)
+    paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= cutoff
     i, j = np.nonzero(paired)
     k = i.size
     if k == 0:
@@ -404,7 +416,7 @@ def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
     # Put the sum over a conjugate matching of the pairs in front, in place of
     # one of its own terms so that the span is kept: L^dag P L with P a
     # permutation, invertible when the spectrum pairs up.
-    in_match = j == _greedy_match(np.conj(w), w, tol * scale)[i]
+    in_match = j == _greedy_match(np.conj(w), w, cutoff)[i]
     first = int(np.argmax(in_match))
     outer[first] = outer[in_match].sum(axis=0)
     outer[[0, first]] = outer[[first, 0]]

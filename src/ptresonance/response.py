@@ -257,6 +257,9 @@ class QuadratureResult(NamedTuple):
 # truncation tail at the panel counts used here.
 _GL_POINTS = 6
 
+# Panels evaluated per block, so the working arrays stay small at any N.
+_PANEL_BLOCK = 4096
+
 
 def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> QuadratureResult:
     """Direct quadrature of the single-pole inverse Fourier integral.
@@ -267,19 +270,35 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     has a growing mode and no convergent real-axis integral.  The returned
     tail estimate ``1/(pi L)`` bounds the truncated |E - E0| > L
     contribution up to oscillation.
+
+    The rule is evaluated in the offset ``x = E - E0``, folded and
+    phase-factored.  The nodes are symmetric under ``x -> -x`` and the
+    integrand ``g(x) = exp(-i x t) / (x + i Gamma)`` obeys
+    ``g(-x) = -conj(g(x))``, so only the ``x >= 0`` half is evaluated and the
+    sum is ``exp(-i E0 t) (i/pi) Im S``, with the centre panel of odd N
+    counted half in S.  The node phase ``exp(-i (c + h x_j) t)`` of a panel
+    with centre c and half-width h is ``exp(-i c t) exp(-i h x_j t)``: N/2 + 6
+    exponentials instead of 6N.
     """
     if L <= 0:
         raise ValueError("truncation half-width L must be positive")
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ValueError("panel count N must be a positive integer")
     nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
-    edges = np.linspace(p.e0 - L, p.e0 + L, N + 1)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1] - edges[0]) / 2.0
-    E = (centers[:, None] + half * nodes[None, :]).reshape(-1)
-    w = np.broadcast_to(half * weights[None, :], (N, _GL_POINTS)).reshape(-1)
-    integrand = np.exp(-1j * E * t) * bw_propagator(E, p)
-    value = complex(np.sum(w * integrand) / (2.0 * np.pi))
+    h = L / N
+    node_weights = h * weights * np.exp(-1j * h * t * nodes)
+    centred = ResonanceParams(0.0, p.gamma)
+    # Centres of the panels on x >= 0 are h q, q = N - 1, N - 3, ... down to 0 or 1.
+    q = np.arange((N + 1) % 2, N, 2, dtype=float)
+    total = 0.0j
+    for start in range(0, q.size, _PANEL_BLOCK):
+        centres = h * q[start : start + _PANEL_BLOCK]
+        f = bw_propagator(centres[:, None] + h * nodes[None, :], centred)
+        phases = np.exp(-1j * t * centres)
+        if start == 0 and N % 2:
+            phases[0] *= 0.5  # the centre panel is its own mirror image
+        total += phases @ (f @ node_weights)
+    value = complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total.imag)
     return QuadratureResult(value=value, tail_estimate=1.0 / (np.pi * L))
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DefectiveMatrixError
-from .linalg import EigenSystem, _greedy_match, _require_invertible, as_matrix, eig
+from .linalg import EigenSystem, _greedy_match, _pair_cutoff, _require_invertible, as_matrix, eig
 
 __all__ = [
     "AntilinearSymmetry",
@@ -150,10 +150,12 @@ def classify_spectrum(
 
     Values with ``|Im| <= tol * spectral_radius`` count as real and are
     merged into multiplicity clusters.  The remaining values are paired
-    greedily in ascending-real-part order, nearest conjugate first; anything
-    without a partner within tolerance is reported as unmatched rather than
-    raised.  ``defective_clusters`` (pairs of value, multiplicity) are copied
-    into the ``exceptional`` annotation.
+    greedily in ascending-real-part order, nearest conjugate first, within
+    the pairing cutoff of the intertwiner basis (``linalg.PAIR_TOL``
+    relative to ``max(spectral_radius, 1)``, whatever ``tol``), so that
+    values paired here are paired there too.  Anything without a partner is
+    reported as unmatched rather than raised.  ``defective_clusters`` (pairs
+    of value, multiplicity) are copied into the ``exceptional`` annotation.
     """
     w = np.asarray(list(eigenvalues), dtype=complex)
     if w.size and not np.all(np.isfinite(w)):
@@ -177,7 +179,7 @@ def classify_spectrum(
     rest = w[~real_mask]
     rest = rest[np.lexsort((rest.imag, rest.real))]
     upper, lower = rest[rest.imag > 0], rest[rest.imag < 0]
-    match = _greedy_match(upper, np.conj(lower), abs_tol)
+    match = _greedy_match(upper, np.conj(lower), _pair_cutoff(w))
     hit = match >= 0
     up, down = upper[hit], lower[match[hit]]
     e0, gamma = (up.real + down.real) / 2.0, (up.imag - down.imag) / 2.0

@@ -30,6 +30,7 @@ def matrices(tmp_path):
         "generic": write_matrix(
             tmp_path / "generic.json", np.array([[1 + 1j, 0.3], [0.0, 2 - 0.5j]])
         ),
+        "near_pair": write_matrix(tmp_path / "near_pair.json", np.diag([1 + 1j, 1 - 1j + 5e-10])),
     }
 
 
@@ -135,6 +136,13 @@ class TestMetric:
     def test_empty_space(self, matrices, capsys):
         assert main(["metric", "--input", matrices["generic"]]) == 4
         assert "no metric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["m06", "broken", "near_pair"])
+    def test_exit_code_agrees_with_classify(self, matrices, name, tmp_path):
+        """A spectrum classify pairs gets a metric; an unpairable one gets none."""
+        classified = main(["classify", "--input", matrices[name], "--output", str(tmp_path / "r")])
+        built = main(["metric", "--input", matrices[name], "--output", str(tmp_path / "v")])
+        assert (classified, built) in {(0, 0), (2, 4)}
 
     def test_first_basis_policy(self, matrices, tmp_path):
         out = tmp_path / "v.json"

@@ -145,3 +145,49 @@ class TestIntegrate:
         rescaled = unit.psi * (2j * P.gamma)
         expected = inverse_ft(build_model("pt-pair", P), times)
         assert np.max(np.abs(rescaled - expected)) <= 1e-6
+
+
+def _stagewise_rk4(ivp):
+    """Classical RK4 with stages k1..k4 on the substeps ``integrate`` takes."""
+
+    def f(y):
+        return np.array([y[1], -ivp.c1 * y[1] - ivp.c0 * y[0]])
+
+    y = np.array([ivp.psi0, ivp.dpsi0], dtype=complex)
+    out = np.empty((ivp.times.size, 2), dtype=complex)
+    t_prev = 0.0
+    for k, tk in enumerate(ivp.times):
+        span = tk - t_prev
+        if span > 0.0:
+            nsub = max(1, int(np.ceil(span / ivp.step - 1e-12)))
+            h = span / nsub
+            for _ in range(nsub):
+                k1 = f(y)
+                k2 = f(y + 0.5 * h * k1)
+                k3 = f(y + 0.5 * h * k2)
+                k4 = f(y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k] = y
+        t_prev = tk
+    return out
+
+
+class TestStabilityPolynomial:
+    """One RK4 step on ``y' = A y`` is ``y <- y + (R(hA) - I) y``; the result
+    matches the stagewise step up to rounding."""
+
+    GRIDS = {
+        "uniform": np.linspace(0.0, 5.0, 5001),
+        "uneven": np.concatenate(
+            [[0.0, 1e-4, 0.0137], np.sort(np.random.default_rng(7).uniform(0.02, 4.9, 37)), [5.0]]
+        ),
+    }
+
+    @pytest.mark.parametrize("grid", ["uniform", "uneven"])
+    @pytest.mark.parametrize("make_ivp", [pt_wave_ivp, damped_oscillator_ivp])
+    def test_matches_stagewise_step(self, make_ivp, grid):
+        ivp = make_ivp(P, self.GRIDS[grid], 1e-3)
+        series = integrate(ivp)
+        expected = _stagewise_rk4(ivp)
+        npt.assert_allclose(series.psi, expected[:, 0], rtol=1e-14, atol=0)
+        npt.assert_allclose(series.dpsi, expected[:, 1], rtol=1e-14, atol=0)

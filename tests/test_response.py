@@ -272,6 +272,51 @@ class TestQuadrature:
             quadrature_ift(P, 1.0, L=1.0, N=0)
 
 
+def _unfolded_quadrature(p, t, L, N):
+    """The composite rule summed over all 6N nodes in absolute energy.
+
+    Returns the value and the size of its terms, ``sum |w f| / (2 pi)``.  The
+    panel half-width is ``L / N``; ``(edges[1] - edges[0]) / 2`` would carry
+    a relative rounding of up to ``eps N`` into every weight.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    edges = np.linspace(p.e0 - L, p.e0 + L, N + 1)
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    half = L / N
+    E = (centers[:, None] + half * nodes[None, :]).reshape(-1)
+    w = np.broadcast_to(half * weights[None, :], (N, 6)).reshape(-1)
+    terms = w * np.exp(-1j * E * t) * bw_propagator(E, p)
+    return complex(np.sum(terms) / (2.0 * np.pi)), float(np.sum(np.abs(terms)) / (2.0 * np.pi))
+
+
+class TestQuadratureFold:
+    """The folded, phase-factored kernel against the rule summed unfolded."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 1001, 200001])
+    @pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 2.0])
+    def test_matches_unfolded_rule(self, N, t):
+        L = 50.0 * P.gamma
+        expected, size = _unfolded_quadrature(P, t, L, N)
+        # relative to the size of the terms: at small N the sum cancels
+        assert abs(quadrature_ift(P, t, L, N).value - expected) <= 1e-13 * size
+
+    def test_tail_estimate_unchanged(self):
+        for L in (0.5, 40.0, 8000.0):
+            assert quadrature_ift(P, 1.0, L, 7).tail_estimate == 1.0 / (np.pi * L)
+
+    def test_two_form_check_runs_on_every_node(self, monkeypatch):
+        """The x >= 0 half of N = 10001 panels is 5001 panels of 6 nodes."""
+        seen = []
+
+        def counting(E, p):
+            seen.append(np.size(E))
+            return bw_propagator(E, p)
+
+        monkeypatch.setattr("ptresonance.response.bw_propagator", counting)
+        quadrature_ift(P, 0.5, 40.0, 10001)
+        assert sum(seen) == 6 * 5001
+
+
 class TestCurves:
     def test_response_curve_validation(self):
         with pytest.raises(ValueError):
