@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 malformed input, 2 broken (unpairable) spectrum,
 3 exceptional point, 4 no metric operator, 5 overflow guard.
 The ``PTR_TOL`` environment variable overrides a command's default
 tolerance when ``--tol`` is not given.  For ``metric`` that tolerance is the
-relative eigenvalue-pairing cutoff of the intertwiner basis; the null-space
-singular-value cutoff it also sets applies only to a defective spectrum.
+null-space singular-value cutoff, used only on a defective spectrum;
+eigenvalues pair within ``linalg.PAIR_TOL`` relative to the spectral radius
+in ``classify`` and ``metric`` alike, whatever the tolerance.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    tol = _resolve_tol(args, linalg.PAIR_TOL)
+    tol = _resolve_tol(args, 1e-10)
     H = _input_matrix(args)
     eigsys = linalg.eig(H)
     space = linalg.solve_intertwiner(H, tol=tol)
@@ -312,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument(
         "--tol",
         type=float,
-        help="intertwiner basis: relative cutoff for pairing lambda_j with conj(lambda_i), "
-        "scaled by max(max|lambda|, 1); on a defective spectrum, the relative "
-        "singular-value cutoff of the null-space fallback (default 1e-10, or PTR_TOL)",
+        help="on a defective spectrum, the relative singular-value cutoff of the "
+        "null-space fallback (default 1e-10, or PTR_TOL); eigenvalues pair within "
+        "1e-10 of the spectral radius whatever this value",
     )
     m.add_argument("--output", help="metric JSON path (default stdout)")
     m.set_defaults(func=cmd_metric)

@@ -45,7 +45,7 @@ DEFECT_FLOOR = 1e-7
 # exp() overflows double precision near 709; stay clear of it.
 EXP_CAP = 300.0
 
-# Default relative cutoff for pairing an eigenvalue with a conjugate partner.
+# Relative cutoff for pairing an eigenvalue with a conjugate partner.
 PAIR_TOL = 1e-10
 
 # Condition number above which a matrix is treated as singular.
@@ -86,13 +86,14 @@ def _greedy_match(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
     return match
 
 
-def _pair_cutoff(w: np.ndarray, tol: float = PAIR_TOL) -> float:
+def _pair_cutoff(w: np.ndarray) -> float:
     """Distance within which ``lambda_j`` is the conjugate partner of ``lambda_i``.
 
-    ``|lambda_j - conj(lambda_i)| <= tol * max(max|lambda|, 1)``: the one
-    pairing rule of the intertwiner basis and the spectrum classification.
+    ``|lambda_j - conj(lambda_i)| <= PAIR_TOL * max|lambda|``: the one pairing
+    rule of the intertwiner basis and the spectrum classification, relative
+    to the spectrum so that it does not depend on the units of H.
     """
-    return tol * max(float(np.max(np.abs(w), initial=0.0)), 1.0)
+    return PAIR_TOL * float(np.max(np.abs(w), initial=0.0))
 
 
 def as_matrix(data) -> np.ndarray:
@@ -369,13 +370,13 @@ def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, pa
     return U @ np.moveaxis(Y, 0, 2) @ U.conj().T
 
 
-def solve_intertwiner(H, tol: float = PAIR_TOL) -> IntertwinerSpace:
+def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
     """Basis of all solutions V of the intertwiner equation ``V H = H^dag V``.
 
     Writing ``V = L^dag M L`` with the biorthonormal left eigenvectors L
     turns the equation into ``M_ij lambda_j = conj(lambda_i) M_ij``, so the
     solutions are spanned by the outer products ``L_i^dag L_j`` over the
-    index pairs with ``|lambda_j - conj(lambda_i)| <= tol * max(max|lambda|, 1)``.
+    index pairs with ``|lambda_j - conj(lambda_i)| <= PAIR_TOL * max|lambda|``.
     Those are orthonormalized by a QR factorization, with the sum over a
     matching of the pairs in front, so that ``basis[0]`` is invertible
     whenever every eigenvalue has a conjugate partner.  When the eigenvectors
@@ -390,9 +391,8 @@ def solve_intertwiner(H, tol: float = PAIR_TOL) -> IntertwinerSpace:
     ----------
     H : array_like, shape (n, n)
     tol : float
-        Relative cutoff for pairing ``lambda_j`` with ``conj(lambda_i)``; for a
-        defective spectrum, the relative singular-value cutoff of the null
-        space.
+        For a defective spectrum, the relative singular-value cutoff of the
+        null space.  Pairing always uses ``PAIR_TOL``.
 
     Returns
     -------
@@ -406,7 +406,7 @@ def solve_intertwiner(H, tol: float = PAIR_TOL) -> IntertwinerSpace:
         return _kron_intertwiner(H, tol)
     w, L = eigsys.eigenvalues, eigsys.left
     n = eigsys.n
-    cutoff = _pair_cutoff(w, tol)
+    cutoff = _pair_cutoff(w)
     paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= cutoff
     i, j = np.nonzero(paired)
     k = i.size

@@ -277,8 +277,8 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     ``g(-x) = -conj(g(x))``, so only the ``x >= 0`` half is evaluated and the
     sum is ``exp(-i E0 t) (i/pi) Im S``, with the centre panel of odd N
     counted half in S.  The node phase ``exp(-i (c + h x_j) t)`` of a panel
-    with centre c and half-width h is ``exp(-i c t) exp(-i h x_j t)``: N/2 + 6
-    exponentials instead of 6N.
+    with centre c and half-width h is ``exp(-i c t) exp(-i h x_j t)``:
+    ``ceil(N/2) + 7`` exponentials instead of 6N.
     """
     if L <= 0:
         raise ValueError("truncation half-width L must be positive")
@@ -288,7 +288,8 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     h = L / N
     node_weights = h * weights * np.exp(-1j * h * t * nodes)
     centred = ResonanceParams(0.0, p.gamma)
-    # Centres of the panels on x >= 0 are h q, q = N - 1, N - 3, ... down to 0 or 1.
+    # Centres of the panels on x >= 0 are h q, q = 0 or 1, ..., N - 1 ascending;
+    # for odd N, q[0] = 0 is the centre panel.
     q = np.arange((N + 1) % 2, N, 2, dtype=float)
     total = 0.0j
     for start in range(0, q.size, _PANEL_BLOCK):

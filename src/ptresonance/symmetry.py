@@ -151,9 +151,9 @@ def classify_spectrum(
     Values with ``|Im| <= tol * spectral_radius`` count as real and are
     merged into multiplicity clusters.  The remaining values are paired
     greedily in ascending-real-part order, nearest conjugate first, within
-    the pairing cutoff of the intertwiner basis (``linalg.PAIR_TOL``
-    relative to ``max(spectral_radius, 1)``, whatever ``tol``), so that
-    values paired here are paired there too.  Anything without a partner is
+    the pairing cutoff of the intertwiner basis (``linalg.PAIR_TOL *
+    spectral_radius``, whatever ``tol``), so that values paired here are
+    paired there too.  Anything without a partner is
     reported as unmatched rather than raised.  ``defective_clusters`` (pairs
     of value, multiplicity) are copied into the ``exceptional`` annotation.
     """

@@ -31,6 +31,13 @@ def matrices(tmp_path):
             tmp_path / "generic.json", np.array([[1 + 1j, 0.3], [0.0, 2 - 0.5j]])
         ),
         "near_pair": write_matrix(tmp_path / "near_pair.json", np.diag([1 + 1j, 1 - 1j + 5e-10])),
+        "near_pair_15": write_matrix(
+            tmp_path / "near_pair_15.json", np.diag([1 + 1j, 1 - 1j + 1.5e-10])
+        ),
+        "small_broken": write_matrix(
+            tmp_path / "small_broken.json", 1e-12 * np.diag([1 + 1j, 2 - 1j])
+        ),
+        "small_m06": write_matrix(tmp_path / "small_m06.json", 1e-12 * gain_loss_dimer(0.6)),
     }
 
 
@@ -137,9 +144,22 @@ class TestMetric:
         assert main(["metric", "--input", matrices["generic"]]) == 4
         assert "no metric" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["m06", "broken", "near_pair"])
-    def test_exit_code_agrees_with_classify(self, matrices, name, tmp_path):
+    @pytest.mark.parametrize(
+        "name, env_tol",
+        [
+            ("m06", None),
+            ("broken", None),
+            ("near_pair", None),
+            ("small_broken", None),
+            ("small_m06", None),
+            ("near_pair_15", "1e-9"),
+            ("near_pair_15", "1e-11"),
+        ],
+    )
+    def test_exit_code_agrees_with_classify(self, matrices, name, env_tol, tmp_path, monkeypatch):
         """A spectrum classify pairs gets a metric; an unpairable one gets none."""
+        if env_tol is not None:
+            monkeypatch.setenv("PTR_TOL", env_tol)
         classified = main(["classify", "--input", matrices[name], "--output", str(tmp_path / "r")])
         built = main(["metric", "--input", matrices[name], "--output", str(tmp_path / "v")])
         assert (classified, built) in {(0, 0), (2, 4)}

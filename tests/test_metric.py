@@ -163,6 +163,7 @@ class TestPairability:
             np.diag([1 + 1j, 1 - 1j, 3 + 0.5j]),
             np.diag([2.0, 1 + 1j, 1 - 1j, 4 - 2j, 4 - 2j]),
             np.diag([1 + 1j, 1 - 1j + 5e-10]),
+            1e-12 * np.diag([1 + 1j, 2 - 1j]),
         ],
     )
     def test_broken_spectra_are_unmatched_and_get_no_metric(self, H):
