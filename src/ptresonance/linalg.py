@@ -104,7 +104,7 @@ def as_matrix(data) -> np.ndarray:
     m = np.asarray(data, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -208,22 +208,24 @@ class IntertwinerSpace:
 
 def _phase_gauge(columns: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero component is real positive."""
-    out = columns.copy()
-    n = out.shape[1]
-    for k in range(n):
-        v = out[:, k]
-        nrm = np.max(np.abs(v))
-        if nrm == 0.0:
-            continue
-        idx = int(np.argmax(np.abs(v) > 1e-12 * nrm))
-        pivot = v[idx]
-        out[:, k] = v * (abs(pivot) / pivot)
-    return out
+    mag = np.abs(columns)
+    nrm = mag.max(axis=0)
+    pivots = columns[np.argmax(mag > 1e-12 * nrm, axis=0), np.arange(columns.shape[1])]
+    # One numpy-scalar division per column, and the phases multiplied in as a
+    # row: an array division, or a 1-d broadcast on a single column, rounds
+    # differently from the product taken column by column.
+    phases = np.array([1.0 if m == 0.0 else abs(p) / p for p, m in zip(pivots, nrm)])
+    return columns * phases[np.newaxis, :]
 
 
 def _cluster_eigenvalues(w: np.ndarray, radius: float) -> list[list[int]]:
     """Group eigenvalues into clusters of mutual distance <= radius (chained)."""
     order = np.lexsort((w.imag, w.real))
+    # A cluster grows only when a value lies within radius of its seed, so
+    # when only the n self-distances are that small, every value is its own
+    # cluster.
+    if np.count_nonzero(np.abs(np.subtract.outer(w, w)) <= radius) == w.shape[0]:
+        return [[int(i)] for i in order]
     clusters: list[list[int]] = []
     assigned = np.zeros(w.shape[0], dtype=bool)
     for i in order:
@@ -249,10 +251,10 @@ def eig(H, tol: float = 1e-10) -> EigenSystem:
 
     Eigenvalues are sorted by real part, then imaginary part.  Defectiveness
     is decided by a rank test: eigenvalues are clustered with radius
-    ``max(tol, 1e-8) * ||H||`` and a cluster of algebraic multiplicity m is
-    defective when ``H - mean(cluster) I`` has fewer than m singular values
-    below the same threshold.  For a defective spectrum the eigenvector
-    blocks are omitted (the spectral formula is invalid there).
+    ``max(tol, DEFECT_FLOOR) * ||H||_2`` and a cluster of algebraic
+    multiplicity m is defective when ``H - mean(cluster) I`` has fewer than m
+    singular values below the same threshold.  For a defective spectrum the
+    eigenvector blocks are omitted (the spectral formula is invalid there).
 
     Parameters
     ----------

@@ -137,9 +137,11 @@ def build_metric(
         Searches real linear combinations of the basis elements and their
         adjoints (all Hermitian by construction) and keeps the one that
         maximizes the smallest singular value at unit spectral norm.  The
-        Hermitian part of ``basis[0]``, the matching sum ``L^dag P L``, comes
-        first and wins ties, so a Hermitian Hamiltonian with orthonormal
-        eigenvectors yields the identity.
+        candidates are scored by their eigenvalues, whose absolute values are
+        their singular values; only the winner takes an SVD, for its norm.
+        The Hermitian part of ``basis[0]``, the matching sum ``L^dag P L``,
+        comes first and wins ties, so a Hermitian Hamiltonian with
+        orthonormal eigenvectors yields the identity.
     ``paper-gauge``
         For a 2x2 diagonal conjugate-pair system only; returns the exact
         antisymmetric unit matrix ``[[0, -1], [1, 0]]``.
@@ -187,22 +189,25 @@ def build_metric(
     coeffs = np.random.default_rng(20250513).standard_normal((_SEARCH_SAMPLES, len(gens)))
     C = np.concatenate([gens, np.tensordot(coeffs, gens, axes=1)])
 
-    s = np.linalg.svd(C, compute_uv=False)
-    nonzero = s[:, 0] >= 1e-14
-    nrm = np.where(nonzero, s[:, 0], 1.0)
-    C = C / nrm[:, np.newaxis, np.newaxis]
+    s = np.abs(np.linalg.eigvalsh(C))
+    smax = s.max(axis=1)
+    nonzero = smax >= 1e-14
     keep = nonzero & _is_hermitian(C, 1e-10) & (_intertwiner_residual(C, H) <= RESIDUAL_CAP)
-    smin = s[:, -1] / nrm
+    score = s.min(axis=1) / np.where(nonzero, smax, 1.0)
 
-    best_v = None
-    best_smin = -1.0
+    best = -1
+    best_score = -1.0
     for k in np.flatnonzero(keep):
-        if smin[k] > best_smin * (1.0 + 1e-9):
-            best_smin = float(smin[k])
-            best_v = C[k].copy()
+        if score[k] > best_score * (1.0 + 1e-9):
+            best, best_score = k, score[k]
 
-    if best_v is None:
+    if best < 0:
         raise NoMetricError("no Hermitian intertwiner found in the searched combinations")
+    # Normalize the winner by its own singular values, so that V and the
+    # reported smallest singular value do not depend on the eigensolver.
+    s = np.linalg.svd(C[best], compute_uv=False)
+    best_v = C[best] / s[0]
+    best_smin = float(s[-1] / s[0])
     if best_smin < 1.0 / _CONDITION_CAP:
         err = NoMetricError(
             "no invertible Hermitian intertwiner found: best candidate has "

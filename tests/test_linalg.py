@@ -96,6 +96,52 @@ class TestEig:
             assert col[idx].real > 0
 
 
+def _phase_gauge_by_column(columns):
+    """The eigenvector phase gauge applied one column at a time."""
+    out = columns.copy()
+    for k in range(out.shape[1]):
+        v = out[:, k]
+        nrm = np.max(np.abs(v))
+        if nrm == 0.0:
+            continue
+        pivot = v[int(np.argmax(np.abs(v) > 1e-12 * nrm))]
+        out[:, k] = v * (abs(pivot) / pivot)
+    return out
+
+
+class TestPhaseGauge:
+    def test_same_columns_as_per_column_gauge(self):
+        rng = np.random.default_rng(97)
+        inputs = [random_complex_matrix(rng, n) for n in (1, 2, 5, 8, 16, 32)]
+        zero_column = random_complex_matrix(rng, 4)
+        zero_column[:, 2] = 0.0
+        small_lead = random_complex_matrix(rng, 5)
+        small_lead[:2, 1] = [3e-13 * np.exp(0.7j), -1e-14j]  # below 1e-12 * max
+        inputs += [zero_column, small_lead]
+        for m in inputs:
+            assert np.array_equal(linalg._phase_gauge(m), _phase_gauge_by_column(m))
+        pivot = linalg._phase_gauge(small_lead)[2, 1]
+        assert abs(pivot.imag) <= 1e-15 * pivot.real
+
+
+class TestClusterEigenvalues:
+    def test_distinct_values_are_singletons_in_sorted_order(self):
+        w = np.array([2.0 + 1j, -1.0, 2.0 - 1j, 0.5j, 3.0])
+        order = np.lexsort((w.imag, w.real))
+        assert linalg._cluster_eigenvalues(w, 1e-3) == [[int(i)] for i in order]
+
+    def test_one_close_pair(self):
+        r = 1e-7
+        w = np.array([3.0, 1.0, 1.0 + 0.5j * r, 2.0])
+        assert linalg._cluster_eigenvalues(w, r) == [[1, 2], [3], [0]]
+
+    def test_value_joins_through_the_cluster_mean(self):
+        """0.95j r is 1.05 r from both seeds but 0.95 r from their mean."""
+        r = 1e-7
+        w = np.array([-0.45 * r, 0.45 * r, 0.95j * r])
+        assert linalg._cluster_eigenvalues(w, r) == [[0, 1, 2]]
+
+
 class TestIntertwiner:
     def test_hermitian_contains_identity(self):
         """V = I always solves the equation when H is Hermitian."""
@@ -315,3 +361,5 @@ class TestMatrixJson:
             as_matrix([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
             as_matrix(np.array([[np.inf]]))
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix(np.array([[1.0, complex(1.0, np.nan)], [0.0, 1.0]]))

@@ -143,6 +143,51 @@ class TestBatchedSearch:
             npt.assert_allclose(op.V, _reference_search(space, H), rtol=0, atol=1e-14)
 
 
+def _svd_scored_search(space, H):
+    """The hermitian-representative search scored by a batched SVD of the
+    candidates, each normalized to unit spectral norm before the filters."""
+    n = H.shape[0]
+    B = np.stack(space.basis)
+    Bh = np.conj(np.swapaxes(B, 1, 2))
+    gens = np.stack([(B + Bh) / 2.0, (B - Bh) / 2.0j], axis=1).reshape(-1, n, n)
+    coeffs = np.random.default_rng(20250513).standard_normal((128, len(gens)))
+    C = np.concatenate([gens, np.tensordot(coeffs, gens, axes=1)])
+    s = np.linalg.svd(C, compute_uv=False)
+    nonzero = s[:, 0] >= 1e-14
+    nrm = np.where(nonzero, s[:, 0], 1.0)
+    C = C / nrm[:, np.newaxis, np.newaxis]
+    keep = nonzero & metric._is_hermitian(C, 1e-10)
+    keep &= metric._intertwiner_residual(C, H) <= metric.RESIDUAL_CAP
+    smin = s[:, -1] / nrm
+    best_v, best_smin = None, -1.0
+    for k in np.flatnonzero(keep):
+        if smin[k] > best_smin * (1.0 + 1e-9):
+            best_v, best_smin = C[k], smin[k]
+    return metric._fix_sign(best_v)
+
+
+class TestEigenvalueScoring:
+    """Scoring by ``eigvalsh`` picks, and returns bit for bit, the V that
+    scoring by singular values picks."""
+
+    def test_same_metric_as_svd_scored_search(self):
+        rng = np.random.default_rng(101)
+        for n in (2, 4, 8, 16):
+            for _ in range(3):
+                H, _ = random_pt_symmetric(rng, n)
+                space = solve_intertwiner(H)
+                op = build_metric(eig(H), space, H=H)
+                assert np.array_equal(op.V, _svd_scored_search(space, H))
+
+    def test_singular_winner_reported(self):
+        H = np.diag([1 + 5e-10j, 2]).astype(complex)
+        with pytest.raises(NoMetricError, match="smallest singular value 0 ") as info:
+            build_metric(eig(H), solve_intertwiner(H), H=H)
+        V = info.value.best_candidate
+        assert np.linalg.norm(V, 2) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.svd(V, compute_uv=False)[-1] == 0.0
+
+
 class TestPairability:
     """``classify_hamiltonian`` and ``build_metric`` agree on whether a
     spectrum pairs up: paired spectra get a metric, unmatched ones none."""
