@@ -8,8 +8,8 @@ identical configurations and can be fed back into downstream commands.
 Exit codes: 0 success, 1 malformed input, 2 broken (unpairable) spectrum,
 3 exceptional point, 4 no metric operator, 5 overflow guard.
 The ``PTR_TOL`` environment variable overrides a command's default
-tolerance when ``--tol`` is not given.  For ``metric`` that tolerance is the
-null-space singular-value cutoff, used only on a defective spectrum;
+tolerance when ``--tol`` is not given.  ``metric`` validates it but uses it
+nowhere: it refuses a defective spectrum (exit 3) right after ``eig``, and
 eigenvalues pair within ``linalg.PAIR_TOL`` relative to the spectral radius
 in ``classify`` and ``metric`` alike, whatever the tolerance.
 """
@@ -171,10 +171,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    tol = _resolve_tol(args, 1e-10)
+    _resolve_tol(args, 1e-10)  # validated only: it reaches nothing here (see --tol)
     H = _input_matrix(args)
     eigsys = linalg.eig(H)
-    space = linalg.solve_intertwiner(H, tol=tol)
+    metric._require_eigenbasis(eigsys)
+    space = linalg.solve_intertwiner(H)
     op = metric.build_metric(eigsys, space, policy=args.policy, H=H)
     out = op.to_json()
     out["policy"] = args.policy
@@ -313,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument(
         "--tol",
         type=float,
-        help="on a defective spectrum, the relative singular-value cutoff of the "
-        "null-space fallback (default 1e-10, or PTR_TOL); eigenvalues pair within "
-        "1e-10 of the spectral radius whatever this value",
+        help="accepted for compatibility and has no effect (nor has PTR_TOL): a "
+        "defective spectrum exits 3 before any null-space work, and eigenvalues "
+        "pair within 1e-10 of the spectral radius whatever this value",
     )
     m.add_argument("--output", help="metric JSON path (default stdout)")
     m.set_defaults(func=cmd_metric)

@@ -123,6 +123,15 @@ def _certify(V: np.ndarray, H: np.ndarray) -> MetricOperator:
     )
 
 
+def _require_eigenbasis(eigsys: EigenSystem) -> None:
+    """Refuse a defective eigensystem: no metric is built at an exceptional point."""
+    if eigsys.defective:
+        raise DefectiveMatrixError(
+            "metric construction requires a complete eigenbasis; "
+            "input is defective (exceptional point)"
+        )
+
+
 def build_metric(
     eigsys: EigenSystem,
     space: IntertwinerSpace,
@@ -139,6 +148,8 @@ def build_metric(
         maximizes the smallest singular value at unit spectral norm.  The
         candidates are scored by their eigenvalues, whose absolute values are
         their singular values; only the winner takes an SVD, for its norm.
+        The nonzero, Hermiticity and residual filters each look at one
+        candidate, so they run only on a candidate that would take the lead.
         The Hermitian part of ``basis[0]``, the matching sum ``L^dag P L``,
         comes first and wins ties, so a Hermitian Hamiltonian with
         orthonormal eigenvectors yields the identity.
@@ -157,11 +168,7 @@ def build_metric(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if eigsys.defective:
-        raise DefectiveMatrixError(
-            "metric construction requires a complete eigenbasis; "
-            "input is defective (exceptional point)"
-        )
+    _require_eigenbasis(eigsys)
     if space.dimension < 1:
         raise NoMetricError("empty intertwiner space: no solution of V H = H^dag V")
 
@@ -191,15 +198,14 @@ def build_metric(
 
     s = np.abs(np.linalg.eigvalsh(C))
     smax = s.max(axis=1)
-    nonzero = smax >= 1e-14
-    keep = nonzero & _is_hermitian(C, 1e-10) & (_intertwiner_residual(C, H) <= RESIDUAL_CAP)
-    score = s.min(axis=1) / np.where(nonzero, smax, 1.0)
+    score = s.min(axis=1) / np.where(smax >= 1e-14, smax, 1.0)
 
     best = -1
     best_score = -1.0
-    for k in np.flatnonzero(keep):
-        if score[k] > best_score * (1.0 + 1e-9):
-            best, best_score = k, score[k]
+    for k, score_k in enumerate(score.tolist()):
+        if score_k > best_score * (1.0 + 1e-9) and smax[k] >= 1e-14:
+            if _is_hermitian(C[k], 1e-10) and _intertwiner_residual(C[k], H) <= RESIDUAL_CAP:
+                best, best_score = k, score_k
 
     if best < 0:
         raise NoMetricError("no Hermitian intertwiner found in the searched combinations")

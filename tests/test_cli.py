@@ -140,6 +140,37 @@ class TestMetric:
         assert main(["metric", "--input", matrices["m1"]]) == 3
         assert "exceptional" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["s1", "defective8"])
+    def test_defective_refused_before_intertwiner(self, source, tmp_path, capsys, monkeypatch):
+        """A defective spectrum exits 3 straight after eig: the O(n^6)
+        null-space route is never entered."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Kronecker null space computed")
+
+        monkeypatch.setattr(linalg, "_kron_intertwiner", unreachable)
+        if source == "s1":
+            argv = ["metric", "--s", "1"]
+        else:
+            # four defective 2x2 blocks at distinct real shifts
+            H = np.kron(np.diag([0.0, 2.0, 4.0, 6.0]), np.eye(2))
+            H = H + np.kron(np.eye(4), gain_loss_dimer(1.0))
+            assert linalg.eig(H).defective
+            argv = ["metric", "--input", write_matrix(tmp_path / "d8.json", H)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "exceptional point: metric construction requires a complete eigenbasis; "
+            "input is defective (exceptional point)\n"
+        )
+
+    def test_tol_has_no_effect(self, capsys):
+        assert main(["metric", "--s", "0.6"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["metric", "--s", "0.6", "--tol", "1e-6"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_empty_space(self, matrices, capsys):
         assert main(["metric", "--input", matrices["generic"]]) == 4
         assert "no metric" in capsys.readouterr().err

@@ -143,9 +143,14 @@ class TestBatchedSearch:
             npt.assert_allclose(op.V, _reference_search(space, H), rtol=0, atol=1e-14)
 
 
-def _svd_scored_search(space, H):
+def _svd_scored_search(space, H, residual_filter=True):
     """The hermitian-representative search scored by a batched SVD of the
-    candidates, each normalized to unit spectral norm before the filters."""
+    candidates, each normalized to unit spectral norm before the filters,
+    which run on the whole stack.
+
+    Returns the chosen V and the number of would-be leaders (candidates whose
+    score beats the current best) that the residual filter rejected.
+    """
     n = H.shape[0]
     B = np.stack(space.basis)
     Bh = np.conj(np.swapaxes(B, 1, 2))
@@ -156,28 +161,53 @@ def _svd_scored_search(space, H):
     nonzero = s[:, 0] >= 1e-14
     nrm = np.where(nonzero, s[:, 0], 1.0)
     C = C / nrm[:, np.newaxis, np.newaxis]
-    keep = nonzero & metric._is_hermitian(C, 1e-10)
-    keep &= metric._intertwiner_residual(C, H) <= metric.RESIDUAL_CAP
+    residual_ok = metric._intertwiner_residual(C, H) <= metric.RESIDUAL_CAP
+    if not residual_filter:
+        residual_ok[:] = True
+    keep = nonzero & metric._is_hermitian(C, 1e-10) & residual_ok
     smin = s[:, -1] / nrm
     best_v, best_smin = None, -1.0
-    for k in np.flatnonzero(keep):
+    rejected = 0
+    for k in np.flatnonzero(nonzero):
         if smin[k] > best_smin * (1.0 + 1e-9):
-            best_v, best_smin = C[k], smin[k]
-    return metric._fix_sign(best_v)
+            if keep[k]:
+                best_v, best_smin = C[k], smin[k]
+            elif not residual_ok[k]:
+                rejected += 1
+    return metric._fix_sign(best_v), rejected
 
 
 class TestEigenvalueScoring:
-    """Scoring by ``eigvalsh`` picks, and returns bit for bit, the V that
-    scoring by singular values picks."""
+    """Scoring by ``eigvalsh``, with the filters run on would-be leaders only,
+    picks, and returns bit for bit, the V that scoring by singular values with
+    the filters run on every candidate picks."""
 
     def test_same_metric_as_svd_scored_search(self):
         rng = np.random.default_rng(101)
-        for n in (2, 4, 8, 16):
-            for _ in range(3):
-                H, _ = random_pt_symmetric(rng, n)
-                space = solve_intertwiner(H)
-                op = build_metric(eig(H), space, H=H)
-                assert np.array_equal(op.V, _svd_scored_search(space, H))
+        rejected = 0
+        for n in (2, 2, 2, 4, 4, 4, 8, 8, 8, 16, 16, 16, 24, 32):
+            H, _ = random_pt_symmetric(rng, n)
+            space = solve_intertwiner(H)
+            op = build_metric(eig(H), space, H=H)
+            V, rejected_here = _svd_scored_search(space, H)
+            assert np.array_equal(op.V, V)
+            rejected += rejected_here
+        # The inputs must exercise the residual filter on a would-be leader,
+        # or running the filters lazily is not tested at all.
+        assert rejected >= 1
+
+    def test_residual_filter_decides_the_winner(self):
+        # The anti-Hermitian part of a basis element that is Hermitian up to
+        # rounding is rounding noise (norm 2e-14 here): it passes the nonzero cut
+        # and scores best, but misses the equation by far more than
+        # RESIDUAL_CAP.  Without the filter it would win.
+        H, _ = random_pt_symmetric(np.random.default_rng(1001), 6)
+        space = solve_intertwiner(H)
+        op = build_metric(eig(H), space, H=H)
+        assert op.residual <= metric.RESIDUAL_CAP
+        assert np.array_equal(op.V, _svd_scored_search(space, H)[0])
+        unfiltered, _ = _svd_scored_search(space, H, residual_filter=False)
+        assert metric._intertwiner_residual(unfiltered, H) > metric.RESIDUAL_CAP
 
     def test_singular_winner_reported(self):
         H = np.diag([1 + 5e-10j, 2]).astype(complex)
