@@ -66,6 +66,13 @@ def _as_grid(E):
     return np.atleast_1d(arr), scalar
 
 
+def _finite_grid(values, name: str):
+    arr, scalar = _as_grid(values)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr, scalar
+
+
 def _branch_sign(branch: str) -> float:
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
@@ -76,13 +83,26 @@ def bw_propagator(E, p: ResonanceParams):
     """Single-pole resonance propagator ``1/(E - E0 + i Gamma)``.
 
     Every evaluation is verified against the rationalized form
-    ``(E - E0 - i Gamma) / ((E - E0)^2 + Gamma^2)``.
+    ``(E - E0 - i Gamma) / den``, ``den = (E - E0)^2 + Gamma^2``, in real
+    arithmetic: the rational form has modulus ``den^(-1/2)``, so the relative
+    difference is ``|value sqrt(den) - (E - E0 - i Gamma) / sqrt(den)|``.  It
+    must be at most 1e-13, and where it cannot be computed (NaN, or ``den``
+    overflowing or underflowing) the check fails closed with
+    ``FloatingPointError``.  Non-finite E raises ``ValueError``.
     """
-    x, scalar = _as_grid(E)
+    x, scalar = _finite_grid(E, "E")
     d = x - p.e0
     value = 1.0 / (d + 1j * p.gamma)
-    rational = (d - 1j * p.gamma) / (d * d + p.gamma * p.gamma)
-    if np.max(np.abs(value - rational) / np.abs(rational)) > _FORM_CHECK_TOL:
+    s = np.sqrt(d * d + p.gamma * p.gamma)
+    # products, squares and sum in place, to spare block-sized temporaries
+    re = value.real * s
+    re -= d / s
+    im = value.imag * s
+    im += p.gamma / s
+    re *= re
+    im *= im
+    re += im
+    if not np.max(re) <= _FORM_CHECK_TOL**2:
         raise FloatingPointError("propagator forms disagree beyond machine precision")
     return complex(value[0]) if scalar else value
 
@@ -95,11 +115,11 @@ def pt_propagator(E, p: ResonanceParams):
     form; the two must agree to 1e-13 relative.  The value is purely
     imaginary with negative imaginary part for every real E.
     """
-    x, scalar = _as_grid(E)
+    x, scalar = _finite_grid(E, "E")
     d = x - p.e0
     two_pole = 1.0 / (d + 1j * p.gamma) - 1.0 / (d - 1j * p.gamma)
     closed = -2j * p.gamma / (d * d + p.gamma * p.gamma)
-    if np.max(np.abs(two_pole - closed) / np.abs(closed)) > _FORM_CHECK_TOL:
+    if not np.max(np.abs(two_pole - closed) / np.abs(closed)) <= _FORM_CHECK_TOL:
         raise FloatingPointError("two-pole and closed propagator forms disagree")
     return complex(closed[0]) if scalar else closed
 
@@ -227,9 +247,7 @@ def inverse_ft(model: PropagatorModel, t):
     pole contributes ``-i r exp(-i p t)`` for t > 0 and an upper-contour
     pole ``+i r exp(-i p t)`` for t < 0; t = 0 takes the t -> 0+ branch.
     """
-    ts, scalar = _as_grid(t)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("t must be finite")
+    ts, scalar = _finite_grid(t, "t")
     out = np.zeros(ts.shape, dtype=complex)
     lower = np.array([c == LOWER for c in model.closure])
     for sign, mask, pole_mask in (
@@ -258,7 +276,7 @@ class QuadratureResult(NamedTuple):
 _GL_POINTS = 6
 
 # Panels evaluated per block, so the working arrays stay small at any N.
-_PANEL_BLOCK = 4096
+_PANEL_BLOCK = 2048
 
 
 def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> QuadratureResult:
@@ -277,28 +295,34 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     ``g(-x) = -conj(g(x))``, so only the ``x >= 0`` half is evaluated and the
     sum is ``exp(-i E0 t) (i/pi) Im S``, with the centre panel of odd N
     counted half in S.  The node phase ``exp(-i (c + h x_j) t)`` of a panel
-    with centre c and half-width h is ``exp(-i c t) exp(-i h x_j t)``:
-    ``ceil(N/2) + 7`` exponentials instead of 6N.
+    with centre c and half-width h is ``exp(-i c t) exp(-i h x_j t)``, and
+    with ``c = h (q0 + 2m)`` the panel phases of a block are one exponential
+    times a step table ``exp(-2i h t m)`` built once per call: 2104
+    exponentials at N = 200000 instead of 6N.  A block is evaluated as a
+    (nodes, panels) array and reduced as ``(node weights @ f) @ phases``.
     """
-    if L <= 0:
-        raise ValueError("truncation half-width L must be positive")
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    if not (np.isfinite(L) and L > 0):
+        raise ValueError("truncation half-width L must be finite and positive")
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ValueError("panel count N must be a positive integer")
     nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     h = L / N
     node_weights = h * weights * np.exp(-1j * h * t * nodes)
     centred = ResonanceParams(0.0, p.gamma)
-    # Centres of the panels on x >= 0 are h q, q = 0 or 1, ..., N - 1 ascending;
-    # for odd N, q[0] = 0 is the centre panel.
+    # Centres of the panels on x >= 0 are h q, q = q0 + 2m ascending with
+    # q0 = 0 or 1; for odd N, q[0] = 0 is the centre panel.
     q = np.arange((N + 1) % 2, N, 2, dtype=float)
+    steps = np.exp(-2j * h * t * np.arange(min(q.size, _PANEL_BLOCK)))
     total = 0.0j
     for start in range(0, q.size, _PANEL_BLOCK):
         centres = h * q[start : start + _PANEL_BLOCK]
-        f = bw_propagator(centres[:, None] + h * nodes[None, :], centred)
-        phases = np.exp(-1j * t * centres)
+        f = bw_propagator(h * nodes[:, None] + centres, centred)
+        phases = np.exp(-1j * h * t * q[start]) * steps[: centres.size]
         if start == 0 and N % 2:
             phases[0] *= 0.5  # the centre panel is its own mirror image
-        total += phases @ (f @ node_weights)
+        total += (node_weights @ f) @ phases
     value = complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total.imag)
     return QuadratureResult(value=value, tail_estimate=1.0 / (np.pi * L))
 

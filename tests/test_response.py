@@ -18,7 +18,7 @@ from ptresonance import (
     scattering_amplitude,
     time_delay,
 )
-from ptresonance.response import energy_response, model_from_json
+from ptresonance.response import _PANEL_BLOCK, energy_response, model_from_json
 
 P = ResonanceParams(1.0, 0.8)
 
@@ -48,6 +48,66 @@ class TestSinglePolePropagator:
         assert abs(value) <= 1.0000001e-6 / P.gamma
         value = bw_propagator(P.e0 - 1e6 * P.gamma, P)
         assert abs(value) <= 1.0000001e-6 / P.gamma
+
+    @pytest.mark.parametrize("propagator", [bw_propagator, pt_propagator])
+    @pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
+    def test_non_finite_energy_rejected(self, propagator, E):
+        with pytest.raises(ValueError, match="E must be finite"):
+            propagator(E, P)
+
+    @pytest.mark.parametrize(
+        "propagator, gamma",
+        [(bw_propagator, 1e-160), (bw_propagator, 1e160), (pt_propagator, 1e-170)],
+    )
+    def test_form_check_fails_closed(self, propagator, gamma):
+        """At E = E0, Gamma^2 is subnormal (1e-160), overflows (1e160) or
+        underflows to 0 (1e-170), and the second form cannot confirm the
+        value.  A check that reads NaN there (the complex-arithmetic ones at
+        1e-160 and 1e-170, the real-arithmetic one at 1e160 and 1e-170)
+        passes under a ``>`` comparison."""
+        p = ResonanceParams(1.0, gamma)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            propagator(p.e0, p)
+
+
+def _complex_form_check(E, p):
+    """The two-form check in complex arithmetic: the relative difference
+    ``|value - rational| / |rational|`` per energy, NaN where it cannot be
+    computed."""
+    d = np.asarray(E, dtype=float) - p.e0
+    value = 1.0 / (d + 1j * p.gamma)
+    rational = (d - 1j * p.gamma) / (d * d + p.gamma * p.gamma)
+    return np.abs(value - rational) / np.abs(rational)
+
+
+class TestFormCheckVerdicts:
+    """The real-arithmetic check in bw_propagator against the complex one."""
+
+    # E0 = 0 keeps the offsets of the Gamma = 1e-150 grid from rounding away.
+    @pytest.mark.parametrize("e0, gamma", [(1.0, 0.8), (0.0, 1e-150), (0.0, 1e150)])
+    def test_same_verdicts_as_complex_check(self, e0, gamma):
+        p = ResonanceParams(e0, gamma)
+        offsets = np.concatenate(
+            [gamma * np.linspace(-1e6, 1e6, 2001), [-1e155, -1e150, 1e150, 1e155]]
+        )
+        E = p.e0 + offsets
+        with np.errstate(all="ignore"):
+            err = _complex_form_check(E, p)
+            compared = 0
+            for e, ref in zip(E, err):
+                if np.isnan(ref):
+                    continue
+                try:
+                    bw_propagator(e, p)
+                    failed = False
+                except FloatingPointError:
+                    failed = True
+                assert failed == (ref > 1e-13), (e, ref)
+                compared += 1
+        assert compared >= 2000
+        # |E - E0| = 1e150 passes and 1e155, where (E - E0)^2 overflows, fails
+        assert err[-3] <= 1e-13 and err[-2] <= 1e-13
+        assert err[-4] > 1e-13 and err[-1] > 1e-13
 
 
 class TestTwoPolePropagator:
@@ -270,6 +330,12 @@ class TestQuadrature:
             quadrature_ift(P, 1.0, L=0.0, N=10)
         with pytest.raises(ValueError):
             quadrature_ift(P, 1.0, L=1.0, N=0)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                quadrature_ift(P, t, L=40.0, N=10)
+        for L in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="half-width L"):
+                quadrature_ift(P, 1.0, L=L, N=10)
 
 
 def _unfolded_quadrature(p, t, L, N):
@@ -305,12 +371,27 @@ class TestQuadratureFold:
             # ~300x smaller than its terms (t = -1)
             assert error <= 1e-13 * abs(expected)
 
+    # N whose half grid of ceil(N/2) panels ends one panel below, at and one
+    # panel above one and two blocks, for odd and even N (odd N halves the
+    # centre panel, which only the first block holds); and the range of the
+    # benchmark's cross-check, L = 1e4 Gamma with 200001 panels.
+    @pytest.mark.parametrize(
+        "L, N",
+        [(50.0 * P.gamma, 2 * k * _PANEL_BLOCK + j) for k in (1, 2) for j in range(-3, 3)]
+        + [(1e4 * P.gamma, 200001)],
+    )
+    @pytest.mark.parametrize("t", [-1.0, 0.5, 1.0, 2.0])
+    def test_matches_unfolded_rule_in_term_size(self, L, N, t):
+        expected, size = _unfolded_quadrature(P, t, L, N)
+        assert abs(quadrature_ift(P, t, L, N).value - expected) <= 1e-13 * size
+
     def test_tail_estimate_unchanged(self):
         for L in (0.5, 40.0, 8000.0):
             assert quadrature_ift(P, 1.0, L, 7).tail_estimate == 1.0 / (np.pi * L)
 
     def test_two_form_check_runs_on_every_node(self, monkeypatch):
-        """The x >= 0 half of N = 10001 panels is 5001 panels of 6 nodes."""
+        """The x >= 0 half of N = 4 B + 3 panels is 2 B + 2 panels of 6 nodes,
+        in three blocks of at most B panels."""
         seen = []
 
         def counting(E, p):
@@ -318,8 +399,9 @@ class TestQuadratureFold:
             return bw_propagator(E, p)
 
         monkeypatch.setattr("ptresonance.response.bw_propagator", counting)
-        quadrature_ift(P, 0.5, 40.0, 10001)
-        assert sum(seen) == 6 * 5001
+        quadrature_ift(P, 0.5, 40.0, 4 * _PANEL_BLOCK + 3)
+        assert sum(seen) == 6 * (2 * _PANEL_BLOCK + 2)
+        assert len(seen) == 3
 
 
 class TestCurves:
