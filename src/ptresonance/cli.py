@@ -5,13 +5,14 @@ File formats are the JSON matrix interchange format and plain CSV with full
 double precision (17 significant digits), so outputs are byte-identical for
 identical configurations and can be fed back into downstream commands.
 
-Exit codes: 0 success, 1 malformed input, 2 broken (unpairable) spectrum,
-3 exceptional point, 4 no metric operator, 5 overflow guard.
-The ``PTR_TOL`` environment variable overrides a command's default
-tolerance when ``--tol`` is not given.  ``metric`` validates it but uses it
-nowhere: it refuses a defective spectrum (exit 3) right after ``eig``, and
-eigenvalues pair within ``linalg.PAIR_TOL`` relative to the spectral radius
-in ``classify`` and ``metric`` alike, whatever the tolerance.
+Exit codes: 0 success, 1 malformed input (usage errors included),
+2 broken (unpairable) spectrum, 3 exceptional point, 4 no metric operator,
+5 overflow guard.  The ``PTR_TOL`` environment variable overrides the
+default tolerance of ``classify`` and ``evolve`` when ``--tol`` is not
+given.  ``metric`` takes no tolerance: it refuses a defective spectrum
+(exit 3) before any intertwiner work, and eigenvalues pair within
+``linalg.PAIR_TOL`` relative to the spectral radius in ``classify`` and
+``metric`` alike.
 """
 
 from __future__ import annotations
@@ -171,10 +172,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    _resolve_tol(args, 1e-10)  # validated only: it reaches nothing here (see --tol)
     H = _input_matrix(args)
     eigsys = linalg.eig(H)
-    metric._require_eigenbasis(eigsys)
     space = linalg.solve_intertwiner(H)
     op = metric.build_metric(eigsys, space, policy=args.policy, H=H)
     out = op.to_json()
@@ -290,8 +289,17 @@ def _add_time_args(sub, stop=5.0, points=201):
     sub.add_argument("--t-points", type=int, default=points)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (malformed input), not argparse's 2 (a broken
+    spectrum here); subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptresonance",
         description="Antilinear-symmetry diagnostics, metric operators and resonance response",
     )
@@ -310,13 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         choices=metric.POLICIES,
         default="hermitian-representative",
-    )
-    m.add_argument(
-        "--tol",
-        type=float,
-        help="accepted for compatibility and has no effect (nor has PTR_TOL): a "
-        "defective spectrum exits 3 before any null-space work, and eigenvalues "
-        "pair within 1e-10 of the spectral radius whatever this value",
     )
     m.add_argument("--output", help="metric JSON path (default stdout)")
     m.set_defaults(func=cmd_metric)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _guard_exponent, _require_invertible, as_matrix, eig, mat_exp_evolution
+from .linalg import _guard_exponent, _require_eigenbasis, _require_invertible, as_matrix, eig
 from .metric import PAPER_GAUGE_V, _metric_matrix
 
 __all__ = [
@@ -69,9 +69,7 @@ def _spectral_phases(H: np.ndarray, t: np.ndarray, tol: float):
     ``OverflowRangeError`` when a growing mode would exceed ``exp(EXP_CAP)``.
     """
     eigsys = eig(H, tol=tol)
-    if eigsys.defective:
-        # raise through the spectral formula's own diagnostic
-        mat_exp_evolution(eigsys, float(t[0]))
+    _require_eigenbasis(eigsys)
     _guard_exponent(np.outer(t, eigsys.eigenvalues.imag), "growing-mode exponent")
     return eigsys, np.exp(-1j * np.outer(t, eigsys.eigenvalues))
 

@@ -2,9 +2,10 @@
 
 Provides the biorthogonal eigendecomposition (right and left eigenvectors
 normalized to ``L_i R_j = delta_ij``) with detection of defective spectra,
-the solver for the intertwiner equation ``V H = H^dag V`` (from the
-eigensystem, or the vectorized null space when the spectrum is defective),
-and the spectral time-evolution operator ``U(t) = exp(-i H t)``.
+the solver for the intertwiner equation ``V H = H^dag V`` from the
+eigensystem, and the spectral time-evolution operator ``U(t) = exp(-i H t)``.
+Every routine that needs a complete eigenbasis refuses a defective spectrum
+through one guard, ``_require_eigenbasis``.
 
 All routines work on plain ``numpy`` arrays of complex numbers; matrices are
 validated to be square with finite entries before use.
@@ -196,14 +197,30 @@ class IntertwinerSpace:
     """Basis of the solution space of ``V H = H^dag V``.
 
     The basis elements are orthonormal under the Frobenius inner product
-    (a QR factorization in the eigensystem route, an SVD null space for
-    defective input), hence linearly independent.  In the eigensystem route
-    ``basis[0]`` is invertible whenever every eigenvalue has a conjugate
-    partner.
+    (a QR factorization), hence linearly independent.  ``basis[0]`` is
+    invertible whenever every eigenvalue has a conjugate partner.
     """
 
     basis: tuple[np.ndarray, ...]
     dimension: int
+
+
+def _require_eigenbasis(eigsys: EigenSystem) -> None:
+    """Raise ``DefectiveMatrixError`` naming each defective cluster.
+
+    The one refusal of every computation that needs a complete eigenbasis:
+    the spectral evolution formula, the intertwiner basis, the metric and
+    the symmetry phase.
+    """
+    if eigsys.defective:
+        raise DefectiveMatrixError(
+            "no complete eigenbasis: "
+            + ", ".join(
+                f"eigenvalue {d.value:.6g} has geometric multiplicity "
+                f"{d.geometric} < algebraic {d.algebraic}"
+                for d in eigsys.defects
+            )
+        )
 
 
 def _phase_gauge(columns: np.ndarray) -> np.ndarray:
@@ -323,28 +340,6 @@ def eig(H, tol: float = 1e-10) -> EigenSystem:
     )
 
 
-def _kron_intertwiner(H: np.ndarray, tol: float) -> IntertwinerSpace:
-    """Intertwiner basis from the null space of the vectorized equation.
-
-    The equation is vectorized row-major, giving the n^2 x n^2 linear map
-    ``kron(I, H^T) - kron(H^dag, I)``; the solution space is read off from
-    the singular vectors whose singular values fall below
-    ``tol * max(singular values)``.  O(n^6), but needs no eigenvectors, so it
-    serves defective input.
-    """
-    n = H.shape[0]
-    eye = np.eye(n)
-    K = np.kron(eye, H.T) - np.kron(H.conj().T, eye)
-    _, s, Vh = np.linalg.svd(K)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        null_idx = np.arange(n * n)
-    else:
-        null_idx = np.nonzero(s <= tol * smax)[0]
-    basis = tuple(Vh[i].conj().reshape(n, n) for i in null_idx)
-    return IntertwinerSpace(basis=basis, dimension=len(basis))
-
-
 def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, paired) -> np.ndarray:
     """The X with ``X H - H^dag X = res[m]`` for each m, found in Schur coordinates.
 
@@ -372,7 +367,7 @@ def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, pa
     return U @ np.moveaxis(Y, 0, 2) @ U.conj().T
 
 
-def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
+def solve_intertwiner(H) -> IntertwinerSpace:
     """Basis of all solutions V of the intertwiner equation ``V H = H^dag V``.
 
     Writing ``V = L^dag M L`` with the biorthonormal left eigenvectors L
@@ -386,26 +381,19 @@ def solve_intertwiner(H, tol: float = 1e-10) -> IntertwinerSpace:
     rounding; it is then corrected once by triangular solves in Schur
     coordinates and orthonormalized again.  The cost is O(n^4) for a
     spectrum without degeneracies.  A defective spectrum has no complete
-    eigenbasis; there the null space of the n^2 x n^2 vectorized equation is
-    taken instead, with singular-value cutoff ``tol * max(singular values)``.
+    eigenbasis and raises ``DefectiveMatrixError``.
 
     Parameters
     ----------
     H : array_like, shape (n, n)
-    tol : float
-        For a defective spectrum, the relative singular-value cutoff of the
-        null space.  Pairing always uses ``PAIR_TOL``.
 
     Returns
     -------
     IntertwinerSpace
     """
     H = as_matrix(H)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     eigsys = eig(H)
-    if eigsys.defective:
-        return _kron_intertwiner(H, tol)
+    _require_eigenbasis(eigsys)
     w, L = eigsys.eigenvalues, eigsys.left
     n = eigsys.n
     cutoff = _pair_cutoff(w)
@@ -440,15 +428,7 @@ def mat_exp_evolution(eigsys: EigenSystem, t: float) -> np.ndarray:
     Raises ``DefectiveMatrixError`` for a defective eigensystem and
     ``OverflowRangeError`` when a growing mode would exceed ``exp(300)``.
     """
-    if eigsys.defective:
-        raise DefectiveMatrixError(
-            "spectral evolution formula is invalid for a defective spectrum: "
-            + ", ".join(
-                f"eigenvalue {d.value:.6g} has geometric multiplicity "
-                f"{d.geometric} < algebraic {d.algebraic}"
-                for d in eigsys.defects
-            )
-        )
+    _require_eigenbasis(eigsys)
     _guard_exponent(eigsys.eigenvalues.imag * t, "growing-mode exponent")
     phases = np.exp(-1j * eigsys.eigenvalues * t)
     return (eigsys.right * phases[np.newaxis, :]) @ eigsys.left

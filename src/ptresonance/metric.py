@@ -16,7 +16,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DefectiveMatrixError, NoMetricError
-from .linalg import _CONDITION_CAP, EigenSystem, IntertwinerSpace, _require_invertible, as_matrix
+from .linalg import (
+    _CONDITION_CAP,
+    EigenSystem,
+    IntertwinerSpace,
+    _require_eigenbasis,
+    _require_invertible,
+    as_matrix,
+)
 
 __all__ = [
     "MetricOperator",
@@ -121,15 +128,6 @@ def _certify(V: np.ndarray, H: np.ndarray) -> MetricOperator:
         condition_estimate=cond,
         residual=float(_intertwiner_residual(V, H)),
     )
-
-
-def _require_eigenbasis(eigsys: EigenSystem) -> None:
-    """Refuse a defective eigensystem: no metric is built at an exceptional point."""
-    if eigsys.defective:
-        raise DefectiveMatrixError(
-            "metric construction requires a complete eigenbasis; "
-            "input is defective (exceptional point)"
-        )
 
 
 def build_metric(

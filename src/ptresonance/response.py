@@ -7,7 +7,9 @@ branch with the opposite sign), and time-domain forms obtained by residue
 summation with explicit per-pole contour bookkeeping.  The single-pole
 transform is also computable by direct quadrature of the inverse Fourier
 integral, which serves as the independent cross-check; the two-pole form has
-a growing mode and is residue-only.
+a growing mode and is residue-only.  The propagators, phase shifts, time
+delays, pole models and transforms raise ``ValueError`` on a NaN or infinite
+energy or time.
 """
 
 from __future__ import annotations
@@ -60,17 +62,15 @@ class ResonanceParams:
             raise ValueError("gamma must be positive")
 
 
-def _as_grid(E):
-    arr = np.asarray(E, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
 def _finite_grid(values, name: str):
-    arr, scalar = _as_grid(values)
+    """``values`` as a 1-D float array, and whether it was a scalar.
+
+    Raises ``ValueError`` naming ``name`` when an entry is NaN or infinite.
+    """
+    arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    return arr, scalar
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def _branch_sign(branch: str) -> float:
@@ -134,7 +134,7 @@ def phase_shift(E, p: ResonanceParams, branch: str = "delay"):
     vanishes.
     """
     sign = _branch_sign(branch)
-    x, scalar = _as_grid(E)
+    x, scalar = _finite_grid(E, "E")
     delta = np.arctan2(sign * p.gamma, p.e0 - x)
     return float(delta[0]) if scalar else delta
 
@@ -146,7 +146,7 @@ def time_delay(E, p: ResonanceParams, branch: str = "delay"):
     negative on the advance branch; peak value ``+/- 1/Gamma`` at E = E0.
     """
     sign = _branch_sign(branch)
-    x, scalar = _as_grid(E)
+    x, scalar = _finite_grid(E, "E")
     d = x - p.e0
     value = sign * p.gamma / (d * d + p.gamma * p.gamma)
     return float(value[0]) if scalar else value
@@ -193,7 +193,7 @@ class PropagatorModel:
 
     def evaluate(self, E):
         """Energy-domain value ``sum_k r_k / (E - p_k)``."""
-        x, scalar = _as_grid(E)
+        x, scalar = _finite_grid(E, "E")
         value = np.sum(self.residues[:, None] / (x[None, :] - self.poles[:, None]), axis=0)
         return complex(value[0]) if scalar else value
 

@@ -15,8 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DefectiveMatrixError
-from .linalg import EigenSystem, _greedy_match, _pair_cutoff, _require_invertible, as_matrix, eig
+from .linalg import (
+    EigenSystem,
+    _greedy_match,
+    _pair_cutoff,
+    _require_eigenbasis,
+    _require_invertible,
+    as_matrix,
+    eig,
+)
 
 __all__ = [
     "AntilinearSymmetry",
@@ -228,8 +235,7 @@ def pt_unbroken(H, sym: AntilinearSymmetry, eigsys: EigenSystem, tol: float = 1e
     complete spectrum is equivalent to all eigenvalues being real.
     """
     H = as_matrix(H)
-    if eigsys.defective:
-        raise DefectiveMatrixError("symmetry phase is undefined for a defective spectrum")
+    _require_eigenbasis(eigsys)
     if H.shape != sym.P.shape:
         raise ValueError("dimension mismatch between H and the symmetry's linear part")
     for k in range(eigsys.n):

@@ -43,3 +43,21 @@ def random_pt_symmetric(rng, n):
 
 def random_complex_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def kron_intertwiner(H, tol=1e-10):
+    """Orthonormal basis of the solutions V of ``V H = H^dag V``, as arrays.
+
+    The equation is vectorized row-major, giving the n^2 x n^2 linear map
+    ``kron(I, H^T) - kron(H^dag, I)``; the solution space is read off from
+    the singular vectors whose singular values fall below
+    ``tol * max(singular values)``.  O(n^6), but needs no eigenvectors, so it
+    also covers defective input.
+    """
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    eye = np.eye(n)
+    K = np.kron(eye, H.T) - np.kron(H.conj().T, eye)
+    _, s, Vh = np.linalg.svd(K)
+    null_idx = np.arange(n * n) if s[0] == 0.0 else np.nonzero(s <= tol * s[0])[0]
+    return [Vh[i].conj().reshape(n, n) for i in null_idx]

@@ -6,10 +6,28 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ptresonance import gain_loss_dimer, linalg
+from ptresonance import (
+    AntilinearSymmetry,
+    DefectiveMatrixError,
+    IntertwinerSpace,
+    build_metric,
+    eig,
+    evolve,
+    gain_loss_dimer,
+    linalg,
+    mat_exp_evolution,
+    pseudounitarity_residual,
+    pt_unbroken,
+    solve_intertwiner,
+)
 from ptresonance.cli import main
 
 DIAG_PAIR = np.diag([1 + 0.8j, 1 - 0.8j])
+
+# four defective 2x2 blocks at distinct real shifts
+DEFECTIVE_8 = np.kron(np.diag([0.0, 2.0, 4.0, 6.0]), np.eye(2)) + np.kron(
+    np.eye(4), gain_loss_dimer(1.0)
+)
 
 
 def write_matrix(path, m):
@@ -108,6 +126,81 @@ class TestClassify:
         assert json.loads(out.read_text())["antilinear_check"]["symmetric"] is True
 
 
+def _refusal(H) -> str:
+    with pytest.raises(DefectiveMatrixError) as exc:
+        mat_exp_evolution(eig(H), 1.0)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "H, clusters",
+    [pytest.param(gain_loss_dimer(1.0), 1, id="dimer"), pytest.param(DEFECTIVE_8, 4, id="n8")],
+)
+def test_one_refusal_everywhere(H, clusters, tmp_path, capsys):
+    """Every routine that needs a complete eigenbasis refuses a defective
+    spectrum with the same message, naming each defective cluster, and the
+    CLI passes it on unchanged with exit code 3."""
+    n = H.shape[0]
+    times = np.linspace(0.0, 1.0, 5)
+    refusals = {
+        "solve_intertwiner": lambda: solve_intertwiner(H),
+        "build_metric": lambda: build_metric(
+            eig(H), IntertwinerSpace(basis=(np.eye(n),), dimension=1), H=H
+        ),
+        "mat_exp_evolution": lambda: mat_exp_evolution(eig(H), 1.0),
+        "evolve": lambda: evolve(H, np.eye(n)[0], times),
+        "pseudounitarity_residual": lambda: pseudounitarity_residual(H, np.eye(n), times),
+        "pt_unbroken": lambda: pt_unbroken(H, AntilinearSymmetry(np.eye(n)), eig(H)),
+    }
+    messages = {}
+    for name, call in refusals.items():
+        with pytest.raises(DefectiveMatrixError) as exc:
+            call()
+        messages[name] = str(exc.value)
+    message = messages["mat_exp_evolution"]
+    assert messages == dict.fromkeys(refusals, message)
+    assert message.startswith("no complete eigenbasis: eigenvalue ")
+    assert message.count("geometric multiplicity 1 < algebraic 2") == clusters
+
+    path = write_matrix(tmp_path / "h.json", H)
+    psi0 = ",".join(["1"] + ["0"] * (n - 1))
+    for argv in (["metric", "--input", path], ["evolve", "--input", path, "--psi0", psi0]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"exceptional point: {message}\n"
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as a broken spectrum here."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--bogus"],
+            [],
+            ["metric", "--tol", "abc"],
+            ["classify", "--tol", "abc"],
+            ["evolve", "--s", "0.6"],
+            ["response", "--kind", "none", "--e0", "1", "--gamma", "1", "--output", "x"],
+        ],
+    )
+    def test_exit_1_with_input_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("input error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["metric", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: ptresonance" in capsys.readouterr().out
+
+
 class TestMetric:
     def test_paper_gauge_exact(self, matrices, tmp_path):
         out = tmp_path / "v.json"
@@ -142,34 +235,32 @@ class TestMetric:
 
     @pytest.mark.parametrize("source", ["s1", "defective8"])
     def test_defective_refused_before_intertwiner(self, source, tmp_path, capsys, monkeypatch):
-        """A defective spectrum exits 3 straight after eig: the O(n^6)
-        null-space route is never entered."""
+        """A defective spectrum exits 3 before any intertwiner work: the
+        conjugate matching that every intertwiner basis needs never runs."""
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("Kronecker null space computed")
+            raise AssertionError("intertwiner basis computed")
 
-        monkeypatch.setattr(linalg, "_kron_intertwiner", unreachable)
+        monkeypatch.setattr(linalg, "_greedy_match", unreachable)
         if source == "s1":
-            argv = ["metric", "--s", "1"]
+            H, argv = gain_loss_dimer(1.0), ["metric", "--s", "1"]
         else:
-            # four defective 2x2 blocks at distinct real shifts
-            H = np.kron(np.diag([0.0, 2.0, 4.0, 6.0]), np.eye(2))
-            H = H + np.kron(np.eye(4), gain_loss_dimer(1.0))
-            assert linalg.eig(H).defective
+            H = DEFECTIVE_8
             argv = ["metric", "--input", write_matrix(tmp_path / "d8.json", H)]
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "exceptional point: metric construction requires a complete eigenbasis; "
-            "input is defective (exceptional point)\n"
-        )
+        assert captured.err == f"exceptional point: {_refusal(H)}\n"
 
-    def test_tol_has_no_effect(self, capsys):
+    def test_tol_is_a_usage_error(self, capsys):
         assert main(["metric", "--s", "0.6"]) == 0
-        plain = capsys.readouterr().out
-        assert main(["metric", "--s", "0.6", "--tol", "1e-6"]) == 0
-        assert capsys.readouterr().out == plain
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["metric", "--s", "0.6", "--tol", "1e-6"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("input error: unrecognized arguments: --tol 1e-6\n")
 
     def test_empty_space(self, matrices, capsys):
         assert main(["metric", "--input", matrices["generic"]]) == 4

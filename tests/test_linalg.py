@@ -4,7 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import quadratic_eigenvalues, random_complex_matrix, random_pt_symmetric
+from helpers import (
+    kron_intertwiner,
+    quadratic_eigenvalues,
+    random_complex_matrix,
+    random_pt_symmetric,
+)
 from ptresonance import linalg
 from ptresonance import (
     DefectiveMatrixError,
@@ -190,12 +195,12 @@ class TestIntertwiner:
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_intertwiner(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            solve_intertwiner(np.eye(2), tol=-1.0)
+        with pytest.raises(DefectiveMatrixError, match="geometric multiplicity 1 < algebraic 2"):
+            solve_intertwiner(gain_loss_dimer(1.0))
 
 
 def _oracle_cases():
-    """(H, expected dimension, whether the defective fallback must run)."""
+    """(H, expected dimension, whether the spectrum is defective)."""
     rng = np.random.default_rng(31)
     cases = [
         pytest.param(random_pt_symmetric(rng, n)[0], n, False, id=f"pt-symmetric-n{n}")
@@ -215,34 +220,31 @@ def _oracle_cases():
 class TestIntertwinerOracle:
     """The eigensystem basis against the Kronecker null space of the vectorized equation."""
 
-    @pytest.mark.parametrize("H, dimension, fallback", _oracle_cases())
-    def test_matches_kronecker_null_space(self, monkeypatch, H, dimension, fallback):
-        calls = []
-        kron = linalg._kron_intertwiner
-
-        def spy(*args):
-            calls.append(args)
-            return kron(*args)
-
-        monkeypatch.setattr(linalg, "_kron_intertwiner", spy)
+    @pytest.mark.parametrize("H, dimension, defective", _oracle_cases())
+    def test_matches_kronecker_null_space(self, H, dimension, defective):
+        oracle = kron_intertwiner(H)
+        assert len(oracle) == dimension
+        if defective:
+            # The null space exists at the exceptional point, but no metric
+            # comes from it: the eigensystem route refuses the input.
+            with pytest.raises(DefectiveMatrixError):
+                solve_intertwiner(H)
+            return
         space = solve_intertwiner(H)
-        assert len(calls) == int(fallback)
-        oracle = kron(as_matrix(H), 1e-10)
-        assert space.dimension == oracle.dimension == len(space.basis) == dimension
+        assert space.dimension == len(space.basis) == dimension
         if space.dimension == 0:
             return
         A = np.stack([B.reshape(-1) for B in space.basis], axis=1)
-        O = np.stack([B.reshape(-1) for B in oracle.basis], axis=1)
+        O = np.stack([B.reshape(-1) for B in oracle], axis=1)
         npt.assert_allclose(A.conj().T @ A, np.eye(space.dimension), atol=1e-12)
         cosines = np.linalg.svd(A.conj().T @ O, compute_uv=False)
         assert np.min(cosines) >= 1.0 - 1e-10
         scale = max(np.linalg.norm(H, 2), 1.0)
         for B in space.basis:
             assert np.linalg.norm(B @ H - H.conj().T @ B) <= 1e-12 * scale
-        if not fallback:
-            # Every eigenvalue has its conjugate partner here, so the first
-            # element (the `first-basis` metric) must be invertible.
-            assert np.linalg.cond(space.basis[0]) < 1e8
+        # Every eigenvalue has its conjugate partner here, so the first
+        # element (the `first-basis` metric) must be invertible.
+        assert np.linalg.cond(space.basis[0]) < 1e8
 
     def test_rounding_level_residual_with_ill_conditioned_eigenvectors(self):
         """Orthonormalizing outer products of nearly parallel eigenvectors costs

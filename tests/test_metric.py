@@ -65,8 +65,10 @@ class TestBuildMetric:
         assert op.invertible
 
     def test_defective_refused(self):
+        """build_metric refuses a defective eigensystem on its own, even when
+        handed an intertwiner space that solve_intertwiner would not build."""
         H = gain_loss_dimer(1.0)
-        space = solve_intertwiner(H)
+        space = solve_intertwiner(gain_loss_dimer(0.6))
         with pytest.raises(DefectiveMatrixError):
             build_metric(eig(H), space, H=H)
 

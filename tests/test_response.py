@@ -49,11 +49,25 @@ class TestSinglePolePropagator:
         value = bw_propagator(P.e0 - 1e6 * P.gamma, P)
         assert abs(value) <= 1.0000001e-6 / P.gamma
 
-    @pytest.mark.parametrize("propagator", [bw_propagator, pt_propagator])
+    @pytest.mark.parametrize(
+        "function",
+        [
+            bw_propagator,
+            pt_propagator,
+            phase_shift,
+            time_delay,
+            scattering_amplitude,
+            pytest.param(lambda E, p: build_model("breit-wigner", p).evaluate(E), id="bw-model"),
+            pytest.param(lambda E, p: build_model("pt-pair", p).evaluate(E), id="pt-model"),
+            pytest.param(
+                lambda E, p: energy_response("pt-pair", p, np.atleast_1d(E)), id="energy_response"
+            ),
+        ],
+    )
     @pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
-    def test_non_finite_energy_rejected(self, propagator, E):
+    def test_non_finite_energy_rejected(self, function, E):
         with pytest.raises(ValueError, match="E must be finite"):
-            propagator(E, P)
+            function(E, P)
 
     @pytest.mark.parametrize(
         "propagator, gamma",
