@@ -7,12 +7,12 @@ identical configurations and can be fed back into downstream commands.
 
 Exit codes: 0 success, 1 malformed input (usage errors included),
 2 broken (unpairable) spectrum, 3 exceptional point, 4 no metric operator,
-5 overflow guard.  The ``PTR_TOL`` environment variable overrides the
-default tolerance of ``classify`` and ``evolve`` when ``--tol`` is not
-given.  ``metric`` takes no tolerance: it refuses a defective spectrum
-(exit 3) before any intertwiner work, and eigenvalues pair within
-``linalg.PAIR_TOL`` relative to the spectral radius in ``classify`` and
-``metric`` alike.
+5 overflow guard.  Only ``classify`` takes a tolerance: ``--tol``, else the
+``PTR_TOL`` environment variable, sets which eigenvalues it counts as real.
+Whatever the tolerance, a defect (exit 3) is found at ``linalg.DEFECT_FLOOR``
+times ``||H||_2`` and eigenvalues pair within ``linalg.PAIR_TOL`` times the
+spectral radius; ``metric`` refuses a defective spectrum before any
+intertwiner work.  Grid bounds must be finite.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _load_metric_matrix(path: str) -> np.ndarray:
     return linalg.matrix_from_json(obj)
 
 
-def _resolve_tol(args, default: float) -> float:
+def _resolve_tol(args) -> float:
     if args.tol is not None:
         value = args.tol
     elif os.environ.get("PTR_TOL"):
@@ -95,7 +95,7 @@ def _resolve_tol(args, default: float) -> float:
         except ValueError as exc:
             raise ValueError(f"PTR_TOL: not a number ({os.environ['PTR_TOL']!r})") from exc
     else:
-        return default
+        return symmetry.DEFAULT_CLASSIFY_TOL
     if value <= 0:
         raise ValueError("tolerance must be positive")
     return value
@@ -126,12 +126,19 @@ def _parse_state(text: str, n: int) -> np.ndarray:
     return vec
 
 
+def _linspace(start: float, stop: float, points: int, name: str) -> np.ndarray:
+    # A span beyond the double range would give linspace an infinite step.
+    if not np.isfinite(stop - start):
+        raise ValueError(f"--{name}-start, --{name}-stop and their difference must be finite")
+    if not stop > start:
+        raise ValueError(f"--{name}-stop must exceed --{name}-start")
+    return np.linspace(start, stop, points)
+
+
 def _time_grid(args) -> np.ndarray:
     if args.t_points < 2:
         raise ValueError("--t-points must be at least 2")
-    if not args.t_stop > args.t_start:
-        raise ValueError("--t-stop must exceed --t-start")
-    return np.linspace(args.t_start, args.t_stop, args.t_points)
+    return _linspace(args.t_start, args.t_stop, args.t_points, "t")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +146,7 @@ def _time_grid(args) -> np.ndarray:
 
 
 def cmd_classify(args) -> int:
-    tol = _resolve_tol(args, symmetry.DEFAULT_CLASSIFY_TOL)
+    tol = _resolve_tol(args)
     H = _input_matrix(args)
     report, eigsys = symmetry.classify_hamiltonian(H, tol=tol)
 
@@ -198,7 +205,7 @@ def cmd_evolve(args) -> int:
 
     psi0 = _parse_state(args.psi0, H.shape[0])
     times = _time_grid(args)
-    traj = evolution.evolve(H, psi0, times, V=V, tol=_resolve_tol(args, 1e-10))
+    traj = evolution.evolve(H, psi0, times, V=V)
 
     if args.format == "json":
         out = {
@@ -231,10 +238,10 @@ def cmd_response(args) -> int:
     p = response.ResonanceParams(args.e0, args.gamma)
     if args.grid_start is None:
         energies = response.default_energy_grid(p, points=args.grid_points)
+    elif args.grid_stop is None:
+        raise ValueError("--grid-stop must exceed --grid-start")
     else:
-        if args.grid_stop is None or not args.grid_stop > args.grid_start:
-            raise ValueError("--grid-stop must exceed --grid-start")
-        energies = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
+        energies = _linspace(args.grid_start, args.grid_stop, args.grid_points, "grid")
     times = _time_grid(args)
 
     model = response.build_model(args.kind, p)
@@ -329,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--v-file", help="metric operator (matrix or metric JSON)")
     e.add_argument("--psi0", required=True, help="initial state, comma-separated components")
     _add_time_args(e)
-    e.add_argument("--tol", type=float)
     e.add_argument("--format", choices=("csv", "json"), default="csv")
     e.add_argument("--output", help="trajectory path (default stdout)")
     e.set_defaults(func=cmd_evolve)

@@ -15,7 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _guard_exponent, _require_eigenbasis, _require_invertible, as_matrix, eig
+from .linalg import (
+    _guard_exponent, _require_eigenbasis, _require_grid, _require_invertible, as_matrix, eig
+)
 from .metric import PAPER_GAUGE_V, _metric_matrix
 
 __all__ = [
@@ -49,32 +51,22 @@ class StateTrajectory:
             raise ValueError("times and dirac_norms lengths disagree")
         if self.v_norms is not None and len(self.v_norms) != len(self.times):
             raise ValueError("times and v_norms lengths disagree")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly ascending")
+        _require_grid(self.times)
 
 
-def _check_times(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a non-empty 1-D grid")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly ascending")
-    return t
-
-
-def _spectral_phases(H: np.ndarray, t: np.ndarray, tol: float):
+def _spectral_phases(H: np.ndarray, t: np.ndarray):
     """Eigensystem of H and the phases ``exp(-i lambda_j t_k)``, shape (T, n).
 
     Raises ``DefectiveMatrixError`` for a defective spectrum and
     ``OverflowRangeError`` when a growing mode would exceed ``exp(EXP_CAP)``.
     """
-    eigsys = eig(H, tol=tol)
+    eigsys = eig(H)
     _require_eigenbasis(eigsys)
     _guard_exponent(np.outer(t, eigsys.eigenvalues.imag), "growing-mode exponent")
     return eigsys, np.exp(-1j * np.outer(t, eigsys.eigenvalues))
 
 
-def evolve(H, psi0, times, V=None, tol: float = 1e-10) -> StateTrajectory:
+def evolve(H, psi0, times, V=None) -> StateTrajectory:
     """Evolve psi0 on a time grid via the spectral formula.
 
     Parameters
@@ -84,7 +76,7 @@ def evolve(H, psi0, times, V=None, tol: float = 1e-10) -> StateTrajectory:
     psi0 : array_like
         Initial state.
     times : array_like
-        Strictly ascending time grid.
+        Finite, strictly ascending time grid.
     V : optional
         Metric operator (matrix or MetricOperator); fills the v_norms track.
     """
@@ -94,9 +86,9 @@ def evolve(H, psi0, times, V=None, tol: float = 1e-10) -> StateTrajectory:
         raise ValueError(f"psi0 has shape {psi0.shape}, expected ({H.shape[0]},)")
     if not np.all(np.isfinite(psi0)):
         raise ValueError("psi0 must be finite")
-    t = _check_times(times)
+    t = _require_grid(times)
 
-    eigsys, phases = _spectral_phases(H, t, tol)
+    eigsys, phases = _spectral_phases(H, t)
     coeff = eigsys.left @ psi0
     states = (phases * coeff[np.newaxis, :]) @ eigsys.right.T  # (T, n)
     dirac = np.einsum("ti,ti->t", np.conj(states), states).real
@@ -114,15 +106,15 @@ class PseudoUnitarityResult(NamedTuple):
     maximum: float
 
 
-def pseudounitarity_residual(H, V, times, tol: float = 1e-10) -> PseudoUnitarityResult:
+def pseudounitarity_residual(H, V, times) -> PseudoUnitarityResult:
     """Residual curve of ``V^-1 U^dag(t) V U(t) = I`` and its maximum."""
     H = as_matrix(H)
     Vm = _metric_matrix(V)
     if Vm.shape != H.shape:
         raise ValueError(f"V has shape {Vm.shape}, expected {H.shape}")
     _require_invertible(Vm, "V")
-    t = _check_times(times)
-    eigsys, phases = _spectral_phases(H, t, tol)
+    t = _require_grid(times)
+    eigsys, phases = _spectral_phases(H, t)
     U = (eigsys.right * phases[:, np.newaxis, :]) @ eigsys.left  # U(t_k), shape (T, n, n)
     UH = np.conj(np.swapaxes(U, 1, 2))
     residuals = np.linalg.norm(np.linalg.inv(Vm) @ UH @ Vm @ U - np.eye(H.shape[0]), axis=(1, 2))
@@ -165,9 +157,8 @@ def two_level_scenario(e0: float, gamma: float, psi0, times) -> TwoLevelResult:
     (excitation channel), component 2 decays like ``exp(-2 Gamma t)``, and
     the metric inner product stays at its initial value.
     """
-    t = _check_times(times)
     H = two_level_hamiltonian(e0, gamma)
-    traj = evolve(H, psi0, t, V=PAPER_GAUGE_V)
+    traj = evolve(H, psi0, times, V=PAPER_GAUGE_V)
     populations = np.abs(traj.states) ** 2
     dirac_sum = populations.sum(axis=1)
     scale = max(float(np.max(dirac_sum)), 1e-300)

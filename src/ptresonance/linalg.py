@@ -8,7 +8,8 @@ Every routine that needs a complete eigenbasis refuses a defective spectrum
 through one guard, ``_require_eigenbasis``.
 
 All routines work on plain ``numpy`` arrays of complex numbers; matrices are
-validated to be square with finite entries before use.
+validated to be square with finite entries before use, and the time and
+energy grids of every module by the one grid rule, ``_require_grid``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,19 @@ def _pair_cutoff(w: np.ndarray) -> float:
     to the spectrum so that it does not depend on the units of H.
     """
     return PAIR_TOL * float(np.max(np.abs(w), initial=0.0))
+
+
+def _require_grid(values, name: str = "times") -> np.ndarray:
+    """Validate and return ``values`` as a grid: 1-D, non-empty, finite and
+    strictly ascending.  Raises ``ValueError`` naming ``name`` otherwise."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D grid")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"{name} must be strictly ascending")
+    return grid
 
 
 def as_matrix(data) -> np.ndarray:
@@ -263,30 +277,26 @@ def _cluster_eigenvalues(w: np.ndarray, radius: float) -> list[list[int]]:
     return clusters
 
 
-def eig(H, tol: float = 1e-10) -> EigenSystem:
+def eig(H) -> EigenSystem:
     """Biorthogonal eigendecomposition of a square complex matrix.
 
     Eigenvalues are sorted by real part, then imaginary part.  Defectiveness
     is decided by a rank test: eigenvalues are clustered with radius
-    ``max(tol, DEFECT_FLOOR) * ||H||_2`` and a cluster of algebraic
-    multiplicity m is defective when ``H - mean(cluster) I`` has fewer than m
-    singular values below the same threshold.  For a defective spectrum the
-    eigenvector blocks are omitted (the spectral formula is invalid there).
+    ``DEFECT_FLOOR * ||H||_2`` and a cluster of algebraic multiplicity m is
+    defective when ``H - mean(cluster) I`` has fewer than m singular values
+    below the same threshold.  For a defective spectrum the eigenvector
+    blocks are omitted (the spectral formula is invalid there).
 
     Parameters
     ----------
     H : array_like, shape (n, n)
         Complex matrix.
-    tol : float
-        Relative tolerance for the defectiveness rank test.
 
     Returns
     -------
     EigenSystem
     """
     H = as_matrix(H)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = H.shape[0]
     try:
         w, R_raw = np.linalg.eig(H)
@@ -304,7 +314,7 @@ def eig(H, tol: float = 1e-10) -> EigenSystem:
         eig_res = float(np.linalg.norm(H @ R_raw - R_raw * w[np.newaxis, :], "fro")) / h_norm
 
     # Rank test for geometric multiplicity on each eigenvalue cluster.
-    radius = max(tol, DEFECT_FLOOR) * max(h_norm, 1e-300)
+    radius = DEFECT_FLOOR * max(h_norm, 1e-300)
     defects: list[DefectCluster] = []
     for members in _cluster_eigenvalues(w, radius):
         algebraic = len(members)
@@ -425,9 +435,12 @@ def solve_intertwiner(H) -> IntertwinerSpace:
 def mat_exp_evolution(eigsys: EigenSystem, t: float) -> np.ndarray:
     """Evolution operator ``U(t) = sum_i exp(-i lambda_i t) R_i L_i``.
 
-    Raises ``DefectiveMatrixError`` for a defective eigensystem and
-    ``OverflowRangeError`` when a growing mode would exceed ``exp(300)``.
+    Raises ``ValueError`` for a non-finite t, ``DefectiveMatrixError`` for a
+    defective eigensystem and ``OverflowRangeError`` for a growing mode past
+    ``exp(300)``.
     """
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     _require_eigenbasis(eigsys)
     _guard_exponent(eigsys.eigenvalues.imag * t, "growing-mode exponent")
     phases = np.exp(-1j * eigsys.eigenvalues * t)

@@ -146,8 +146,8 @@ def build_metric(
         maximizes the smallest singular value at unit spectral norm.  The
         candidates are scored by their eigenvalues, whose absolute values are
         their singular values; only the winner takes an SVD, for its norm.
-        The nonzero, Hermiticity and residual filters each look at one
-        candidate, so they run only on a candidate that would take the lead.
+        The nonzero and residual filters each look at one candidate, so they
+        run only on a candidate that would take the lead.
         The Hermitian part of ``basis[0]``, the matching sum ``L^dag P L``,
         comes first and wins ties, so a Hermitian Hamiltonian with
         orthonormal eigenvectors yields the identity.
@@ -202,7 +202,7 @@ def build_metric(
     best_score = -1.0
     for k, score_k in enumerate(score.tolist()):
         if score_k > best_score * (1.0 + 1e-9) and smax[k] >= 1e-14:
-            if _is_hermitian(C[k], 1e-10) and _intertwiner_residual(C[k], H) <= RESIDUAL_CAP:
+            if _intertwiner_residual(C[k], H) <= RESIDUAL_CAP:
                 best, best_score = k, score_k
 
     if best < 0:

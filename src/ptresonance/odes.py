@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _greedy_match, _guard_exponent
+from .linalg import _greedy_match, _guard_exponent, _require_grid
 from .response import ResonanceParams
 
 __all__ = [
@@ -104,7 +104,7 @@ def _check_roots(coeffs, expected: np.ndarray):
 class SecondOrderIVP:
     """Monic second-order IVP on a time grid.
 
-    ``c2`` must be 1; ``times`` is a strictly ascending grid with
+    ``c2`` must be 1; ``times`` is a finite, strictly ascending grid with
     ``times[0] >= 0`` (the initial data live at t = 0) and ``step`` is the
     RK4 step, subdivided evenly so every grid point is hit exactly.
     """
@@ -120,12 +120,8 @@ class SecondOrderIVP:
     def __post_init__(self):
         if self.c2 != 1.0:
             raise ValueError("coefficients must be monic (c2 = 1)")
-        t = np.asarray(self.times, dtype=float)
+        t = _require_grid(self.times)
         object.__setattr__(self, "times", t)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("times must be a non-empty 1-D grid")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly ascending")
         if t[0] < 0:
             raise ValueError("times must start at or after t = 0")
         if not (self.step > 0):
@@ -212,19 +208,12 @@ def pt_wave_ivp(p: ResonanceParams, times, step: float) -> SecondOrderIVP:
     residue-summed time-domain form of the balanced pole pair.
     """
     c2, c1, c0 = pt_wave_equation(p)
-    return SecondOrderIVP(
-        c1=c1, c0=c0, psi0=0.0, dpsi0=2j * p.gamma, times=np.asarray(times, float), step=step
-    )
+    return SecondOrderIVP(c1=c1, c0=c0, psi0=0.0, dpsi0=2j * p.gamma, times=times, step=step)
 
 
 def damped_oscillator_ivp(p: ResonanceParams, times, step: float) -> SecondOrderIVP:
     """Damped-oscillator IVP selecting the ``exp(-i E0 t - Gamma t)`` mode."""
     c2, c1, c0 = damped_oscillator_equation(p)
     return SecondOrderIVP(
-        c1=c1,
-        c0=c0,
-        psi0=1.0,
-        dpsi0=-1j * p.e0 - p.gamma,
-        times=np.asarray(times, float),
-        step=step,
+        c1=c1, c0=c0, psi0=1.0, dpsi0=-1j * p.e0 - p.gamma, times=times, step=step
     )

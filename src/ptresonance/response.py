@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _guard_exponent
+from .linalg import _guard_exponent, _require_grid
 
 __all__ = [
     "ResonanceParams",
@@ -329,26 +329,26 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
 
 @dataclass(frozen=True, eq=False)
 class ResponseCurve:
-    """Values sampled on a strictly ascending grid."""
+    """Values sampled on a finite, strictly ascending grid."""
 
     grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _require_grid(self.grid, "grid")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", np.asarray(self.values))
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("grid must be a non-empty 1-D array")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly ascending")
         if self.values.shape[0] != grid.shape[0]:
             raise ValueError("grid and values lengths disagree")
 
 
 def default_energy_grid(p: ResonanceParams, halfwidth: float = 20.0, points: int = 2001):
-    """Grid of ``points`` energies spanning ``E0 +/- halfwidth * Gamma``."""
-    return np.linspace(p.e0 - halfwidth * p.gamma, p.e0 + halfwidth * p.gamma, points)
+    """Grid of ``points`` energies spanning ``E0 +/- halfwidth * Gamma``; raises
+    ``ValueError`` unless ``halfwidth`` is positive and the span is finite."""
+    lo, hi = p.e0 - halfwidth * p.gamma, p.e0 + halfwidth * p.gamma
+    if not (halfwidth > 0 and np.isfinite(hi - lo)):
+        raise ValueError("halfwidth must be positive, with a finite span 2 * halfwidth * Gamma")
+    return np.linspace(lo, hi, points)
 
 
 def energy_response(kind: str, p: ResonanceParams, energies) -> dict:

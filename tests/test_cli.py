@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -183,6 +184,7 @@ class TestUsageErrors:
             ["classify", "--tol", "abc"],
             ["evolve", "--s", "0.6"],
             ["response", "--kind", "none", "--e0", "1", "--gamma", "1", "--output", "x"],
+            ["evolve", "--e0", "1", "--gamma", "0.8", "--psi0", "0,1", "--tol", "1e-6"],
         ],
     )
     def test_exit_1_with_input_error(self, argv, capsys):
@@ -199,6 +201,36 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert "usage: ptresonance" in capsys.readouterr().out
+
+
+class TestNonFiniteBounds:
+    """A NaN or infinite grid bound, or a span beyond the double range, is
+    one input error, refused before any grid is built, so no numpy warning
+    precedes it."""
+
+    PAIR = ["--e0", "1", "--gamma", "0.8"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", *PAIR, "--psi0", "0,1", "--t-stop", "inf"],
+            ["evolve", *PAIR, "--psi0", "0,1", "--t-start=-1e308", "--t-stop", "1e308"],
+            ["ode", "--equation", "pt-wave", *PAIR, "--t-stop", "inf"],
+            ["ode", "--equation", "damped-oscillator", *PAIR, "--t-stop", "inf"],
+            ["response", "--kind", "pt-pair", *PAIR, "--grid-start=-inf", "--grid-stop", "0"],
+        ],
+        ids=["evolve", "evolve-span", "ode-pt-wave", "ode-damped", "response"],
+    )
+    def test_exit_1_with_one_line(self, argv, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--output", str(tmp_path / "out")]) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: ") and "must be finite" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMetric:
@@ -502,6 +534,18 @@ class TestTolEnv:
             ["classify", "--input", matrices["m06"], "--tol", "1e-12", "--output", str(out)]
         ) == 0
         assert json.loads(out.read_text())["tol_used"] == 1e-12
+
+    def test_env_sets_classify_only(self, tmp_path, monkeypatch):
+        """``PTR_TOL`` widens classify's real-value test only; whether the
+        spectrum is defective is decided at one fixed radius, so near the
+        exceptional point classify, metric and evolve all find it complete."""
+        monkeypatch.setenv("PTR_TOL", "1e-5")
+        for argv in (["classify"], ["metric"], ["evolve", "--psi0", "1,0"]):
+            out = str(tmp_path / argv[0])
+            assert main(argv + ["--s", "1.00000000001", "--output", out]) == 0
+        monkeypatch.setenv("PTR_TOL", "not-a-number")
+        argv = ["evolve", "--s", "0.6", "--psi0", "1,0", "--output", str(tmp_path / "abc.csv")]
+        assert main(argv) == 0
 
     def test_bad_env_value(self, matrices, monkeypatch, capsys):
         monkeypatch.setenv("PTR_TOL", "not-a-number")

@@ -1,5 +1,7 @@
 """Tests for the eigendecomposition, intertwiner solver and evolution operator."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,16 +14,30 @@ from helpers import (
 )
 from ptresonance import linalg
 from ptresonance import (
+    PAPER_GAUGE_V,
     DefectiveMatrixError,
     OverflowRangeError,
+    ResonanceParams,
+    ResponseCurve,
+    SecondOrderIVP,
+    StateTrajectory,
     as_matrix,
+    damped_oscillator_ivp,
+    default_energy_grid,
     eig,
+    evolve,
     gain_loss_dimer,
+    integrate,
     mat_exp_evolution,
     matrix_from_json,
     matrix_to_json,
+    pseudounitarity_residual,
+    pt_wave_ivp,
     solve_intertwiner,
+    two_level_scenario,
 )
+
+NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
 
 
 class TestEig:
@@ -60,8 +76,6 @@ class TestEig:
             eig(np.ones((2, 3)))
         with pytest.raises(ValueError):
             eig(np.array([[np.nan, 0], [0, 1]], dtype=complex))
-        with pytest.raises(ValueError):
-            eig(np.eye(2), tol=0.0)
 
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(101)
@@ -323,6 +337,65 @@ class TestEvolutionOperator:
         es = eig(np.diag([1 + 2j, 1 - 2j]))
         with pytest.raises(OverflowRangeError):
             mat_exp_evolution(es, 200.0)
+
+    @pytest.mark.parametrize("t", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            mat_exp_evolution(eig(gain_loss_dimer(0.6)), t)
+
+
+P = ResonanceParams(1.0, 0.8)
+PAIR = np.diag([1 + 0.8j, 1 - 0.8j])
+
+# Every library entry point that takes a time or energy grid, called on `grid`.
+GRID_ENTRY_POINTS = {
+    "evolve": lambda grid: evolve(PAIR, [1.0, 0.0], grid),
+    "pseudounitarity_residual": lambda grid: pseudounitarity_residual(PAIR, PAPER_GAUGE_V, grid),
+    "two_level_scenario": lambda grid: two_level_scenario(1.0, 0.8, [1.0, 0.0], grid),
+    "StateTrajectory": lambda grid: StateTrajectory(
+        times=grid, states=np.zeros((2, 2)), dirac_norms=np.zeros(2), v_norms=None
+    ),
+    "SecondOrderIVP": lambda grid: SecondOrderIVP(
+        c1=0.0, c0=1.0, psi0=1.0, dpsi0=0.0, times=grid, step=1e-3
+    ),
+    "pt_wave_ivp": lambda grid: integrate(pt_wave_ivp(P, grid, 1e-3)),
+    "damped_oscillator_ivp": lambda grid: integrate(damped_oscillator_ivp(P, grid, 1e-3)),
+    "ResponseCurve": lambda grid: ResponseCurve(grid=grid, values=np.zeros(2)),
+}
+
+
+class TestGridRule:
+    """One grid rule, ``_require_grid``: 1-D, non-empty, finite, strictly
+    ascending, for every time and energy grid in the library."""
+
+    @pytest.mark.parametrize("entry", GRID_ENTRY_POINTS.values(), ids=GRID_ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_rejected(self, entry, bad):
+        # -inf goes first: it would be out of order anywhere else.
+        grid = np.array([bad, 0.0] if bad == -np.inf else [0.0, bad])
+        with pytest.raises(ValueError, match=r"(times|grid) must be finite"):
+            entry(grid)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([], "a non-empty 1-D grid"),
+            ([[0.0, 1.0]], "a non-empty 1-D grid"),
+            ([0.0, 0.0], "strictly ascending"),
+            ([1.0, 0.5], "strictly ascending"),
+        ],
+    )
+    def test_shape_and_order(self, grid, message):
+        with pytest.raises(ValueError, match=f"times must be {message}"):
+            linalg._require_grid(grid)
+
+    # 1.5e308 * Gamma is finite, but the span twice that is not.
+    @pytest.mark.parametrize("halfwidth", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.5e308])
+    def test_energy_halfwidth(self, halfwidth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="halfwidth must be positive, with a finite span"):
+                default_energy_grid(P, halfwidth=halfwidth)
 
 
 class TestMatrixJson:
