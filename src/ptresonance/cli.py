@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 malformed input (usage errors included),
 Whatever the tolerance, a defect (exit 3) is found at ``linalg.DEFECT_FLOOR``
 times ``||H||_2`` and eigenvalues pair within ``linalg.PAIR_TOL`` times the
 spectral radius; ``metric`` refuses a defective spectrum before any
-intertwiner work.  Grid bounds must be finite.
+intertwiner work.  Grid bounds must be finite and come in start/stop pairs,
+with at least 2 points.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -236,10 +238,12 @@ def cmd_evolve(args) -> int:
 
 def cmd_response(args) -> int:
     p = response.ResonanceParams(args.e0, args.gamma)
+    if args.grid_points < 2:
+        raise ValueError("--grid-points must be at least 2")
+    if (args.grid_start is None) != (args.grid_stop is None):
+        raise ValueError("--grid-start and --grid-stop must be given together")
     if args.grid_start is None:
         energies = response.default_energy_grid(p, points=args.grid_points)
-    elif args.grid_stop is None:
-        raise ValueError("--grid-stop must exceed --grid-start")
     else:
         energies = _linspace(args.grid_start, args.grid_stop, args.grid_points, "grid")
     times = _time_grid(args)
@@ -269,9 +273,7 @@ def cmd_ode(args) -> int:
         ivp = odes.damped_oscillator_ivp(p, times, args.step)
     if args.init is not None:
         init = _parse_state(args.init, 2)
-        ivp = odes.SecondOrderIVP(
-            c1=ivp.c1, c0=ivp.c0, psi0=init[0], dpsi0=init[1], times=times, step=args.step
-        )
+        ivp = dataclasses.replace(ivp, psi0=init[0], dpsi0=init[1])
     series = odes.integrate(ivp)
     _write_csv(
         args.output,
@@ -299,6 +301,13 @@ def _add_time_args(sub, stop=5.0, points=201):
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 (malformed input), not argparse's 2 (a broken
     spectrum here); subcommand parsers inherit this class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # The parser that saw unknown arguments refuses them, with its own usage.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -15,9 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    _guard_exponent, _require_eigenbasis, _require_grid, _require_invertible, as_matrix, eig
-)
+from .linalg import _require_grid, _require_invertible, _spectral_phases, as_matrix, eig
 from .metric import PAPER_GAUGE_V, _metric_matrix
 
 __all__ = [
@@ -54,18 +52,6 @@ class StateTrajectory:
         _require_grid(self.times)
 
 
-def _spectral_phases(H: np.ndarray, t: np.ndarray):
-    """Eigensystem of H and the phases ``exp(-i lambda_j t_k)``, shape (T, n).
-
-    Raises ``DefectiveMatrixError`` for a defective spectrum and
-    ``OverflowRangeError`` when a growing mode would exceed ``exp(EXP_CAP)``.
-    """
-    eigsys = eig(H)
-    _require_eigenbasis(eigsys)
-    _guard_exponent(np.outer(t, eigsys.eigenvalues.imag), "growing-mode exponent")
-    return eigsys, np.exp(-1j * np.outer(t, eigsys.eigenvalues))
-
-
 def evolve(H, psi0, times, V=None) -> StateTrajectory:
     """Evolve psi0 on a time grid via the spectral formula.
 
@@ -88,9 +74,9 @@ def evolve(H, psi0, times, V=None) -> StateTrajectory:
         raise ValueError("psi0 must be finite")
     t = _require_grid(times)
 
-    eigsys, phases = _spectral_phases(H, t)
-    coeff = eigsys.left @ psi0
-    states = (phases * coeff[np.newaxis, :]) @ eigsys.right.T  # (T, n)
+    eigsys = eig(H)
+    # the phases first: their guards refuse a defective or overflowing H
+    states = (_spectral_phases(eigsys, t) * (eigsys.left @ psi0)) @ eigsys.right.T  # (T, n)
     dirac = np.einsum("ti,ti->t", np.conj(states), states).real
     v_norms = None
     if V is not None:
@@ -114,8 +100,8 @@ def pseudounitarity_residual(H, V, times) -> PseudoUnitarityResult:
         raise ValueError(f"V has shape {Vm.shape}, expected {H.shape}")
     _require_invertible(Vm, "V")
     t = _require_grid(times)
-    eigsys, phases = _spectral_phases(H, t)
-    U = (eigsys.right * phases[:, np.newaxis, :]) @ eigsys.left  # U(t_k), shape (T, n, n)
+    eigsys = eig(H)
+    U = (eigsys.right * _spectral_phases(eigsys, t)[:, np.newaxis, :]) @ eigsys.left  # U(t_k)
     UH = np.conj(np.swapaxes(U, 1, 2))
     residuals = np.linalg.norm(np.linalg.inv(Vm) @ UH @ Vm @ U - np.eye(H.shape[0]), axis=(1, 2))
     return PseudoUnitarityResult(residuals=residuals, maximum=float(np.max(residuals)))

@@ -98,6 +98,14 @@ def _pair_cutoff(w: np.ndarray) -> float:
     return PAIR_TOL * float(np.max(np.abs(w), initial=0.0))
 
 
+def _conjugate_partners(w: np.ndarray) -> np.ndarray:
+    """The one conjugate matching of a sorted spectrum: for each value in
+    order, the index of the free value nearest its conjugate within the
+    pairing cutoff, or -1.  The intertwiner basis and the classification
+    both read their pairs from it."""
+    return _greedy_match(np.conj(w), w, _pair_cutoff(w))
+
+
 def _require_grid(values, name: str = "times") -> np.ndarray:
     """Validate and return ``values`` as a grid: 1-D, non-empty, finite and
     strictly ascending.  Raises ``ValueError`` naming ``name`` otherwise."""
@@ -250,29 +258,27 @@ def _phase_gauge(columns: np.ndarray) -> np.ndarray:
 
 
 def _cluster_eigenvalues(w: np.ndarray, radius: float) -> list[list[int]]:
-    """Group eigenvalues into clusters of mutual distance <= radius (chained)."""
-    order = np.lexsort((w.imag, w.real))
-    # A cluster grows only when a value lies within radius of its seed, so
-    # when only the n self-distances are that small, every value is its own
-    # cluster.
-    if np.count_nonzero(np.abs(np.subtract.outer(w, w)) <= radius) == w.shape[0]:
-        return [[int(i)] for i in order]
+    """Cluster values sorted by real, then imaginary part: each cluster takes
+    in every value within ``radius`` of its mean.  The one merge rule of the
+    defect test and of the classification's real multiplicities."""
+    n = w.shape[0]
+    # A cluster grows only from a value within radius of its seed, so when
+    # only the n self-distances are that small, every value is a singleton.
+    if np.count_nonzero(np.abs(np.subtract.outer(w, w)) <= radius) == n:
+        return [[i] for i in range(n)]
     clusters: list[list[int]] = []
-    assigned = np.zeros(w.shape[0], dtype=bool)
-    for i in order:
+    assigned = np.zeros(n, dtype=bool)
+    for i in range(n):
         if assigned[i]:
             continue
-        members = [int(i)]
+        members = [i]
         assigned[i] = True
-        changed = True
-        while changed:
-            changed = False
-            center = np.mean(w[members])
-            for j in order:
-                if not assigned[j] and abs(w[j] - center) <= radius:
-                    members.append(int(j))
-                    assigned[j] = True
-                    changed = True
+        while True:
+            near = np.flatnonzero(~assigned & (np.abs(w - np.mean(w[members])) <= radius))
+            if near.size == 0:
+                break
+            members += near.tolist()
+            assigned[near] = True
         clusters.append(sorted(members))
     return clusters
 
@@ -326,28 +332,17 @@ def eig(H) -> EigenSystem:
         if geometric < algebraic:
             defects.append(DefectCluster(center, algebraic, geometric, tuple(members)))
 
-    if defects:
-        return EigenSystem(
-            eigenvalues=w,
-            right=None,
-            left=None,
-            defective=True,
-            residual=eig_res,
-            defects=tuple(defects),
-        )
-
-    R = _phase_gauge(R_raw / np.linalg.norm(R_raw, axis=0, keepdims=True))
-    L = np.linalg.inv(R)
-    biorth = float(np.linalg.norm(L @ R - np.eye(n), "fro"))
-    complete = float(np.linalg.norm(R @ L - np.eye(n), "fro"))
-    residual = max(eig_res, biorth, complete)
-    return EigenSystem(
-        eigenvalues=w,
-        right=R,
-        left=L,
-        defective=False,
-        residual=residual,
-    )
+    # A defective spectrum keeps no eigenvector blocks.
+    R = L = None
+    residual = eig_res
+    if not defects:
+        R = _phase_gauge(R_raw / np.linalg.norm(R_raw, axis=0, keepdims=True))
+        L = np.linalg.inv(R)
+        biorth = float(np.linalg.norm(L @ R - np.eye(n), "fro"))
+        complete = float(np.linalg.norm(R @ L - np.eye(n), "fro"))
+        residual = max(eig_res, biorth, complete)
+    return EigenSystem(eigenvalues=w, right=R, left=L, defective=bool(defects),
+                       residual=residual, defects=tuple(defects))
 
 
 def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, paired) -> np.ndarray:
@@ -406,8 +401,7 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     _require_eigenbasis(eigsys)
     w, L = eigsys.eigenvalues, eigsys.left
     n = eigsys.n
-    cutoff = _pair_cutoff(w)
-    paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= cutoff
+    paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= _pair_cutoff(w)
     i, j = np.nonzero(paired)
     k = i.size
     if k == 0:
@@ -416,7 +410,7 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     # Put the sum over a conjugate matching of the pairs in front, in place of
     # one of its own terms so that the span is kept: L^dag P L with P a
     # permutation, invertible when the spectrum pairs up.
-    in_match = j == _greedy_match(np.conj(w), w, cutoff)[i]
+    in_match = j == _conjugate_partners(w)[i]
     first = int(np.argmax(in_match))
     outer[first] = outer[in_match].sum(axis=0)
     outer[[0, first]] = outer[[first, 0]]
@@ -432,6 +426,15 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     return IntertwinerSpace(basis=tuple(B), dimension=k)
 
 
+def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
+    """The phases ``exp(-i lambda_j t_k)``, shape ``shape(t) + (n,)``: the one
+    guarded phase rule of the spectral evolution (eigenbasis guard, then the
+    ``EXP_CAP`` guard on growing modes)."""
+    _require_eigenbasis(eigsys)
+    _guard_exponent(np.multiply.outer(t, eigsys.eigenvalues.imag), "growing-mode exponent")
+    return np.exp(-1j * np.multiply.outer(t, eigsys.eigenvalues))
+
+
 def mat_exp_evolution(eigsys: EigenSystem, t: float) -> np.ndarray:
     """Evolution operator ``U(t) = sum_i exp(-i lambda_i t) R_i L_i``.
 
@@ -441,7 +444,4 @@ def mat_exp_evolution(eigsys: EigenSystem, t: float) -> np.ndarray:
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    _require_eigenbasis(eigsys)
-    _guard_exponent(eigsys.eigenvalues.imag * t, "growing-mode exponent")
-    phases = np.exp(-1j * eigsys.eigenvalues * t)
-    return (eigsys.right * phases[np.newaxis, :]) @ eigsys.left
+    return (eigsys.right * _spectral_phases(eigsys, t)) @ eigsys.left

@@ -134,7 +134,8 @@ def build_metric(
     eigsys: EigenSystem,
     space: IntertwinerSpace,
     policy: str = "hermitian-representative",
-    H=None,
+    *,
+    H,
 ) -> MetricOperator:
     """Select a metric operator from the intertwiner solution space.
 
@@ -161,8 +162,8 @@ def build_metric(
 
     The result is normalized to unit spectral norm with a deterministic sign
     and certified (Hermiticity, invertibility, intertwiner residual) against
-    the source Hamiltonian (``H`` if given, otherwise reconstructed from the
-    eigensystem).
+    ``H``, a required keyword: the Hamiltonian of ``eigsys`` and ``space``.
+    A defective ``eigsys`` raises ``DefectiveMatrixError``.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -170,10 +171,7 @@ def build_metric(
     if space.dimension < 1:
         raise NoMetricError("empty intertwiner space: no solution of V H = H^dag V")
 
-    if H is None:
-        H = (eigsys.right * eigsys.eigenvalues[np.newaxis, :]) @ eigsys.left
-    else:
-        H = as_matrix(H)
+    H = as_matrix(H)
     n = H.shape[0]
 
     if policy == "paper-gauge":

@@ -56,8 +56,22 @@ def characteristic_roots(coefficients) -> np.ndarray:
     cand_plus = (-c1 + disc) / 2.0
     cand_minus = (-c1 - disc) / 2.0
     r1 = cand_plus if abs(cand_plus) >= abs(cand_minus) else cand_minus
-    r2 = c0 / r1 if r1 != 0 else 0.0j
+    # c0 = 0 when either root is 0; dividing by a subnormal r1 would overflow
+    r2 = c0 / r1 if c0 != 0 else 0.0j
     return np.array([r1, r2])
+
+
+def _squared_scale(p: ResonanceParams) -> float:
+    """``E0^2 + Gamma^2``; ``OverflowRangeError`` when the discriminant
+    ``c1^2 - 4 c0``, whose terms reach four times that, overflows."""
+    try:
+        value = p.e0**2 + p.gamma**2
+    except OverflowError:  # float ** raises where float * gives inf
+        value = math.inf
+    if not math.isfinite(4.0 * value):
+        raise OverflowRangeError(f"coefficients leave the double range at E0 = {p.e0:g}, "
+                                 f"Gamma = {p.gamma:g}")
+    return value
 
 
 def pt_wave_equation(p: ResonanceParams):
@@ -67,9 +81,8 @@ def pt_wave_equation(p: ResonanceParams):
     i.e. the solutions are ``exp(-i E0 t +/- Gamma t)``: the time-domain
     factorization of the balanced pole pair ``E0 +/- i Gamma``.
     """
-    coeffs = (1.0, 2j * p.e0, -(p.e0**2 + p.gamma**2))
-    expected = np.array([-1j * (p.e0 + 1j * p.gamma), -1j * (p.e0 - 1j * p.gamma)])
-    _check_roots(coeffs, expected)
+    coeffs = (1.0, 2j * p.e0, -_squared_scale(p))
+    _check_roots(coeffs, np.array([-1j * (p.e0 + 1j * p.gamma), -1j * (p.e0 - 1j * p.gamma)]))
     return coeffs
 
 
@@ -80,7 +93,7 @@ def damped_oscillator_equation(p: ResonanceParams):
     equation factorizes over ``{E0 - i Gamma, -E0 - i Gamma}`` (the second
     root flips the sign of E0, not of the damping).
     """
-    coeffs = (1.0, 2.0 * p.gamma, p.e0**2 + p.gamma**2)
+    coeffs = (1.0, 2.0 * p.gamma, _squared_scale(p))
     _check_roots(coeffs, np.array([-p.gamma - 1j * p.e0, -p.gamma + 1j * p.e0]))
     # energy-space roots E = i r
     energies = 1j * characteristic_roots(coeffs)
@@ -106,7 +119,8 @@ class SecondOrderIVP:
 
     ``c2`` must be 1; ``times`` is a finite, strictly ascending grid with
     ``times[0] >= 0`` (the initial data live at t = 0) and ``step`` is the
-    RK4 step, subdivided evenly so every grid point is hit exactly.
+    RK4 step, subdivided evenly so every grid point is hit exactly.  A step
+    so small that ``times[-1] / step`` is not finite raises ``ValueError``.
     """
 
     c1: complex
@@ -126,6 +140,9 @@ class SecondOrderIVP:
             raise ValueError("times must start at or after t = 0")
         if not (self.step > 0):
             raise ValueError("step must be positive")
+        # Every span is at most times[-1], so this bounds each substep count.
+        if not math.isfinite(float(t[-1]) / float(self.step)):
+            raise ValueError(f"step {self.step:g} gives a non-finite substep count")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .linalg import (
     EigenSystem,
-    _greedy_match,
-    _pair_cutoff,
+    _cluster_eigenvalues,
+    _conjugate_partners,
     _require_eigenbasis,
     _require_invertible,
     as_matrix,
@@ -155,48 +155,37 @@ def classify_spectrum(
 ) -> SpectrumReport:
     """Classify eigenvalues into real values, conjugate pairs and leftovers.
 
-    Values with ``|Im| <= tol * spectral_radius`` count as real and are
-    merged into multiplicity clusters.  The remaining values are paired
-    greedily in ascending-real-part order, nearest conjugate first, within
-    the pairing cutoff of the intertwiner basis (``linalg.PAIR_TOL *
-    spectral_radius``, whatever ``tol``), so that values paired here are
-    paired there too.  Anything without a partner is
-    reported as unmatched rather than raised.  ``defective_clusters`` (pairs
-    of value, multiplicity) are copied into the ``exceptional`` annotation.
+    Values with ``|Im| <= tol * spectral_radius`` count as real, with the
+    multiplicities of ``linalg._cluster_eigenvalues`` at that radius.  A value
+    above the real axis pairs with the value below it that the intertwiner
+    basis's matching, ``linalg._conjugate_partners``, gives it (within
+    ``linalg.PAIR_TOL * spectral_radius``, whatever ``tol``), so values paired
+    here are paired there too.  Other complex values are reported unmatched.
+    ``defective_clusters`` (value, multiplicity) fill ``exceptional``.
     """
     w = np.asarray(list(eigenvalues), dtype=complex)
     if w.size and not np.all(np.isfinite(w)):
         raise ValueError("eigenvalues must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    radius = float(np.max(np.abs(w))) if w.size else 0.0
-    abs_tol = tol * radius
+    w = w[np.lexsort((w.imag, w.real))]
+    abs_tol = tol * (float(np.max(np.abs(w))) if w.size else 0.0)
 
-    real_mask = np.abs(w.imag) <= abs_tol
-    reals = np.sort(w[real_mask].real)
-    real_values: list[tuple[float, int]] = []
-    i = 0
-    while i < reals.size:
-        j = i
-        while j + 1 < reals.size and reals[j + 1] - reals[j] <= abs_tol:
-            j += 1
-        real_values.append((float(np.mean(reals[i : j + 1])), j - i + 1))
-        i = j + 1
-
-    rest = w[~real_mask]
-    rest = rest[np.lexsort((rest.imag, rest.real))]
-    upper, lower = rest[rest.imag > 0], rest[rest.imag < 0]
-    match = _greedy_match(upper, np.conj(lower), _pair_cutoff(w))
-    hit = match >= 0
-    up, down = upper[hit], lower[match[hit]]
-    e0, gamma = (up.real + down.real) / 2.0, (up.imag - down.imag) / 2.0
-    pairs = sorted(zip(e0.tolist(), gamma.tolist()))
-    leftover = np.concatenate([upper[~hit], np.delete(lower, match[hit])])
-    unmatched = sorted((complex(z) for z in leftover), key=lambda z: (z.real, z.imag))
+    real = np.abs(w.imag) <= abs_tol
+    reals = w[real].real
+    partner = _conjugate_partners(w)
+    lower = ~real & (w.imag < 0)
+    up = [k for k in np.flatnonzero(~real & (w.imag > 0)) if partner[k] >= 0 and lower[partner[k]]]
+    down = partner[up]
+    e0, gamma = (w[up].real + w[down].real) / 2.0, (w[up].imag - w[down].imag) / 2.0
+    single = ~real
+    single[up] = single[down] = False
     return SpectrumReport(
-        real_values=tuple(real_values),
-        conjugate_pairs=tuple(pairs),
-        unmatched=tuple(unmatched),
+        real_values=tuple(
+            (float(np.mean(reals[c])), len(c)) for c in _cluster_eigenvalues(reals, abs_tol)
+        ),
+        conjugate_pairs=tuple(sorted(zip(e0.tolist(), gamma.tolist()))),
+        unmatched=tuple(complex(z) for z in w[single]),
         exceptional=tuple((complex(v), int(m)) for v, m in defective_clusters),
         tol_used=tol,
     )

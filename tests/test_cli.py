@@ -195,6 +195,35 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("input error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--e0", "1", "--gamma", "0.8", "--psi0", "0,1", "--bogus", "3"],
+            ["classify", "--s", "0.6", "extra"],
+            ["metric", "--s", "0.6", "--tol", "1e-6"],
+            ["evolve", "--e0", "x", "--psi0", "0,1"],
+        ],
+        ids=["unknown-option", "extra-argument", "tol", "type-error"],
+    )
+    def test_subcommand_usage_line(self, argv, capsys):
+        """A usage error inside a subcommand shows that subcommand's usage,
+        whether argparse finds it while parsing or as a leftover argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: ptresonance {argv[0]} [-h]")
+        assert captured.err.splitlines()[-1].startswith("input error: ")
+
+    def test_top_level_usage_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--bogus", "classify", "--s", "0.6"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ptresonance [-h] {classify,")
+        assert captured.err.endswith("input error: unrecognized arguments: --bogus\n")
+
     @pytest.mark.parametrize("argv", [["--help"], ["metric", "--help"]])
     def test_help_exits_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +260,43 @@ class TestNonFiniteBounds:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("input error: ") and "must be finite" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestEnergyGridArguments:
+    """``--grid-points`` below 2 and a grid bound given without the other
+    are one input error each, before any file is written."""
+
+    RESPONSE = ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "0.8"]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--grid-points", "0"], "--grid-points must be at least 2"),
+            (["--grid-points", "1"], "--grid-points must be at least 2"),
+            (["--grid-points", "-5", "--grid-start", "0", "--grid-stop", "2"],
+             "--grid-points must be at least 2"),
+            (["--grid-stop", "nan"], "--grid-start and --grid-stop must be given together"),
+            (["--grid-stop", "1"], "--grid-start and --grid-stop must be given together"),
+            (["--grid-start", "0"], "--grid-start and --grid-stop must be given together"),
+        ],
+        ids=["points-0", "points-1", "points-negative", "stop-nan-alone", "stop-alone",
+             "start-alone"],
+    )
+    def test_exit_1_with_one_line(self, extra, message, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(self.RESPONSE + extra + ["--output", str(tmp_path / "run")]) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_two_points_and_both_bounds_accepted(self, tmp_path):
+        argv = ["--grid-points", "2", "--grid-start", "0", "--grid-stop", "2"]
+        assert main(self.RESPONSE + argv + ["--output", str(tmp_path / "run")]) == 0
+        data = np.genfromtxt(tmp_path / "run_curves.csv", delimiter=",", names=True)
+        npt.assert_array_equal(data["E"], [0.0, 2.0])
 
 
 class TestMetric:
@@ -494,6 +560,29 @@ class TestOde:
              "--step", "0.5", "--t-points", "6"]
         ) == 1
         assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (["--equation", "pt-wave", "--e0", "1e308", "--gamma", "0.8"], 5, "overflow: "),
+            (["--equation", "damped-oscillator", "--e0", "1", "--gamma", "1e308"], 5,
+             "overflow: "),
+            (["--equation", "pt-wave", "--e0", "1e154", "--gamma", "0.8"], 5, "overflow: "),
+            (["--equation", "pt-wave", "--e0", "1", "--gamma", "0.8", "--step", "1e-320"], 1,
+             "input error: "),
+        ],
+        ids=["pt-wave-e0", "damped-gamma", "discriminant", "step"],
+    )
+    def test_edge_values_exit_without_traceback(self, argv, code, prefix, tmp_path, capsys):
+        """Each of these raised a Python exception out of ``main``."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["ode", *argv, "--output", str(tmp_path / "out.csv")]) == code
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(prefix)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -143,16 +143,52 @@ class TestPhaseGauge:
         assert abs(pivot.imag) <= 1e-15 * pivot.real
 
 
+def _clusters_by_loop(w, radius):
+    """The merge rule taken one value at a time: the reference for the
+    vectorized passes of ``linalg._cluster_eigenvalues``."""
+    clusters, assigned = [], [False] * len(w)
+    for i in range(len(w)):
+        if assigned[i]:
+            continue
+        members, changed = [i], True
+        assigned[i] = True
+        while changed:
+            changed = False
+            center = np.mean(w[members])
+            for j in range(len(w)):
+                if not assigned[j] and abs(w[j] - center) <= radius:
+                    members.append(j)
+                    assigned[j] = True
+                    changed = True
+        clusters.append(sorted(members))
+    return clusters
+
+
 class TestClusterEigenvalues:
+    def test_matches_the_loop_reference(self):
+        """Near copies, runs spaced 0.6 radius apart (clusters that grow
+        over several passes) and complex values, sorted as ``eig`` sorts."""
+        rng = np.random.default_rng(53)
+        r = 1e-7
+        for trial in range(300):
+            base = rng.standard_normal(6) + 1j * rng.standard_normal(6) * (trial % 2)
+            k, m = rng.integers(0, 7, size=2)
+            w = np.concatenate([
+                base,
+                base[:k] + r * rng.uniform(-1.5, 1.5, k) * (1j if trial % 3 == 0 else 1),
+                base[-1] + 0.6 * r * np.arange(1, m + 1),
+            ])
+            w = w[np.lexsort((w.imag, w.real))]
+            assert linalg._cluster_eigenvalues(w, r) == _clusters_by_loop(w, r)
+
     def test_distinct_values_are_singletons_in_sorted_order(self):
-        w = np.array([2.0 + 1j, -1.0, 2.0 - 1j, 0.5j, 3.0])
-        order = np.lexsort((w.imag, w.real))
-        assert linalg._cluster_eigenvalues(w, 1e-3) == [[int(i)] for i in order]
+        w = np.array([-1.0, 0.5j, 2.0 - 1j, 2.0 + 1j, 3.0])
+        assert linalg._cluster_eigenvalues(w, 1e-3) == [[0], [1], [2], [3], [4]]
 
     def test_one_close_pair(self):
         r = 1e-7
-        w = np.array([3.0, 1.0, 1.0 + 0.5j * r, 2.0])
-        assert linalg._cluster_eigenvalues(w, r) == [[1, 2], [3], [0]]
+        w = np.array([1.0, 1.0 + 0.5j * r, 2.0, 3.0])
+        assert linalg._cluster_eigenvalues(w, r) == [[0, 1], [2], [3]]
 
     def test_value_joins_through_the_cluster_mean(self):
         """0.95j r is 1.05 r from both seeds but 0.95 r from their mean."""
@@ -291,6 +327,12 @@ class TestGreedyMatch:
         b = np.array([0.1])
         npt.assert_array_equal(linalg._greedy_match(a, b, np.inf), [0, -1, -1])
         assert linalg._greedy_match(np.array([1.0]), np.array([]), np.inf).tolist() == [-1]
+
+    def test_conjugate_partners(self):
+        """Each value is matched to the value nearest its conjugate, within
+        ``PAIR_TOL`` of the spectral radius; a real value is its own partner."""
+        w = np.array([-1.0, 1 - 2j, 1 + 2j + 1e-11, 3 - 1j, 3 + 1j + 1e-9])
+        npt.assert_array_equal(linalg._conjugate_partners(w), [0, 2, 1, -1, -1])
 
 
 class TestEvolutionOperator:

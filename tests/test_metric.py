@@ -82,15 +82,18 @@ class TestBuildMetric:
             _metric_for(DIAG_PAIR, policy="nonsense")
 
     def test_source_reconstruction_when_h_omitted(self):
-        """Without H the source is rebuilt from the eigensystem; residuals and
-        the exact gauge result must be unchanged."""
+        """H is a required keyword: the metric is certified against the
+        source Hamiltonian only, never against one rebuilt from the
+        eigensystem."""
         eigsys = eig(DIAG_PAIR)
         space = solve_intertwiner(DIAG_PAIR)
-        op = build_metric(eigsys, space, policy="paper-gauge")
+        for policy in metric.POLICIES:
+            with pytest.raises(TypeError, match="'H'"):
+                build_metric(eigsys, space, policy=policy)
+        with pytest.raises(TypeError):
+            build_metric(eigsys, space, "paper-gauge", DIAG_PAIR)
+        op = build_metric(eigsys, space, policy="paper-gauge", H=DIAG_PAIR)
         assert np.array_equal(op.V, np.array([[0, -1], [1, 0]], dtype=complex))
-        op = build_metric(eigsys, space)
-        npt.assert_allclose(op.V, np.array([[0, 1], [1, 0]]), atol=1e-12)
-        assert op.residual <= 1e-12
 
     def test_random_symmetric_constructions(self):
         rng = np.random.default_rng(59)

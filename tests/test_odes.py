@@ -1,5 +1,7 @@
 """Tests for the wave equations and the RK4 integrator."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -65,6 +67,32 @@ class TestCoefficients:
                           key=lambda z: z.real)
         npt.assert_allclose(energies[0], -P.e0 - 1j * P.gamma, atol=1e-12)
         npt.assert_allclose(energies[1], P.e0 - 1j * P.gamma, atol=1e-12)
+
+
+    @pytest.mark.parametrize("equation", [pt_wave_equation, damped_oscillator_equation])
+    @pytest.mark.parametrize(
+        "e0, gamma",
+        [(1e308, 0.8), (1.0, 1e308), (-1e200, 0.8), (1e154, 0.8), (1.3e154, 1.3e154)],
+        ids=["e0-squared", "gamma-squared", "negative-e0", "discriminant", "sum"],
+    )
+    def test_coefficient_overflow_is_a_range_error(self, equation, e0, gamma):
+        """``E0^2 + Gamma^2`` beyond the double range, or a discriminant
+        ``c1^2 - 4 c0`` beyond it, is the package's overflow error, not
+        Python's ``OverflowError`` or a failed root check."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="coefficients leave the double range"):
+                equation(ResonanceParams(e0, gamma))
+
+    @pytest.mark.parametrize("make_ivp", [pt_wave_ivp, damped_oscillator_ivp])
+    def test_subnormal_parameters_integrate(self, make_ivp):
+        """With E0^2 + Gamma^2 rounded to 0, the second root is 0 itself, not
+        c0 divided by a subnormal first root."""
+        p = ResonanceParams(1e-320, 1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = integrate(make_ivp(p, np.linspace(0.0, 1.0, 3), 1e-2))
+        assert np.all(np.isfinite(series.psi)) and np.all(np.isfinite(series.dpsi))
 
 
 class TestIntegrate:
@@ -133,6 +161,16 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             SecondOrderIVP(c1=0.0, c0=1.0, psi0=1.0, dpsi0=0.0,
                            times=np.array([0.0, 1.0]), step=1e-2, c2=2.0)
+
+    @pytest.mark.parametrize("step", [1e-320, 1e-310])
+    def test_non_finite_substep_count(self, step):
+        """A step whose substep count over the grid overflows is an input
+        error, raised before integration (``math.ceil`` of an infinite count
+        raised ``OverflowError``)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite substep count"):
+                pt_wave_ivp(P, np.linspace(0.0, 5.0, 11), step)
 
     def test_slope_normalized_route(self):
         """Integrating with unit slope and rescaling by 2 i Gamma matches the

@@ -1,6 +1,7 @@
 """Tests for the antilinear-symmetry check and spectrum classification."""
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from helpers import random_pt_symmetric
@@ -13,7 +14,9 @@ from ptresonance import (
     classify_spectrum,
     eig,
     gain_loss_dimer,
+    linalg,
     pt_unbroken,
+    symmetry,
 )
 
 SIGMA_X = AntilinearSymmetry(PAULI_X)
@@ -104,6 +107,41 @@ class TestClassifySpectrum:
             rep = classify_spectrum(np.linalg.eigvals(H))
             assert not rep.broken
             assert rep.total_multiplicity == n
+
+    def test_real_multiplicities_use_the_cluster_rule(self):
+        """Real values merge by the defect test's rule, within the radius of
+        a cluster's mean, not by a chain of adjacent gaps: the third value is
+        0.9e-9 from the second but 1.35e-9 from the mean of the first two."""
+        rep = classify_spectrum([1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9])
+        assert [m for _, m in rep.real_values] == [2, 1]
+        npt.assert_allclose([v for v, _ in rep.real_values], [1.00000000045, 1.0000000018],
+                            rtol=1e-15)
+        assert rep.total_multiplicity == 3
+
+    def test_pairs_are_the_intertwiner_matching(self):
+        """Every classified pair is a pair of ``linalg._conjugate_partners``,
+        the matching whose sum leads the intertwiner basis."""
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            H, _ = random_pt_symmetric(rng, int(rng.integers(2, 9)))
+            w = eig(H).eigenvalues
+            partner = linalg._conjugate_partners(w)
+            rep = classify_spectrum(w)
+            cut = symmetry.DEFAULT_CLASSIFY_TOL * np.max(np.abs(w))
+            matched = {(w[k].real + w[m].real, w[k].imag - w[m].imag)
+                       for k, m in enumerate(partner) if w[k].imag > cut and m >= 0}
+            assert {(2 * e0, 2 * g) for e0, g in rep.conjugate_pairs} == matched
+
+    def test_value_counted_real_keeps_its_match(self):
+        """At the real-value boundary the one matching decides: the value
+        counted real is nearer the lower value's conjugate than the upper
+        value is, so the matching gives it the lower value, and the upper one
+        finds no partner."""
+        w = [1 + 0.99999e-9j, 1 - 1.00001e-9j, 1 + 1.00001e-9j]
+        rep = classify_spectrum(w)
+        assert rep.real_values == ((1.0, 1),)
+        assert rep.conjugate_pairs == ()
+        assert rep.unmatched == (1 - 1.00001e-9j, 1 + 1.00001e-9j)
 
     def test_validation(self):
         with pytest.raises(ValueError):
