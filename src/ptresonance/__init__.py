@@ -24,136 +24,16 @@ cli
     Command-line front end (``ptresonance``).
 """
 
-from .errors import (
-    ConvergenceError,
-    DefectiveMatrixError,
-    NoMetricError,
-    OverflowRangeError,
-)
-from .evolution import (
-    PseudoUnitarityResult,
-    StateTrajectory,
-    TwoLevelResult,
-    evolve,
-    pseudounitarity_residual,
-    two_level_hamiltonian,
-    two_level_scenario,
-)
-from .linalg import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    EigenSystem,
-    IntertwinerSpace,
-    as_matrix,
-    eig,
-    mat_exp_evolution,
-    matrix_from_json,
-    matrix_to_json,
-    solve_intertwiner,
-)
-from .metric import (
-    PAPER_GAUGE_V,
-    DualPair,
-    MetricOperator,
-    build_metric,
-    closure_check,
-    dual_pair,
-    v_inner,
-    verify_pseudo_hermiticity,
-)
-from .odes import (
-    SecondOrderIVP,
-    TimeSeries,
-    damped_oscillator_equation,
-    damped_oscillator_ivp,
-    integrate,
-    pt_wave_equation,
-    pt_wave_ivp,
-)
-from .response import (
-    PropagatorModel,
-    QuadratureResult,
-    ResonanceParams,
-    ResponseCurve,
-    build_model,
-    bw_propagator,
-    default_energy_grid,
-    inverse_ft,
-    phase_shift,
-    pt_propagator,
-    quadrature_ift,
-    scattering_amplitude,
-    time_delay,
-)
-from .symmetry import (
-    AntilinearSymmetry,
-    SpectrumReport,
-    check_pt,
-    classify_hamiltonian,
-    classify_spectrum,
-    gain_loss_dimer,
-    pt_unbroken,
-)
+from . import errors, evolution, linalg, metric, odes, response, symmetry
+from .errors import *  # noqa: F403 -- each module's __all__ is its public list
+from .evolution import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .metric import *  # noqa: F403
+from .odes import *  # noqa: F403
+from .response import *  # noqa: F403
+from .symmetry import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntilinearSymmetry",
-    "ConvergenceError",
-    "DefectiveMatrixError",
-    "DualPair",
-    "EigenSystem",
-    "IntertwinerSpace",
-    "MetricOperator",
-    "NoMetricError",
-    "OverflowRangeError",
-    "PAPER_GAUGE_V",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "PropagatorModel",
-    "PseudoUnitarityResult",
-    "QuadratureResult",
-    "ResonanceParams",
-    "ResponseCurve",
-    "SecondOrderIVP",
-    "SpectrumReport",
-    "StateTrajectory",
-    "TimeSeries",
-    "TwoLevelResult",
-    "as_matrix",
-    "build_metric",
-    "build_model",
-    "bw_propagator",
-    "check_pt",
-    "classify_hamiltonian",
-    "classify_spectrum",
-    "closure_check",
-    "damped_oscillator_equation",
-    "damped_oscillator_ivp",
-    "default_energy_grid",
-    "dual_pair",
-    "eig",
-    "evolve",
-    "gain_loss_dimer",
-    "integrate",
-    "inverse_ft",
-    "mat_exp_evolution",
-    "matrix_from_json",
-    "matrix_to_json",
-    "phase_shift",
-    "pseudounitarity_residual",
-    "pt_propagator",
-    "pt_unbroken",
-    "pt_wave_equation",
-    "pt_wave_ivp",
-    "quadrature_ift",
-    "scattering_amplitude",
-    "solve_intertwiner",
-    "time_delay",
-    "two_level_hamiltonian",
-    "two_level_scenario",
-    "v_inner",
-    "verify_pseudo_hermiticity",
-]
+_MODULES = (errors, evolution, linalg, metric, odes, response, symmetry)
+__all__ = [name for module in _MODULES for name in module.__all__]

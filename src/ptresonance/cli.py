@@ -5,15 +5,16 @@ File formats are the JSON matrix interchange format and plain CSV with full
 double precision (17 significant digits), so outputs are byte-identical for
 identical configurations and can be fed back into downstream commands.
 
-Exit codes: 0 success, 1 malformed input (usage errors included),
-2 broken (unpairable) spectrum, 3 exceptional point, 4 no metric operator,
-5 overflow guard.  Only ``classify`` takes a tolerance: ``--tol``, else the
-``PTR_TOL`` environment variable, sets which eigenvalues it counts as real.
-Whatever the tolerance, a defect (exit 3) is found at ``linalg.DEFECT_FLOOR``
-times ``||H||_2`` and eigenvalues pair within ``linalg.PAIR_TOL`` times the
-spectral radius; ``metric`` refuses a defective spectrum before any
-intertwiner work.  Grid bounds must be finite and come in start/stop pairs,
-with at least 2 points.
+Exit codes: 0 success, 1 malformed input (usage errors included), 2 broken
+(unpairable) spectrum, 3 exceptional point, 4 no metric operator, 5 overflow
+guard or non-finite intermediate (subcommands run under an ``np.errstate``
+raising on overflow, invalid and divide).  Only ``classify`` takes a
+tolerance: ``--tol``, else the ``PTR_TOL`` environment variable, sets which
+eigenvalues it counts as real.  Whatever the tolerance, a defect (exit 3) is
+found at ``linalg.DEFECT_FLOOR`` times ``||H||_2`` and eigenvalues pair
+within ``linalg.PAIR_TOL`` times the spectral radius; ``metric`` refuses a
+defective spectrum before any intertwiner work.  Grid bounds must be finite
+and come in start/stop pairs, with at least 2 points.
 """
 
 from __future__ import annotations
@@ -89,18 +90,15 @@ def _load_metric_matrix(path: str) -> np.ndarray:
 
 
 def _resolve_tol(args) -> float:
+    """``--tol``, else ``PTR_TOL``, else the default; ``classify`` checks it."""
     if args.tol is not None:
-        value = args.tol
-    elif os.environ.get("PTR_TOL"):
+        return args.tol
+    if os.environ.get("PTR_TOL"):
         try:
-            value = float(os.environ["PTR_TOL"])
+            return float(os.environ["PTR_TOL"])
         except ValueError as exc:
             raise ValueError(f"PTR_TOL: not a number ({os.environ['PTR_TOL']!r})") from exc
-    else:
-        return symmetry.DEFAULT_CLASSIFY_TOL
-    if value <= 0:
-        raise ValueError("tolerance must be positive")
-    return value
+    return symmetry.DEFAULT_CLASSIFY_TOL
 
 
 def _input_matrix(args) -> np.ndarray:
@@ -115,16 +113,16 @@ def _input_matrix(args) -> np.ndarray:
     raise ValueError("a matrix is required: pass --input FILE or --s S")
 
 
-def _parse_state(text: str, n: int) -> np.ndarray:
+def _parse_state(text: str, n: int, option: str) -> np.ndarray:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise ValueError(f"--psi0: expected {n} comma-separated components, got {len(parts)}")
+        raise ValueError(f"{option}: expected {n} comma-separated components, got {len(parts)}")
     try:
         vec = np.array([complex(p) for p in parts])
     except ValueError as exc:
-        raise ValueError(f"--psi0: cannot parse component ({exc})") from exc
+        raise ValueError(f"{option}: cannot parse component ({exc})") from exc
     if not np.all(np.isfinite(vec)):
-        raise ValueError("--psi0: components must be finite")
+        raise ValueError(f"{option}: components must be finite")
     return vec
 
 
@@ -205,7 +203,7 @@ def cmd_evolve(args) -> int:
         H = _input_matrix(args)
         V = _load_metric_matrix(args.v_file) if args.v_file is not None else None
 
-    psi0 = _parse_state(args.psi0, H.shape[0])
+    psi0 = _parse_state(args.psi0, H.shape[0], "--psi0")
     times = _time_grid(args)
     traj = evolution.evolve(H, psi0, times, V=V)
 
@@ -272,7 +270,7 @@ def cmd_ode(args) -> int:
     else:
         ivp = odes.damped_oscillator_ivp(p, times, args.step)
     if args.init is not None:
-        init = _parse_state(args.init, 2)
+        init = _parse_state(args.init, 2, "--init")
         ivp = dataclasses.replace(ivp, psi0=init[0], dpsi0=init[1])
     series = odes.integrate(ivp)
     _write_csv(
@@ -292,9 +290,9 @@ def _add_matrix_args(sub):
     sub.add_argument("--s", type=float, help="build the gain/loss dimer [[1+i,s],[s,1-i]]")
 
 
-def _add_time_args(sub, stop=5.0, points=201):
+def _add_time_args(sub, points=201):
     sub.add_argument("--t-start", type=float, default=0.0)
-    sub.add_argument("--t-stop", type=float, default=stop)
+    sub.add_argument("--t-stop", type=float, default=5.0)
     sub.add_argument("--t-points", type=int, default=points)
 
 
@@ -365,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--e0", type=float, required=True)
     o.add_argument("--gamma", type=float, required=True)
     o.add_argument("--init", help="psi(0),psi'(0) (default: the equation's canonical data)")
-    _add_time_args(o, stop=5.0, points=501)
+    _add_time_args(o, points=501)
     o.add_argument("--step", type=float, default=1e-3)
     o.add_argument("--output", help="CSV path (default stdout)")
     o.set_defaults(func=cmd_ode)
@@ -377,7 +375,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite intermediate is an error here, never a NaN in the output.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ValueError, ConvergenceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     except NoMetricError as exc:
         print(f"no metric: {exc}", file=sys.stderr)
         return EXIT_NO_METRIC
-    except OverflowRangeError as exc:
+    except (OverflowRangeError, FloatingPointError) as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
 

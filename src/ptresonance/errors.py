@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConvergenceError", "DefectiveMatrixError", "NoMetricError", "OverflowRangeError"]
+
 
 class DefectiveMatrixError(Exception):
     """Raised when an operation needs a complete eigenbasis but the input

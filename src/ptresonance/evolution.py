@@ -15,7 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _require_grid, _require_invertible, _spectral_phases, as_matrix, eig
+from .linalg import (
+    _require_grid, _require_invertible, _spectral_phases, as_matrix, eig, mat_exp_evolution,
+)
 from .metric import PAPER_GAUGE_V, _metric_matrix
 
 __all__ = [
@@ -100,8 +102,7 @@ def pseudounitarity_residual(H, V, times) -> PseudoUnitarityResult:
         raise ValueError(f"V has shape {Vm.shape}, expected {H.shape}")
     _require_invertible(Vm, "V")
     t = _require_grid(times)
-    eigsys = eig(H)
-    U = (eigsys.right * _spectral_phases(eigsys, t)[:, np.newaxis, :]) @ eigsys.left  # U(t_k)
+    U = mat_exp_evolution(eig(H), t)  # U[k] = U(t_k)
     UH = np.conj(np.swapaxes(U, 1, 2))
     residuals = np.linalg.norm(np.linalg.inv(Vm) @ UH @ Vm @ U - np.eye(H.shape[0]), axis=(1, 2))
     return PseudoUnitarityResult(residuals=residuals, maximum=float(np.max(residuals)))

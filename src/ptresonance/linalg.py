@@ -14,7 +14,7 @@ energy grids of every module by the one grid rule, ``_require_grid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,7 +186,7 @@ class DefectCluster:
     value: complex
     algebraic: int
     geometric: int
-    members: tuple[int, ...] = ()  # indices into the sorted eigenvalue array
+    members: tuple[int, ...]  # indices into the sorted eigenvalue array
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +196,8 @@ class EigenSystem:
     ``right`` holds right eigenvectors as columns, ``left`` holds left
     eigenvectors as rows, scaled so that ``left @ right == I`` and each right
     vector has unit Euclidean norm with its first nonzero component real
-    positive.  When the spectrum is defective both are ``None``.
+    positive.  When the spectrum is defective (``defects`` is non-empty) both
+    are ``None``.
 
     ``residual`` is the largest of the eigen-equation, biorthonormality and
     completeness residuals (eigen-equation only when defective).
@@ -205,13 +206,16 @@ class EigenSystem:
     eigenvalues: np.ndarray
     right: np.ndarray | None
     left: np.ndarray | None
-    defective: bool
     residual: float
-    defects: tuple[DefectCluster, ...] = field(default=())
+    defects: tuple[DefectCluster, ...]
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def defective(self) -> bool:
+        return bool(self.defects)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +228,10 @@ class IntertwinerSpace:
     """
 
     basis: tuple[np.ndarray, ...]
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 def _require_eigenbasis(eigsys: EigenSystem) -> None:
@@ -341,8 +348,7 @@ def eig(H) -> EigenSystem:
         biorth = float(np.linalg.norm(L @ R - np.eye(n), "fro"))
         complete = float(np.linalg.norm(R @ L - np.eye(n), "fro"))
         residual = max(eig_res, biorth, complete)
-    return EigenSystem(eigenvalues=w, right=R, left=L, defective=bool(defects),
-                       residual=residual, defects=tuple(defects))
+    return EigenSystem(eigenvalues=w, right=R, left=L, residual=residual, defects=tuple(defects))
 
 
 def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, paired) -> np.ndarray:
@@ -405,7 +411,7 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     i, j = np.nonzero(paired)
     k = i.size
     if k == 0:
-        return IntertwinerSpace(basis=(), dimension=0)
+        return IntertwinerSpace(basis=())
     outer = np.conj(L[i])[:, :, np.newaxis] * L[j][:, np.newaxis, :]
     # Put the sum over a conjugate matching of the pairs in front, in place of
     # one of its own terms so that the span is kept: L^dag P L with P a
@@ -423,7 +429,7 @@ def solve_intertwiner(H) -> IntertwinerSpace:
         B = B - _null_space_correction(res, H, eigsys.right, paired)
         Q, _ = np.linalg.qr(B.reshape(k, n * n).T)
         B = Q.T.reshape(k, n, n)
-    return IntertwinerSpace(basis=tuple(B), dimension=k)
+    return IntertwinerSpace(basis=tuple(B))
 
 
 def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
@@ -435,13 +441,14 @@ def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(t, eigsys.eigenvalues))
 
 
-def mat_exp_evolution(eigsys: EigenSystem, t: float) -> np.ndarray:
+def mat_exp_evolution(eigsys: EigenSystem, t) -> np.ndarray:
     """Evolution operator ``U(t) = sum_i exp(-i lambda_i t) R_i L_i``.
 
-    Raises ``ValueError`` for a non-finite t, ``DefectiveMatrixError`` for a
-    defective eigensystem and ``OverflowRangeError`` for a growing mode past
-    ``exp(300)``.
+    ``t`` is a time or an array of times; the result has shape
+    ``shape(t) + (n, n)``.  Raises ``ValueError`` for a non-finite time,
+    ``DefectiveMatrixError`` for a defective eigensystem and
+    ``OverflowRangeError`` for a growing mode past ``exp(300)``.
     """
-    if not np.isfinite(t):
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    return (eigsys.right * _spectral_phases(eigsys, t)) @ eigsys.left
+    return (eigsys.right * np.expand_dims(_spectral_phases(eigsys, t), -2)) @ eigsys.left

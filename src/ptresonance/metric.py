@@ -245,22 +245,20 @@ def v_inner(x, y, V) -> complex:
     return complex(np.vdot(x, V @ y))
 
 
-def closure_check(kets, bras, V) -> float:
+def closure_check(kets, bras) -> float:
     """Residual of the signed outer-product completeness relation.
 
     Builds the inner-product (Gram) matrix ``G_ij = bras_i . kets_j`` and
     returns ``|| sum_ij (G^-1)_ij |ket_i><bra_j| - I ||_F``: the dual-basis
     resolution of the identity, which reduces to the signed two-term sum for
-    a conjugate-pair system where G is a signed permutation.
+    a conjugate-pair system where G is a signed permutation.  The bras carry
+    the metric (``<ket|V``, see ``dual_pair``); n kets and bras of length n.
     """
-    V = _metric_matrix(V)
-    n = V.shape[0]
-    kets = [np.asarray(k, dtype=complex) for k in kets]
-    bras = [np.asarray(b, dtype=complex) for b in bras]
-    if len(kets) != n or len(bras) != n:
-        raise ValueError(f"need exactly {n} kets and {n} bras, got {len(kets)}/{len(bras)}")
-    K = np.column_stack(kets)
-    B = np.vstack(bras)
+    K = np.column_stack([np.asarray(k, dtype=complex) for k in kets])
+    B = np.vstack([np.asarray(b, dtype=complex) for b in bras])
+    n = K.shape[0]
+    if K.shape != (n, n) or B.shape != (n, n):
+        raise ValueError(f"need {n} kets and {n} bras of length {n}, got {K.shape}/{B.shape}")
     G = B @ K
     try:
         W = np.linalg.solve(G, np.eye(n))

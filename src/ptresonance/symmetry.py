@@ -10,7 +10,7 @@ spectrum into those categories, and decides whether the symmetry is unbroken
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,10 +71,10 @@ class PTCheck(NamedTuple):
     residual: float
 
 
-def check_pt(H, sym: AntilinearSymmetry, tol: float = 1e-10) -> PTCheck:
+def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
     """Check invariance of H under the antilinear map.
 
-    Returns whether ``||P conj(H) P^-1 - H|| <= tol * ||H||`` together with
+    Returns whether ``||P conj(H) P^-1 - H|| <= 1e-10 * ||H||`` together with
     the relative residual.
     """
     H = as_matrix(H)
@@ -83,15 +83,13 @@ def check_pt(H, sym: AntilinearSymmetry, tol: float = 1e-10) -> PTCheck:
             f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, "
             f"P is {sym.P.shape[0]}x{sym.P.shape[0]}"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     P_inv = np.linalg.inv(sym.P)
     transformed = sym.P @ np.conj(H) @ P_inv
     h_norm = float(np.linalg.norm(H, "fro"))
     residual = float(np.linalg.norm(transformed - H, "fro"))
     if h_norm > 0.0:
         residual /= h_norm
-    return PTCheck(residual <= tol, residual)
+    return PTCheck(residual <= 1e-10, residual)
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,8 @@ class SpectrumReport:
     real_values: tuple[tuple[float, int], ...]
     conjugate_pairs: tuple[tuple[float, float], ...]
     unmatched: tuple[complex, ...]
-    exceptional: tuple[tuple[complex, int], ...] = field(default=())
-    tol_used: float = DEFAULT_CLASSIFY_TOL
+    exceptional: tuple[tuple[complex, int], ...]
+    tol_used: float
 
     @property
     def broken(self) -> bool:
@@ -162,12 +160,13 @@ def classify_spectrum(
     ``linalg.PAIR_TOL * spectral_radius``, whatever ``tol``), so values paired
     here are paired there too.  Other complex values are reported unmatched.
     ``defective_clusters`` (value, multiplicity) fill ``exceptional``.
+    ``tol`` must be finite and positive (``ValueError`` otherwise).
     """
     w = np.asarray(list(eigenvalues), dtype=complex)
     if w.size and not np.all(np.isfinite(w)):
         raise ValueError("eigenvalues must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     w = w[np.lexsort((w.imag, w.real))]
     abs_tol = tol * (float(np.max(np.abs(w))) if w.size else 0.0)
 
@@ -203,7 +202,7 @@ def classify_hamiltonian(H, tol: float = DEFAULT_CLASSIFY_TOL):
     -------
     (SpectrumReport, EigenSystem)
     """
-    eigsys = eig(as_matrix(H))
+    eigsys = eig(H)
     # The rank test certifies each defective cluster as one eigenvalue; snap
     # its members to the cluster center so the sqrt-of-eps numerical splitting
     # at the defect does not masquerade as a genuine pair.
@@ -216,23 +215,22 @@ def classify_hamiltonian(H, tol: float = DEFAULT_CLASSIFY_TOL):
     return report, eigsys
 
 
-def pt_unbroken(H, sym: AntilinearSymmetry, eigsys: EigenSystem, tol: float = 1e-8) -> bool:
+def pt_unbroken(sym: AntilinearSymmetry, eigsys: EigenSystem) -> bool:
     """Whether the antilinear symmetry is unbroken on the eigenbasis.
 
     True iff every right eigenvector is mapped to a multiple of itself by
-    ``v -> P conj(v)`` (within ``tol``), which for a symmetric H with
+    ``v -> P conj(v)`` (within 1e-8 relative), which for a symmetric H with
     complete spectrum is equivalent to all eigenvalues being real.
     """
-    H = as_matrix(H)
     _require_eigenbasis(eigsys)
-    if H.shape != sym.P.shape:
-        raise ValueError("dimension mismatch between H and the symmetry's linear part")
+    if sym.P.shape != (eigsys.n, eigsys.n):
+        raise ValueError(f"dimension mismatch: {eigsys.n} eigenvalues, P is {sym.P.shape}")
     for k in range(eigsys.n):
         v = eigsys.right[:, k]
         image = sym.apply(v)
         coeff = np.vdot(v, image) / np.vdot(v, v)
         defect = np.linalg.norm(image - coeff * v)
         scale = max(np.linalg.norm(image), 1e-300)
-        if defect / scale > tol:
+        if defect / scale > 1e-8:
             return False
     return True

@@ -104,7 +104,7 @@ def test_criterion_03_inner_product_table():
         assert np.array_equal(dual_pair(u_plus, PAPER_GAUGE_V).bra, [0.0, -1.0])
         assert np.array_equal(dual_pair(u_minus, PAPER_GAUGE_V).bra, [1.0, 0.0])
         bras = [dual_pair(u_plus, PAPER_GAUGE_V).bra, dual_pair(u_minus, PAPER_GAUGE_V).bra]
-        assert closure_check([u_plus, u_minus], bras, PAPER_GAUGE_V) == 0.0
+        assert closure_check([u_plus, u_minus], bras) == 0.0
 
 
 def test_criterion_04_pseudounitarity_vs_dirac():

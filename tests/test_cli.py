@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import argparse
 import json
 import warnings
 
@@ -21,7 +22,7 @@ from ptresonance import (
     pt_unbroken,
     solve_intertwiner,
 )
-from ptresonance.cli import main
+from ptresonance.cli import build_parser, main
 
 DIAG_PAIR = np.diag([1 + 0.8j, 1 - 0.8j])
 
@@ -146,12 +147,12 @@ def test_one_refusal_everywhere(H, clusters, tmp_path, capsys):
     refusals = {
         "solve_intertwiner": lambda: solve_intertwiner(H),
         "build_metric": lambda: build_metric(
-            eig(H), IntertwinerSpace(basis=(np.eye(n),), dimension=1), H=H
+            eig(H), IntertwinerSpace(basis=(np.eye(n),)), H=H
         ),
         "mat_exp_evolution": lambda: mat_exp_evolution(eig(H), 1.0),
         "evolve": lambda: evolve(H, np.eye(n)[0], times),
         "pseudounitarity_residual": lambda: pseudounitarity_residual(H, np.eye(n), times),
-        "pt_unbroken": lambda: pt_unbroken(H, AntilinearSymmetry(np.eye(n)), eig(H)),
+        "pt_unbroken": lambda: pt_unbroken(AntilinearSymmetry(np.eye(n)), eig(H)),
     }
     messages = {}
     for name, call in refusals.items():
@@ -570,11 +571,19 @@ class TestOde:
             (["--equation", "pt-wave", "--e0", "1e154", "--gamma", "0.8"], 5, "overflow: "),
             (["--equation", "pt-wave", "--e0", "1", "--gamma", "0.8", "--step", "1e-320"], 1,
              "input error: "),
+            (["--equation", "pt-wave", "--e0", "1", "--gamma", "0.8", "--step", "1e-300"], 1,
+             "input error: step 1e-300 needs more than "),
+            (["--equation", "pt-wave", "--e0", "1", "--gamma", "0.8", "--step", "1e-12"], 1,
+             "input error: step 1e-12 needs more than "),
+            (["--equation", "pt-wave", "--e0", "1", "--gamma", "0.8", "--init", "nan,0"], 1,
+             "input error: --init: components must be finite"),
         ],
-        ids=["pt-wave-e0", "damped-gamma", "discriminant", "step"],
+        ids=["pt-wave-e0", "damped-gamma", "discriminant", "step", "step-1e-300", "step-1e-12",
+             "init-nan"],
     )
     def test_edge_values_exit_without_traceback(self, argv, code, prefix, tmp_path, capsys):
-        """Each of these raised a Python exception out of ``main``."""
+        """Each of these raised a Python exception out of ``main``, ran for
+        hours (a step far below the grid spacing) or named the wrong option."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["ode", *argv, "--output", str(tmp_path / "out.csv")]) == code
@@ -636,7 +645,139 @@ class TestTolEnv:
         argv = ["evolve", "--s", "0.6", "--psi0", "1,0", "--output", str(tmp_path / "abc.csv")]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_tolerance_must_be_finite_and_positive(self, value, source, monkeypatch, capsys):
+        """``--tol nan`` reported both real eigenvalues of ``--s 2`` unmatched
+        (exit 2, a bare NaN in the JSON); ``--tol inf`` called the pair of
+        ``--s 0.6`` one real value of multiplicity 2 (exit 0)."""
+        argv = ["classify", "--s", "2"]
+        if source == "flag":
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv("PTR_TOL", value)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"tol must be finite and positive, got {float(value)!r}"
+        assert captured.err == f"input error: {message}\n"
+
     def test_bad_env_value(self, matrices, monkeypatch, capsys):
         monkeypatch.setenv("PTR_TOL", "not-a-number")
         assert main(["classify", "--input", matrices["m06"]]) == 1
         assert "PTR_TOL" in capsys.readouterr().err
+
+
+class TestFiniteOut:
+    """Each subcommand runs under ``np.errstate`` raising on overflow, invalid
+    values and division by zero: a non-finite intermediate exits 5 with one
+    stderr line and no file, where these wrote NaN rows with exit 0 or
+    reported a misleading input error after numpy warnings."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--s", "1e308", "--psi0", "1,0"],
+            ["evolve", "--e0", "1e308", "--gamma", "0.8", "--psi0", "0,1"],
+            ["evolve", "--e0", "1", "--gamma", "0.8", "--psi0", "1e308,1e308"],
+            ["classify", "--s", "1e308"],
+            ["metric", "--s", "1e308"],
+            ["response", "--kind", "pt-pair", "--e0", "1e308", "--gamma", "0.8"],
+            ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e-320"],
+            ["response", "--kind", "breit-wigner", "--e0", "1", "--gamma", "1e300"],
+        ],
+        ids=["evolve-s", "evolve-e0", "evolve-psi0", "classify-s", "metric-s", "response-e0",
+             "response-gamma", "response-bw-gamma"],
+    )
+    def test_exit_5_with_one_line(self, argv, tmp_path, capsys):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--output", str(tmp_path / "out")]) == 5
+        assert np.geterr() == before  # the library keeps numpy's defaults
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("overflow: ")
+        assert list(tmp_path.iterdir()) == []
+
+
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "abc")
+
+# A working command line per subcommand.  An option is added to the first of
+# them, or replaces its value in the one that already sets it.
+_RESPONSE = ["--kind", "pt-pair", "--e0", "1", "--gamma", "0.8"]
+SWEEP_BASES = {
+    "classify": (["--s", "0.6"],),
+    "metric": (["--s", "0.6"],),
+    "evolve": (["--e0", "1", "--gamma", "0.8", "--psi0", "0,1"], ["--s", "2", "--psi0", "1,0"]),
+    "response": (_RESPONSE, _RESPONSE + ["--grid-start", "-15", "--grid-stop", "17"]),
+    "ode": (["--equation", "pt-wave", "--e0", "1", "--gamma", "0.8"],),
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _numeric_options():
+    """(subcommand, option) for every float or int store action of the parser."""
+    return [
+        (command, action.option_strings[0])
+        for command, sub in _subparsers(build_parser()).items()
+        for action in sub._actions
+        if isinstance(action, argparse._StoreAction) and action.type in (float, int)
+    ]
+
+
+def _all_finite(text: str) -> bool:
+    """A JSON document without NaN/Infinity, or a CSV of finite numbers."""
+    if text.startswith("{"):
+        def refuse(token):
+            raise ValueError(token)
+
+        try:
+            json.loads(text, parse_constant=refuse)
+        except ValueError:
+            return False
+        return True
+    values = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
+    return values.size > 0 and bool(np.all(np.isfinite(values)))
+
+
+class TestEdgeValueSweep:
+    """Every numeric option of every subcommand, generated from the parser so
+    a new option is covered, at each edge value: exit 0 with non-empty,
+    all-finite output, or exit 1-5 with one stderr line (after the usage
+    lines of an argparse error) and no file written -- except ``classify``'s
+    exit 2/3, which writes its finite report.  A warning fails the run."""
+
+    def test_covers_every_subcommand(self):
+        assert {command for command, _ in _numeric_options()} == set(SWEEP_BASES)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("command, option", _numeric_options())
+    def test_edge_value(self, command, option, value, tmp_path, capsys):
+        bases = SWEEP_BASES[command]
+        base = list(next((b for b in bases if option in b), bases[0]))
+        if option in base:
+            del base[base.index(option):base.index(option) + 2]
+        # "--opt=value", since argparse reads a bare "-inf" as an option
+        argv = [command, *base, f"{option}={value}", "--output", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        captured = capsys.readouterr()
+        written = sorted(tmp_path.iterdir())
+        assert captured.out == ""
+        if code == 0 or (command == "classify" and code in (2, 3)):
+            assert written and all(_all_finite(path.read_text()) for path in written)
+            assert captured.err == ""
+            return
+        assert 1 <= code <= 5
+        usage = _subparsers(build_parser())[command].format_usage()
+        err = captured.err[len(usage):] if captured.err.startswith(usage) else captured.err
+        assert err.count("\n") == 1 and err.endswith("\n"), captured.err
+        assert written == []

@@ -40,6 +40,24 @@ from ptresonance import (
 NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
 
 
+class TestDerivedFields:
+    """``EigenSystem.defective`` and ``IntertwinerSpace.dimension`` are read
+    from ``defects`` and ``basis``, so they cannot disagree with them."""
+
+    def test_defective_is_derived_from_the_defects(self):
+        for s, defective in ((0.6, False), (1.0, True)):
+            es = eig(gain_loss_dimer(s))
+            assert es.defective is defective is bool(es.defects)
+        with pytest.raises(TypeError):
+            linalg.EigenSystem(eigenvalues=np.zeros(1), right=None, left=None, defective=True,
+                               residual=0.0)
+
+    def test_dimension_is_the_basis_length(self):
+        assert linalg.IntertwinerSpace(basis=(np.eye(2), np.eye(2))).dimension == 2
+        with pytest.raises(TypeError):
+            linalg.IntertwinerSpace(basis=(), dimension=0)
+
+
 class TestEig:
     def test_dimer_real_side_closed_form(self):
         """s = 2 gives eigenvalues 1 +/- sqrt(3)."""
@@ -384,6 +402,16 @@ class TestEvolutionOperator:
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(ValueError, match="t must be finite"):
             mat_exp_evolution(eig(gain_loss_dimer(0.6)), t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            mat_exp_evolution(eig(gain_loss_dimer(0.6)), np.array([0.0, t]))
+
+    def test_time_vector_stacks_the_scalar_operators(self):
+        es = eig(random_complex_matrix(np.random.default_rng(23), 4))
+        times = np.linspace(-2.0, 2.0, 7)
+        U = mat_exp_evolution(es, times)
+        assert U.shape == (7, 4, 4)
+        for t, Ut in zip(times, U):
+            npt.assert_allclose(Ut, mat_exp_evolution(es, t), rtol=1e-14, atol=1e-14)
 
 
 P = ResonanceParams(1.0, 0.8)

@@ -323,7 +323,7 @@ class TestClosure:
     def test_unit_vectors_exact(self):
         kets = [np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex)]
         bras = [dual_pair(k, PAPER_GAUGE_V).bra for k in kets]
-        assert closure_check(kets, bras, PAPER_GAUGE_V) == 0.0
+        assert closure_check(kets, bras) == 0.0
 
     def test_hermitian_orthonormal_basis(self):
         rng = np.random.default_rng(71)
@@ -332,7 +332,7 @@ class TestClosure:
         eigsys = eig(H)
         kets = [eigsys.right[:, i] for i in range(3)]
         bras = [dual_pair(k, np.eye(3)).bra for k in kets]
-        assert closure_check(kets, bras, np.eye(3)) <= 1e-12
+        assert closure_check(kets, bras) <= 1e-12
 
     def test_dimer_eigensystem(self):
         H = gain_loss_dimer(0.6)
@@ -340,13 +340,26 @@ class TestClosure:
         op = build_metric(eigsys, solve_intertwiner(H), H=H)
         kets = [eigsys.right[:, i] for i in range(2)]
         bras = [dual_pair(k, op.V).bra for k in kets]
-        assert closure_check(kets, bras, op.V) <= 1e-10
+        assert closure_check(kets, bras) <= 1e-10
 
     def test_degenerate_duals_rejected(self):
         kets = [np.array([1.0, 0.0], complex), np.array([1.0, 0.0], complex)]
         bras = [dual_pair(k, np.eye(2)).bra for k in kets]
         with pytest.raises(DefectiveMatrixError):
-            closure_check(kets, bras, np.eye(2))
+            closure_check(kets, bras)
+
+    def test_count_and_length_checked(self):
+        kets = [np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex)]
+        with pytest.raises(ValueError, match="need 2 kets and 2 bras of length 2"):
+            closure_check(kets, kets[:1])
+        with pytest.raises(ValueError, match="need 3 kets and 3 bras of length 3"):
+            closure_check([np.ones(3)] * 2, [np.ones(3)] * 2)
+
+    def test_metric_argument_removed(self):
+        """The bras already carry the metric."""
+        kets = [np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex)]
+        with pytest.raises(TypeError):
+            closure_check(kets, kets, np.eye(2))
 
 
 class TestPseudoHermiticity:

@@ -18,7 +18,7 @@ from ptresonance import (
     pt_wave_equation,
     pt_wave_ivp,
 )
-from ptresonance.odes import characteristic_roots
+from ptresonance.odes import MAX_SUBSTEPS, characteristic_roots
 
 P = ResonanceParams(1.0, 0.8)
 
@@ -158,19 +158,32 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             SecondOrderIVP(c1=0.0, c0=1.0, psi0=1.0, dpsi0=0.0,
                            times=np.array([0.0, 1.0]), step=0.0)
-        with pytest.raises(ValueError):
-            SecondOrderIVP(c1=0.0, c0=1.0, psi0=1.0, dpsi0=0.0,
-                           times=np.array([0.0, 1.0]), step=1e-2, c2=2.0)
 
     @pytest.mark.parametrize("step", [1e-320, 1e-310])
     def test_non_finite_substep_count(self, step):
         """A step whose substep count over the grid overflows is an input
         error, raised before integration (``math.ceil`` of an infinite count
-        raised ``OverflowError``)."""
+        raised ``OverflowError``): an infinite count exceeds the cap too."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite substep count"):
+            with pytest.raises(ValueError, match="substeps"):
                 pt_wave_ivp(P, np.linspace(0.0, 5.0, 11), step)
+
+    def test_substep_budget(self):
+        """``times[-1] / step`` is capped, so a tiny finite step is refused
+        at once instead of running for hours."""
+        times = np.linspace(0.0, 5.0, 11)
+        SecondOrderIVP(c1=0.0, c0=1.0, psi0=1.0, dpsi0=0.0, times=times,
+                       step=5.0 / MAX_SUBSTEPS)
+        for step in (4.99 / MAX_SUBSTEPS, 1e-12, 1e-300):
+            with pytest.raises(ValueError, match=f"step {step:g} needs more than"):
+                pt_wave_ivp(P, times, step)
+
+    def test_c2_field_removed(self):
+        """The coefficients are monic by construction; there is no ``c2``."""
+        with pytest.raises(TypeError):
+            SecondOrderIVP(c1=0.0, c0=1.0, psi0=1.0, dpsi0=0.0,
+                           times=np.array([0.0, 1.0]), step=1e-2, c2=1.0)
 
     def test_slope_normalized_route(self):
         """Integrating with unit slope and rescaling by 2 i Gamma matches the

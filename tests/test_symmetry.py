@@ -47,11 +47,15 @@ class TestCheckPt:
         with pytest.raises(ValueError):
             AntilinearSymmetry(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_tol_argument_removed(self):
+        with pytest.raises(TypeError):
+            check_pt(gain_loss_dimer(0.6), SIGMA_X, tol=1e-10)
+
     def test_random_constructions_pass(self):
         rng = np.random.default_rng(31)
         for n in (2, 3, 5):
             H, P = random_pt_symmetric(rng, n)
-            ok, residual = check_pt(H, AntilinearSymmetry(P), tol=1e-10)
+            ok, residual = check_pt(H, AntilinearSymmetry(P))
             assert ok, residual
 
 
@@ -148,6 +152,9 @@ class TestClassifySpectrum:
             classify_spectrum([np.nan + 0j])
         with pytest.raises(ValueError):
             classify_spectrum([1.0], tol=0.0)
+        for tol in (np.nan, np.inf, -np.inf, -1e-9):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                classify_spectrum([1.0 + 1e-3j, 1.0 - 1e-3j], tol=tol)
 
 
 class TestExceptionalPoint:
@@ -173,22 +180,34 @@ class TestExceptionalPoint:
 class TestUnbrokenPhase:
     def test_real_spectrum_unbroken(self):
         H = gain_loss_dimer(2.0)
-        assert pt_unbroken(H, SIGMA_X, eig(H))
+        assert pt_unbroken(SIGMA_X, eig(H))
 
     def test_complex_pair_broken(self):
         """The antilinear map swaps the two eigenvectors of a conjugate pair."""
         H = gain_loss_dimer(0.6)
-        assert not pt_unbroken(H, SIGMA_X, eig(H))
+        assert not pt_unbroken(SIGMA_X, eig(H))
 
     def test_hermitian_with_trivial_linear_part(self):
         H = np.diag([1.0, 2.0]).astype(complex)
         sym = AntilinearSymmetry(np.eye(2))
-        assert pt_unbroken(H, sym, eig(H))
+        assert pt_unbroken(sym, eig(H))
 
     def test_defective_rejected(self):
         H = gain_loss_dimer(1.0)
         with pytest.raises(DefectiveMatrixError):
+            pt_unbroken(SIGMA_X, eig(H))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pt_unbroken(SIGMA_X, eig(np.eye(3)))
+
+    def test_hamiltonian_and_tol_arguments_removed(self):
+        """The eigensystem carries H's size; the tolerance is fixed."""
+        H = gain_loss_dimer(2.0)
+        with pytest.raises(TypeError):
             pt_unbroken(H, SIGMA_X, eig(H))
+        with pytest.raises(TypeError):
+            pt_unbroken(SIGMA_X, eig(H), tol=1e-8)
 
     def test_matches_real_spectrum_criterion(self):
         rng = np.random.default_rng(47)
@@ -200,7 +219,7 @@ class TestUnbrokenPhase:
             if eigsys.defective:
                 continue
             expected = bool(np.all(np.abs(eigsys.eigenvalues.imag) <= 1e-8))
-            got = pt_unbroken(H, AntilinearSymmetry(P), eigsys)
+            got = pt_unbroken(AntilinearSymmetry(P), eigsys)
             assert got == expected
             hits[expected] += 1
         # the draw must have exercised both phases
