@@ -9,12 +9,13 @@ Exit codes: 0 success, 1 malformed input (usage errors included), 2 broken
 (unpairable) spectrum, 3 exceptional point, 4 no metric operator, 5 overflow
 guard or non-finite intermediate (subcommands run under an ``np.errstate``
 raising on overflow, invalid and divide).  Only ``classify`` takes a
-tolerance: ``--tol``, else the ``PTR_TOL`` environment variable, sets which
-eigenvalues it counts as real.  Whatever the tolerance, a defect (exit 3) is
-found at ``linalg.DEFECT_FLOOR`` times ``||H||_2`` and eigenvalues pair
-within ``linalg.PAIR_TOL`` times the spectral radius; ``metric`` refuses a
-defective spectrum before any intertwiner work.  Grid bounds must be finite
-and come in start/stop pairs, with at least 2 points.
+tolerance: ``--tol``, else the ``PTR_TOL`` environment variable, in (0, 1),
+sets which eigenvalues it counts as real.  Whatever the tolerance, a defect
+(exit 3) is found at ``linalg.DEFECT_FLOOR`` times ``||H||_2`` and
+eigenvalues pair within ``linalg.PAIR_TOL`` times the spectral radius;
+``metric`` refuses a defective spectrum before any intertwiner work.  Grid
+bounds must be finite and come in start/stop pairs, and every grid must have
+at least 2 points and be strictly ascending (no repeated values).
 """
 
 from __future__ import annotations
@@ -130,9 +131,8 @@ def _linspace(start: float, stop: float, points: int, name: str) -> np.ndarray:
     # A span beyond the double range would give linspace an infinite step.
     if not np.isfinite(stop - start):
         raise ValueError(f"--{name}-start, --{name}-stop and their difference must be finite")
-    if not stop > start:
-        raise ValueError(f"--{name}-stop must exceed --{name}-start")
-    return np.linspace(start, stop, points)
+    grid = np.linspace(start, stop, points)
+    return linalg._require_grid(grid, f"the {points}-point grid --{name}-start to --{name}-stop")
 
 
 def _time_grid(args) -> np.ndarray:
@@ -240,15 +240,16 @@ def cmd_response(args) -> int:
         raise ValueError("--grid-points must be at least 2")
     if (args.grid_start is None) != (args.grid_stop is None):
         raise ValueError("--grid-start and --grid-stop must be given together")
+    # The time domain first: an E0 whose phase E0 t overflows is an overflow
+    # (exit 5), not the collapsed energy grid it also makes.
+    model = response.build_model(args.kind, p)
+    times = _time_grid(args)
+    d_time = response.inverse_ft(model, times)
     if args.grid_start is None:
         energies = response.default_energy_grid(p, points=args.grid_points)
     else:
         energies = _linspace(args.grid_start, args.grid_stop, args.grid_points, "grid")
-    times = _time_grid(args)
-
-    model = response.build_model(args.kind, p)
     table = response.energy_response(args.kind, p, energies)
-    d_time = response.inverse_ft(model, times)
 
     prefix = args.output
     _write_csv(

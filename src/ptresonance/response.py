@@ -4,12 +4,13 @@ Covers the single-pole decaying-resonance propagator ``1/(E - E0 + i Gamma)``
 and its balanced two-pole counterpart with poles at ``E0 -/+ i Gamma``,
 scattering phase shifts with their Wigner time delay (and the time-advance
 branch with the opposite sign), and time-domain forms obtained by residue
-summation with explicit per-pole contour bookkeeping.  The single-pole
-transform is also computable by direct quadrature of the inverse Fourier
-integral, which serves as the independent cross-check; the two-pole form has
-a growing mode and is residue-only.  The propagators, phase shifts, time
-delays, pole models and transforms raise ``ValueError`` on a NaN or infinite
-energy or time.
+summation, where a contour deformation closes every pole, the pair's
+excitation pole ``E0 + i Gamma`` included, in the lower half-plane.  The
+single-pole transform is also computable by direct quadrature of the inverse
+Fourier integral, which serves as the independent cross-check; the two-pole
+form has a growing mode and is residue-only.  The propagators, phase shifts,
+time delays and transforms raise ``ValueError`` on a NaN or infinite energy
+or time.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import OverflowRangeError
 from .linalg import _guard_exponent, _require_grid
 
 __all__ = [
     "ResonanceParams",
     "PropagatorModel",
-    "ResponseCurve",
     "QuadratureResult",
     "bw_propagator",
     "pt_propagator",
@@ -41,9 +42,8 @@ __all__ = [
 BRANCHES = ("delay", "advance")
 MODEL_KINDS = ("breit-wigner", "pt-pair")
 
-# Contour-membership flags: which half-plane closure a pole contributes to.
-LOWER = "lower"  # contributes for t > 0
-UPPER = "upper"  # contributes for t < 0
+# Contour flag of every pole: it contributes to the t > 0 closure.
+LOWER = "lower"
 
 _FORM_CHECK_TOL = 1e-13
 
@@ -161,18 +161,15 @@ def scattering_amplitude(E, p: ResonanceParams, branch: str = "delay"):
 
 @dataclass(frozen=True, eq=False)
 class PropagatorModel:
-    """Finite pole/residue model with per-pole contour membership.
+    """Finite model of simple poles and their residues.
 
-    ``closure[k]`` is ``"lower"`` when pole k contributes to the t > 0
-    closure and ``"upper"`` when it contributes to t < 0.  A pole above the
-    real axis may still carry the ``"lower"`` flag: that encodes deforming
-    the contour around it so that both poles of a balanced pair act in the
-    same (t > 0) closure.
+    Every pole, one above the real axis too, contributes to the t > 0
+    closure (``closure`` is ``"lower"`` for each): deforming the contour
+    around it makes both poles of a balanced pair act together for t > 0.
     """
 
     poles: np.ndarray
     residues: np.ndarray
-    closure: tuple[str, ...]
 
     def __post_init__(self):
         poles = np.asarray(self.poles, dtype=complex)
@@ -181,21 +178,13 @@ class PropagatorModel:
         object.__setattr__(self, "residues", residues)
         if poles.ndim != 1 or poles.shape != residues.shape:
             raise ValueError("poles and residues must be 1-D and the same length")
-        if len(self.closure) != poles.shape[0]:
-            raise ValueError("closure flags must match the number of poles")
-        if any(c not in (LOWER, UPPER) for c in self.closure):
-            raise ValueError(f"closure flags must be '{LOWER}' or '{UPPER}'")
-        if poles.shape[0] >= 2:
-            diffs = np.abs(poles[:, None] - poles[None, :])
-            np.fill_diagonal(diffs, np.inf)
-            if np.min(diffs) == 0.0:
-                raise ValueError("poles must be distinct (simple poles only)")
+        # compared, not subtracted: poles 1e308 apart have no finite distance
+        if len(set(poles.tolist())) != poles.size:
+            raise ValueError("poles must be distinct (simple poles only)")
 
-    def evaluate(self, E):
-        """Energy-domain value ``sum_k r_k / (E - p_k)``."""
-        x, scalar = _finite_grid(E, "E")
-        value = np.sum(self.residues[:, None] / (x[None, :] - self.poles[:, None]), axis=0)
-        return complex(value[0]) if scalar else value
+    @property
+    def closure(self) -> tuple[str, ...]:
+        return (LOWER,) * len(self.poles)
 
     def to_json(self) -> dict:
         return {
@@ -205,63 +194,44 @@ class PropagatorModel:
         }
 
 
-def model_from_json(obj: dict) -> PropagatorModel:
-    for key in ("poles", "residues", "closure"):
-        if key not in obj:
-            raise ValueError(f"model JSON: missing field {key!r}")
-    poles = [complex(re, im) for re, im in obj["poles"]]
-    residues = [complex(re, im) for re, im in obj["residues"]]
-    return PropagatorModel(
-        poles=np.array(poles), residues=np.array(residues), closure=tuple(obj["closure"])
-    )
+def _require_kind(kind: str) -> None:
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
 def build_model(kind: str, p: ResonanceParams) -> PropagatorModel:
     """Pole/residue model of the named propagator.
 
-    ``breit-wigner``: one pole at ``E0 - i Gamma`` with residue 1 in the
-    lower contour.  ``pt-pair``: poles ``E0 - i Gamma`` (residue +1) and
-    ``E0 + i Gamma`` (residue -1), *both* flagged lower-contour -- the upper
-    pole is wrapped by a contour deformation so the pair acts together for
-    t > 0 and nothing contributes for t < 0.
+    ``breit-wigner``: one pole at ``E0 - i Gamma`` with residue 1.
+    ``pt-pair``: poles ``E0 - i Gamma`` (residue +1) and ``E0 + i Gamma``
+    (residue -1), acting together for t > 0 (see ``PropagatorModel``).
     """
+    _require_kind(kind)
     if kind == "breit-wigner":
         return PropagatorModel(
-            poles=np.array([p.e0 - 1j * p.gamma]),
-            residues=np.array([1.0 + 0.0j]),
-            closure=(LOWER,),
+            poles=np.array([p.e0 - 1j * p.gamma]), residues=np.array([1.0 + 0.0j])
         )
-    if kind == "pt-pair":
-        return PropagatorModel(
-            poles=np.array([p.e0 - 1j * p.gamma, p.e0 + 1j * p.gamma]),
-            residues=np.array([1.0 + 0.0j, -1.0 + 0.0j]),
-            closure=(LOWER, LOWER),
-        )
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return PropagatorModel(
+        poles=np.array([p.e0 - 1j * p.gamma, p.e0 + 1j * p.gamma]),
+        residues=np.array([1.0 + 0.0j, -1.0 + 0.0j]),
+    )
 
 
 def inverse_ft(model: PropagatorModel, t):
     """Time-domain propagator by residue summation.
 
-    With the ``1/(2 pi)`` inverse-transform normalization, a lower-contour
-    pole contributes ``-i r exp(-i p t)`` for t > 0 and an upper-contour
-    pole ``+i r exp(-i p t)`` for t < 0; t = 0 takes the t -> 0+ branch.
+    With the ``1/(2 pi)`` inverse-transform normalization, every pole
+    contributes ``-i r exp(-i p t)`` for t > 0 and nothing for t < 0 (all
+    close in the lower half-plane); t = 0 takes the t -> 0+ branch.
     """
     ts, scalar = _finite_grid(t, "t")
     out = np.zeros(ts.shape, dtype=complex)
-    lower = np.array([c == LOWER for c in model.closure])
-    for sign, mask, pole_mask in (
-        (-1j, ts >= 0, lower),
-        (+1j, ts < 0, ~lower),
-    ):
-        if not np.any(mask) or not np.any(pole_mask):
-            continue
-        poles = model.poles[pole_mask]
-        residues = model.residues[pole_mask]
+    after = ts >= 0
+    if np.any(after):
         # |exp(-i p t)| = exp(Im p * t)
-        _guard_exponent(np.outer(poles.imag, ts[mask]), "residue exponent")
-        out[mask] = sign * np.sum(
-            residues[:, None] * np.exp(-1j * np.outer(poles, ts[mask])), axis=0
+        _guard_exponent(np.outer(model.poles.imag, ts[after]), "residue exponent")
+        out[after] = -1j * np.sum(
+            model.residues[:, None] * np.exp(-1j * np.outer(model.poles, ts[after])), axis=0
         )
     return complex(out[0]) if scalar else out
 
@@ -327,38 +297,36 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     return QuadratureResult(value=value, tail_estimate=1.0 / (np.pi * L))
 
 
-@dataclass(frozen=True, eq=False)
-class ResponseCurve:
-    """Values sampled on a finite, strictly ascending grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = _require_grid(self.grid, "grid")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", np.asarray(self.values))
-        if self.values.shape[0] != grid.shape[0]:
-            raise ValueError("grid and values lengths disagree")
-
-
 def default_energy_grid(p: ResonanceParams, halfwidth: float = 20.0, points: int = 2001):
-    """Grid of ``points`` energies spanning ``E0 +/- halfwidth * Gamma``; raises
-    ``ValueError`` unless ``halfwidth`` is positive and the span is finite."""
+    """Grid of ``points`` energies spanning ``E0 +/- halfwidth * Gamma``.
+
+    ``ValueError`` unless halfwidth and span are positive and finite and
+    ``linalg._require_grid`` accepts the grid (a Gamma too small to resolve at
+    E0 repeats values); ``OverflowRangeError`` if the peak 1/Gamma overflows.
+    """
+    if not (halfwidth > 0 and np.isfinite(2 * halfwidth)):
+        raise ValueError("halfwidth must be positive, with a finite span 2 * halfwidth")
+    if not np.isfinite(1.0 / float(p.gamma)):
+        raise OverflowRangeError(f"the peak 1/Gamma leaves the double range, Gamma = {p.gamma:g}")
+    name = f"energy grid E0 +/- {halfwidth:g} Gamma"
     lo, hi = p.e0 - halfwidth * p.gamma, p.e0 + halfwidth * p.gamma
-    if not (halfwidth > 0 and np.isfinite(hi - lo)):
-        raise ValueError("halfwidth must be positive, with a finite span 2 * halfwidth * Gamma")
-    return np.linspace(lo, hi, points)
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"{name} must be finite, got E0 = {p.e0:g}, Gamma = {p.gamma:g}")
+    return _require_grid(np.linspace(lo, hi, points), name)
 
 
 def energy_response(kind: str, p: ResonanceParams, energies) -> dict:
     """Column table of the energy-domain response on a grid.
 
     Keys: E, re_d, im_d, delta_delay, delta_advance, dt_delay, dt_advance.
+    The propagator is ``G = bw_propagator(E, p)``, or ``G - conj(G)`` for
+    the pair: bit for bit the residue sum over ``build_model``'s poles.
     """
+    _require_kind(kind)
     E = np.asarray(energies, dtype=float)
-    model = build_model(kind, p)
-    d = model.evaluate(E)
+    d = bw_propagator(E, p)
+    if kind == "pt-pair":
+        d = d - np.conj(d)
     return {
         "E": E,
         "re_d": d.real,

@@ -160,13 +160,16 @@ def classify_spectrum(
     ``linalg.PAIR_TOL * spectral_radius``, whatever ``tol``), so values paired
     here are paired there too.  Other complex values are reported unmatched.
     ``defective_clusters`` (value, multiplicity) fill ``exceptional``.
-    ``tol`` must be finite and positive (``ValueError`` otherwise).
+    ``tol`` must lie in (0, 1), since ``|Im| <= max|lambda|`` always
+    (``ValueError`` otherwise).
     """
     w = np.asarray(list(eigenvalues), dtype=complex)
     if w.size and not np.all(np.isfinite(w)):
         raise ValueError("eigenvalues must be finite")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if tol >= 1:
+        raise ValueError(f"tol must be below 1, got {tol!r}: every value would count as real")
     w = w[np.lexsort((w.imag, w.real))]
     abs_tol = tol * (float(np.max(np.abs(w))) if w.size else 0.0)
 

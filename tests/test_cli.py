@@ -279,9 +279,19 @@ class TestEnergyGridArguments:
             (["--grid-stop", "nan"], "--grid-start and --grid-stop must be given together"),
             (["--grid-stop", "1"], "--grid-start and --grid-stop must be given together"),
             (["--grid-start", "0"], "--grid-start and --grid-stop must be given together"),
+            # grids that collapse onto repeated values (1, 271 and 2 distinct)
+            (["--e0", "1e300", "--gamma", "1"],
+             "energy grid E0 +/- 20 Gamma must be strictly ascending"),
+            (["--gamma", "1e-15"], "energy grid E0 +/- 20 Gamma must be strictly ascending"),
+            (["--grid-start", "1", "--grid-stop", "1.0000000000000002"],
+             "the 2001-point grid --grid-start to --grid-stop must be strictly ascending"),
+            # negative times only, so the growing mode does not overflow first
+            (["--gamma", "1e308", "--t-start=-5", "--t-stop=-1"],
+             "energy grid E0 +/- 20 Gamma must be finite, got E0 = 1, Gamma = 1e+308"),
         ],
         ids=["points-0", "points-1", "points-negative", "stop-nan-alone", "stop-alone",
-             "start-alone"],
+             "start-alone", "collapsed-e0", "collapsed-gamma", "collapsed-bounds",
+             "span-gamma"],
     )
     def test_exit_1_with_one_line(self, extra, message, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -662,6 +672,21 @@ class TestTolEnv:
         message = f"tol must be finite and positive, got {float(value)!r}"
         assert captured.err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("value", ["1", "1e308"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_tolerance_must_be_below_one(self, value, source, monkeypatch, capsys):
+        """``|Im| <= max|lambda|``, so ``--tol 1e308`` reported the pair of
+        ``--s 0.6`` as one real value of multiplicity 2 (exit 0)."""
+        argv = ["classify", "--s", "0.6"]
+        if source == "flag":
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv("PTR_TOL", value)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: tol must be below 1, got {float(value)!r}")
+
     def test_bad_env_value(self, matrices, monkeypatch, capsys):
         monkeypatch.setenv("PTR_TOL", "not-a-number")
         assert main(["classify", "--input", matrices["m06"]]) == 1
@@ -685,9 +710,10 @@ class TestFiniteOut:
             ["response", "--kind", "pt-pair", "--e0", "1e308", "--gamma", "0.8"],
             ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e-320"],
             ["response", "--kind", "breit-wigner", "--e0", "1", "--gamma", "1e300"],
+            ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e308"],
         ],
         ids=["evolve-s", "evolve-e0", "evolve-psi0", "classify-s", "metric-s", "response-e0",
-             "response-gamma", "response-bw-gamma"],
+             "response-gamma", "response-bw-gamma", "response-gamma-large"],
     )
     def test_exit_5_with_one_line(self, argv, tmp_path, capsys):
         before = np.geterr()

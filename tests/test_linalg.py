@@ -18,7 +18,6 @@ from ptresonance import (
     DefectiveMatrixError,
     OverflowRangeError,
     ResonanceParams,
-    ResponseCurve,
     SecondOrderIVP,
     StateTrajectory,
     as_matrix,
@@ -430,7 +429,6 @@ GRID_ENTRY_POINTS = {
     ),
     "pt_wave_ivp": lambda grid: integrate(pt_wave_ivp(P, grid, 1e-3)),
     "damped_oscillator_ivp": lambda grid: integrate(damped_oscillator_ivp(P, grid, 1e-3)),
-    "ResponseCurve": lambda grid: ResponseCurve(grid=grid, values=np.zeros(2)),
 }
 
 
@@ -466,6 +464,17 @@ class TestGridRule:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="halfwidth must be positive, with a finite span"):
                 default_energy_grid(P, halfwidth=halfwidth)
+
+    def test_energy_grid_refusals_name_e0_and_gamma(self):
+        """A Gamma too small to resolve at E0 collapses the grid (271 distinct
+        values of 2001 at Gamma = 1e-15); a span beyond the double range and
+        a peak 1/Gamma beyond it are refused before any grid is built."""
+        with pytest.raises(ValueError, match=r"E0 \+/- 20 Gamma must be strictly ascending"):
+            default_energy_grid(ResonanceParams(1.0, 1e-15))
+        with pytest.raises(ValueError, match="must be finite, got E0 = 1, Gamma = 1e"):
+            default_energy_grid(ResonanceParams(1.0, 1e308))
+        with pytest.raises(OverflowRangeError, match="peak 1/Gamma"):
+            default_energy_grid(ResonanceParams(1.0, 1e-320))
 
 
 class TestMatrixJson:

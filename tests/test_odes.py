@@ -109,6 +109,16 @@ class TestIntegrate:
         expected = np.exp(-1j * P.e0 * times - P.gamma * times)
         assert np.max(np.abs(series.psi - expected)) <= 1e-6
 
+    def test_damped_mode_near_coalescent_roots(self):
+        """At Gamma = 1 and E0 = 1e-8 the roots -1 -+ 1e-8 i nearly coincide,
+        and rounding E0^2 + Gamma^2 to 1 moves them by O(sqrt(eps)): within
+        the root check's allowance, so the equation integrates."""
+        p = ResonanceParams(1e-8, 1.0)
+        times = np.linspace(0.0, 5.0, 51)
+        series = integrate(damped_oscillator_ivp(p, times, step=1e-3))
+        expected = np.exp(-1j * p.e0 * times - p.gamma * times)
+        assert np.max(np.abs(series.psi - expected)) <= 1e-6
+
     def test_damped_modulus(self):
         times = np.linspace(0.0, 5.0, 51)
         series = integrate(damped_oscillator_ivp(P, times, step=1e-3))

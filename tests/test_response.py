@@ -7,7 +7,6 @@ import pytest
 from ptresonance import (
     OverflowRangeError,
     ResonanceParams,
-    ResponseCurve,
     build_model,
     bw_propagator,
     default_energy_grid,
@@ -18,7 +17,7 @@ from ptresonance import (
     scattering_amplitude,
     time_delay,
 )
-from ptresonance.response import _PANEL_BLOCK, energy_response, model_from_json
+from ptresonance.response import _PANEL_BLOCK, energy_response
 
 P = ResonanceParams(1.0, 0.8)
 
@@ -57,8 +56,6 @@ class TestSinglePolePropagator:
             phase_shift,
             time_delay,
             scattering_amplitude,
-            pytest.param(lambda E, p: build_model("breit-wigner", p).evaluate(E), id="bw-model"),
-            pytest.param(lambda E, p: build_model("pt-pair", p).evaluate(E), id="pt-model"),
             pytest.param(
                 lambda E, p: energy_response("pt-pair", p, np.atleast_1d(E)), id="energy_response"
             ),
@@ -227,24 +224,11 @@ class TestModel:
         npt.assert_array_equal(m.residues, [1.0, -1.0])
         assert m.closure == ("lower", "lower")
 
-    def test_evaluate_matches_closed_forms(self):
-        assert build_model("breit-wigner", P).evaluate(0.0) == pytest.approx(
-            bw_propagator(0.0, P)
-        )
-        assert build_model("pt-pair", P).evaluate(0.0) == pytest.approx(
-            pt_propagator(0.0, P)
-        )
-
-    def test_json_roundtrip(self):
-        m = build_model("pt-pair", P)
-        m2 = model_from_json(m.to_json())
-        npt.assert_array_equal(m.poles, m2.poles)
-        npt.assert_array_equal(m.residues, m2.residues)
-        assert m.closure == m2.closure
-
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown model kind 'triple'"):
             build_model("triple", P)
+        with pytest.raises(ValueError, match="unknown model kind 'triple'"):
+            energy_response("triple", P, [0.0])
 
     def test_duplicate_poles_rejected(self):
         from ptresonance import PropagatorModel
@@ -253,8 +237,13 @@ class TestModel:
             PropagatorModel(
                 poles=np.array([1.0 + 0j, 1.0 + 0j]),
                 residues=np.array([1.0, -1.0]),
-                closure=("lower", "lower"),
             )
+
+    def test_poles_2e308_apart_accepted(self):
+        """The distinctness check compares poles: their distance overflows."""
+        with np.errstate(over="raise"):
+            m = build_model("pt-pair", ResonanceParams(1.0, 1e308))
+        assert m.closure == ("lower", "lower")
 
 
 class TestInverseTransform:
@@ -418,14 +407,32 @@ class TestQuadratureFold:
         assert len(seen) == 3
 
 
+def _residue_sum(kind, p, E):
+    """``sum_k r_k / (E - p_k)`` over the poles of ``build_model(kind, p)``."""
+    model = build_model(kind, p)
+    x = np.asarray(E, dtype=float)
+    return np.sum(model.residues[:, None] / (x[None, :] - model.poles[:, None]), axis=0)
+
+
 class TestCurves:
-    def test_response_curve_validation(self):
-        with pytest.raises(ValueError):
-            ResponseCurve(grid=np.array([0.0, 0.0]), values=np.zeros(2))
-        with pytest.raises(ValueError):
-            ResponseCurve(grid=np.array([0.0, 1.0]), values=np.zeros(3))
-        curve = ResponseCurve(grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))
-        assert curve.grid.shape == curve.values.shape
+    # The paper's pair, a narrow and a wide resonance, and E0 = 0 with the
+    # grid crossing it, on the default grids and one far off resonance.
+    @pytest.mark.parametrize("kind", ["breit-wigner", "pt-pair"])
+    @pytest.mark.parametrize("e0, gamma", [(1.0, 0.8), (3.0, 1e-6), (-2.0, 1e5), (0.0, 1.0)])
+    def test_curves_are_the_residue_sum_bit_for_bit(self, kind, e0, gamma):
+        p = ResonanceParams(e0, gamma)
+        for E in (default_energy_grid(p), np.linspace(e0 - 1e4 * gamma, e0 - 5 * gamma, 777)):
+            table = energy_response(kind, p, E)
+            expected = _residue_sum(kind, p, E)
+            # uint64 views: signed zeros count as differences too
+            npt.assert_array_equal(table["re_d"].view(np.uint64), expected.real.view(np.uint64))
+            npt.assert_array_equal(table["im_d"].view(np.uint64), expected.imag.view(np.uint64))
+
+    def test_curves_pass_the_form_check(self):
+        """Gamma^2 is subnormal at E = E0: the pair's dt_delay there would
+        carry a relative error of about 2e-4, so the curves are refused."""
+        with pytest.raises(FloatingPointError):
+            energy_response("pt-pair", ResonanceParams(0.0, 1e-160), [0.0])
 
     def test_energy_table_columns(self):
         grid = default_energy_grid(P, points=11)

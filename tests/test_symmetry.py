@@ -155,6 +155,10 @@ class TestClassifySpectrum:
         for tol in (np.nan, np.inf, -np.inf, -1e-9):
             with pytest.raises(ValueError, match="tol must be finite and positive"):
                 classify_spectrum([1.0 + 1e-3j, 1.0 - 1e-3j], tol=tol)
+        # |Im| <= max|lambda|: from tol = 1 on, the pair would be one real value
+        for tol in (1.0, 1e308):
+            with pytest.raises(ValueError, match="tol must be below 1"):
+                classify_spectrum([1.0 + 1e-3j, 1.0 - 1e-3j], tol=tol)
 
 
 class TestExceptionalPoint:
