@@ -54,9 +54,15 @@ PAIR_TOL = 1e-10
 _CONDITION_CAP = 1e12
 
 
-def _guard_exponent(exponents, what: str) -> None:
-    """Raise ``OverflowRangeError`` when the largest exponent exceeds ``EXP_CAP``."""
-    top = float(np.max(exponents))
+def _guard_exponent(rates, times, what: str) -> None:
+    """Raise ``OverflowRangeError`` when the largest growth exponent, a product
+    ``rate * time`` of the two (arrays or scalars), exceeds ``EXP_CAP``.
+
+    The products are formed with overflow ignored, so an exponent beyond the
+    double range is reported here as inf, without a numpy warning.
+    """
+    with np.errstate(over="ignore"):
+        top = float(np.max(np.multiply.outer(rates, times)))
     if top > EXP_CAP:
         raise OverflowRangeError(f"{what} {top:.3g} exceeds cap {EXP_CAP:g}")
 
@@ -364,18 +370,19 @@ def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, pa
     n = H.shape[0]
     U, _ = np.linalg.qr(right)
     S = np.triu(U.conj().T @ H @ U)
-    F = np.moveaxis(U.conj().T @ res @ U, 2, 0).copy()  # F[c]: column c of each res[m]
+    # Y[c] holds column c of each res[m] until it is overwritten by its solution.
+    Y = np.moveaxis(U.conj().T @ res @ U, 2, 0).copy()
     eye, SH = np.eye(n), S.conj().T
-    Y = np.zeros_like(F)
     for c in range(n):
         A = S[c, c] * eye - SH
-        rhs = F[c] - np.tensordot(S[:c, c], Y[:c], axes=(0, 0))
+        rhs = Y[c] - np.tensordot(S[:c, c], Y[:c], axes=(0, 0))
         free = paired[:, c]
         A[free, :] = 0.0
         A[free, free] = 1.0
         rhs[:, free] = 0.0
         Y[c] = np.linalg.solve(A, rhs.T).T
-    return U @ np.moveaxis(Y, 0, 2) @ U.conj().T
+    Y = U @ np.moveaxis(Y, 0, 2)  # rebinding frees the solved Y before the last product
+    return Y @ U.conj().T
 
 
 def solve_intertwiner(H) -> IntertwinerSpace:
@@ -421,12 +428,15 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     outer[first] = outer[in_match].sum(axis=0)
     outer[[0, first]] = outer[[first, 0]]
     Q, _ = np.linalg.qr(outer.reshape(k, n * n).T)
+    del outer
     B = Q.T.reshape(k, n, n)
-    res = B @ H - H.conj().T @ B
+    res = B @ H
+    res -= H.conj().T @ B
     # The Kronecker null space reaches about 1.5 eps ||H||_F; correct only
     # above 4 eps ||H||_F, since near rounding level a correction is noise.
     if np.max(np.linalg.norm(res, axis=(1, 2))) > 4 * np.finfo(float).eps * np.linalg.norm(H, "fro"):
-        B = B - _null_space_correction(res, H, eigsys.right, paired)
+        B -= _null_space_correction(res, H, eigsys.right, paired)
+        del res
         Q, _ = np.linalg.qr(B.reshape(k, n * n).T)
         B = Q.T.reshape(k, n, n)
     return IntertwinerSpace(basis=tuple(B))
@@ -437,7 +447,7 @@ def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
     guarded phase rule of the spectral evolution (eigenbasis guard, then the
     ``EXP_CAP`` guard on growing modes)."""
     _require_eigenbasis(eigsys)
-    _guard_exponent(np.multiply.outer(t, eigsys.eigenvalues.imag), "growing-mode exponent")
+    _guard_exponent(t, eigsys.eigenvalues.imag, "growing-mode exponent")
     return np.exp(-1j * np.multiply.outer(t, eigsys.eigenvalues))
 
 

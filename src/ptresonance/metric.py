@@ -45,6 +45,14 @@ PAPER_GAUGE_V = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
 RESIDUAL_CAP = 1e-10
 _SEARCH_SAMPLES = 128
+# Combined candidates scored at once: as many as fit in 256 KiB (all 128 up
+# to n = 11), and at least 16, since each block reads the whole generator
+# stack: blocks of one candidate made the search at n = 96 take 1.3 times as
+# long.  No block holds a single candidate (128 = q * size + 1 needs a size of
+# 127, which no n gives): numpy would take a matrix-vector product for it,
+# which rounds differently from the matrix product.
+_SEARCH_BLOCK_BYTES = 1 << 18
+_SEARCH_BLOCK_MIN = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +155,10 @@ def build_metric(
         maximizes the smallest singular value at unit spectral norm.  The
         candidates are scored by their eigenvalues, whose absolute values are
         their singular values; only the winner takes an SVD, for its norm.
+        The generators are scored as one batch and their combinations in
+        blocks of 256 KiB or 16 candidates, whichever holds more, so the
+        search holds the generators, one block and a copy of the leader,
+        never all candidates at once.
         The nonzero and residual filters each look at one candidate, so they
         run only on a candidate that would take the lead.
         The Hermitian part of ``basis[0]``, the matching sum ``L^dag P L``,
@@ -184,31 +196,38 @@ def build_metric(
 
     # hermitian-representative: Hermitian candidates in a fixed order (the
     # Hermitian and anti-Hermitian parts of each basis element, then seeded
-    # random real combinations of those parts), scored as one batch; the first
-    # strict winner on the smallest singular value at unit norm is kept.
-    B = np.stack(space.basis)
-    Bh = np.conj(np.swapaxes(B, 1, 2))
-    gens = np.stack([(B + Bh) / 2.0, (B - Bh) / 2.0j], axis=1).reshape(-1, n, n)
-    coeffs = np.random.default_rng(20250513).standard_normal((_SEARCH_SAMPLES, len(gens)))
-    C = np.concatenate([gens, np.tensordot(coeffs, gens, axes=1)])
+    # random real combinations of those parts); the first strict winner on
+    # the smallest singular value at unit norm is kept.  The generators are
+    # built in place, without stacking the basis and its adjoints.
+    k = space.dimension
+    gens = np.empty((k, 2, n, n), dtype=complex)
+    for b, (herm, anti) in zip(space.basis, gens):
+        np.conjugate(b.T, out=anti)
+        np.add(b, anti, out=herm)
+        np.subtract(b, anti, out=anti)
+        herm /= 2.0
+        anti /= 2.0j
+    gens = gens.reshape(2 * k, n, n)
+    coeffs = np.random.default_rng(20250513).standard_normal((_SEARCH_SAMPLES, 2 * k))
+    size = max(_SEARCH_BLOCK_MIN, _SEARCH_BLOCK_BYTES // gens[0].nbytes)
 
-    s = np.abs(np.linalg.eigvalsh(C))
-    smax = s.max(axis=1)
-    score = s.min(axis=1) / np.where(smax >= 1e-14, smax, 1.0)
-
-    best = -1
+    best = None
     best_score = -1.0
-    for k, score_k in enumerate(score.tolist()):
-        if score_k > best_score * (1.0 + 1e-9) and smax[k] >= 1e-14:
-            if _intertwiner_residual(C[k], H) <= RESIDUAL_CAP:
-                best, best_score = k, score_k
+    for cand in _candidate_blocks(gens, coeffs, size):
+        s = np.abs(np.linalg.eigvalsh(cand))
+        smax = s.max(axis=1)
+        score = s.min(axis=1) / np.where(smax >= 1e-14, smax, 1.0)
+        for j, score_j in enumerate(score.tolist()):
+            if score_j > best_score * (1.0 + 1e-9) and smax[j] >= 1e-14:
+                if _intertwiner_residual(cand[j], H) <= RESIDUAL_CAP:
+                    best, best_score = cand[j].copy(), score_j
 
-    if best < 0:
+    if best is None:
         raise NoMetricError("no Hermitian intertwiner found in the searched combinations")
     # Normalize the winner by its own singular values, so that V and the
     # reported smallest singular value do not depend on the eigensolver.
-    s = np.linalg.svd(C[best], compute_uv=False)
-    best_v = C[best] / s[0]
+    s = np.linalg.svd(best, compute_uv=False)
+    best_v = best / s[0]
     best_smin = float(s[-1] / s[0])
     if best_smin < 1.0 / _CONDITION_CAP:
         err = NoMetricError(
@@ -218,6 +237,15 @@ def build_metric(
         err.best_candidate = best_v
         raise err
     return _certify(_fix_sign(best_v), H)
+
+
+def _candidate_blocks(gens: np.ndarray, coeffs: np.ndarray, size: int):
+    """The search candidates in order: the generators as one block, then
+    their combinations ``coeffs @ gens``, ``size`` rows of ``coeffs`` at a
+    time."""
+    yield gens
+    for start in range(0, len(coeffs), size):
+        yield np.tensordot(coeffs[start : start + size], gens, axes=1)
 
 
 def _paper_gauge(H: np.ndarray) -> MetricOperator:

@@ -197,7 +197,7 @@ def integrate(ivp: SecondOrderIVP) -> TimeSeries:
             f"step {ivp.step:g} too large: step * max|root| = {ivp.step * rho:.3g} "
             f"exceeds {MAX_STEP_ROOT:g}"
         )
-    _guard_exponent(roots.real * float(ivp.times[-1]), "growing-mode exponent")
+    _guard_exponent(roots.real, float(ivp.times[-1]), "growing-mode exponent")
 
     y = (complex(ivp.psi0), complex(ivp.dpsi0))
     t_prev = 0.0

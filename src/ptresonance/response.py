@@ -144,11 +144,18 @@ def time_delay(E, p: ResonanceParams, branch: str = "delay"):
 
     ``+Gamma / ((E - E0)^2 + Gamma^2)`` on the delay branch, its exact
     negative on the advance branch; peak value ``+/- 1/Gamma`` at E = E0.
+    Fails closed with ``FloatingPointError`` where the denominator is not a
+    normal finite double: subnormal, it has lost digits, and the value with it.
     """
     sign = _branch_sign(branch)
     x, scalar = _finite_grid(E, "E")
     d = x - p.e0
-    value = sign * p.gamma / (d * d + p.gamma * p.gamma)
+    den = d * d + p.gamma * p.gamma
+    if not np.all((den >= np.finfo(float).tiny) & (den < np.inf)):
+        raise FloatingPointError(
+            "time delay denominator (E - E0)^2 + Gamma^2 leaves the normal double range"
+        )
+    value = sign * p.gamma / den
     return float(value[0]) if scalar else value
 
 
@@ -229,7 +236,7 @@ def inverse_ft(model: PropagatorModel, t):
     after = ts >= 0
     if np.any(after):
         # |exp(-i p t)| = exp(Im p * t)
-        _guard_exponent(np.outer(model.poles.imag, ts[after]), "residue exponent")
+        _guard_exponent(model.poles.imag, ts[after], "residue exponent")
         out[after] = -1j * np.sum(
             model.residues[:, None] * np.exp(-1j * np.outer(model.poles, ts[after])), axis=0
         )

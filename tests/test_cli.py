@@ -726,6 +726,13 @@ class TestFiniteOut:
         assert captured.err.count("\n") == 1 and captured.err.startswith("overflow: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_growing_mode_beyond_the_double_range_names_the_guard(self, tmp_path, capsys):
+        # Im p * t = 1e308 * t overflows: the guard reports the exponent as inf,
+        # where numpy's bare "overflow encountered in multiply" came first
+        argv = ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e308"]
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err == "overflow: residue exponent inf exceeds cap 300\n"
+
 
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "abc")
 

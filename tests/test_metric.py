@@ -1,5 +1,7 @@
 """Tests for metric construction, the conserved inner product and closure."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -221,6 +223,119 @@ class TestEigenvalueScoring:
         V = info.value.best_candidate
         assert np.linalg.norm(V, 2) == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.svd(V, compute_uv=False)[-1] == 0.0
+
+
+def _one_batch_search(space, H):
+    """The hermitian-representative search with every candidate in one stack:
+    the generators and all their seeded combinations concatenated, scored by
+    one batched ``eigvalsh``.
+
+    Returns the chosen V and the index of the winning candidate.
+    """
+    n = H.shape[0]
+    B = np.stack(space.basis)
+    Bh = np.conj(np.swapaxes(B, 1, 2))
+    gens = np.stack([(B + Bh) / 2.0, (B - Bh) / 2.0j], axis=1).reshape(-1, n, n)
+    coeffs = np.random.default_rng(20250513).standard_normal((128, len(gens)))
+    C = np.concatenate([gens, np.tensordot(coeffs, gens, axes=1)])
+    s = np.abs(np.linalg.eigvalsh(C))
+    smax = s.max(axis=1)
+    score = s.min(axis=1) / np.where(smax >= 1e-14, smax, 1.0)
+    best, best_score = -1, -1.0
+    for k, score_k in enumerate(score.tolist()):
+        if score_k > best_score * (1.0 + 1e-9) and smax[k] >= 1e-14:
+            if metric._intertwiner_residual(C[k], H) <= metric.RESIDUAL_CAP:
+                best, best_score = k, score_k
+    s = np.linalg.svd(C[best], compute_uv=False)
+    return metric._fix_sign(C[best] / s[0]), best
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockedSearch:
+    """The search scores the seeded combinations block by block and picks, bit
+    for bit, the V of the one-batch search, wherever the block edges fall."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        rng = np.random.default_rng(1401)
+        inputs = [gain_loss_dimer(s) for s in (0.6, 0.3, 2.0)]
+        inputs += [random_pt_symmetric(rng, n)[0] for n in (2, 4, 8, 16, 24) for _ in range(2)]
+        out = []
+        for H in inputs:
+            eigsys, space = eig(H), solve_intertwiner(H)
+            V, best = _one_batch_search(space, H)
+            out.append((H, eigsys, space, V, best - 2 * space.dimension))
+        return out
+
+    @staticmethod
+    def _search(monkeypatch, H, eigsys, space, size):
+        """``build_metric`` with blocks of ``size`` combinations."""
+        monkeypatch.setattr(metric, "_SEARCH_BLOCK_BYTES", 0)
+        monkeypatch.setattr(metric, "_SEARCH_BLOCK_MIN", size)
+        return build_metric(eigsys, space, H=H).V
+
+    def test_default_blocks(self, systems):
+        for H, eigsys, space, V, _ in systems:
+            assert np.array_equal(_bits(build_metric(eigsys, space, H=H).V), _bits(V))
+        # n = 24 takes 28 combinations a block: 128 is not a multiple of it
+        assert 128 % (metric._SEARCH_BLOCK_BYTES // (16 * 24 * 24)) != 0
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 126, 128])
+    def test_block_sizes(self, monkeypatch, systems, size):
+        # 128 = 42*3 + 2 = 25*5 + 3 = 126 + 2: the last block is short.  A
+        # block of one combination is left out: numpy takes the matrix-vector
+        # product for it, which rounds differently.
+        for H, eigsys, space, V, _ in systems:
+            assert np.array_equal(_bits(self._search(monkeypatch, H, eigsys, space, size)), _bits(V))
+
+    def test_winner_in_last_block(self, monkeypatch, systems):
+        checked = 0
+        for H, eigsys, space, V, j in systems:
+            # blocks of size > 127 - j end with one that holds combination j
+            sizes = [b for b in range(2, j + 1) if (127 // b) * b <= j and 128 % b != 1]
+            for size in sizes[:2]:
+                assert np.array_equal(_bits(self._search(monkeypatch, H, eigsys, space, size)), _bits(V))
+                checked += 1
+        assert checked >= 2
+
+
+class TestWorkingMemory:
+    """From H to a metric in bounded memory, as multiples of the generator
+    stack (the ``2k`` Hermitian generators of an intertwiner basis of
+    dimension k, ``2k n^2`` complex entries).  Measured by ``tracemalloc``,
+    which counts numpy's array data; the one-batch search held up to 5.7 and
+    the intertwiner basis 3.6 generator stacks at n = 48."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        H, _ = random_pt_symmetric(np.random.default_rng(48), 48)
+        return H / np.linalg.norm(H, 2), 2 * 48 * H.nbytes
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_intertwiner_basis(self, system):
+        H, gens_bytes = system
+        space, peak = self._peak(lambda: solve_intertwiner(H))
+        assert 2 * space.dimension * H.nbytes == gens_bytes
+        assert peak <= 2.5 * gens_bytes
+
+    def test_metric_search(self, system):
+        H, gens_bytes = system
+        eigsys, space = eig(H), solve_intertwiner(H)
+        op, peak = self._peak(lambda: build_metric(eigsys, space, H=H))
+        assert op.invertible
+        assert peak <= 2.0 * gens_bytes
 
 
 class TestPairability:

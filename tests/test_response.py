@@ -1,5 +1,7 @@
 """Tests for propagators, phase shifts, time delay and the inverse transforms."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -189,6 +191,17 @@ class TestTimeDelay:
             time_delay(grid, P, "delay"), -time_delay(grid, P, "advance")
         )
 
+    @pytest.mark.parametrize("gamma", [1e-160, 1e160])
+    def test_fails_closed_outside_the_normal_range(self, gamma):
+        # At E = E0 the denominator Gamma^2 is subnormal (Gamma = 1e-160 gave
+        # 1.0000111e160 without an error) or overflows (Gamma = 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="normal double range"):
+                time_delay(0.0, ResonanceParams(0.0, gamma))
+            with pytest.raises(FloatingPointError, match="normal double range"):
+                time_delay(np.array([0.0, 1.0]), ResonanceParams(0.0, gamma), "advance")
+
     def test_peaks_at_resonance(self):
         grid = default_energy_grid(P)
         step = grid[1] - grid[0]
@@ -287,6 +300,15 @@ class TestInverseTransform:
         m = build_model("pt-pair", P)
         with pytest.raises(OverflowRangeError):
             inverse_ft(m, 400.0)
+
+    def test_overflow_guard_before_the_product_overflows(self):
+        # Im p * t = 5e308 is beyond the double range: the guard reports it as
+        # inf, without numpy's overflow warning first
+        m = build_model("pt-pair", ResonanceParams(1.0, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="residue exponent inf exceeds cap 300"):
+                inverse_ft(m, 5.0)
 
     def test_first_order_relation(self):
         """(d/dt + i E0 + Gamma) applied to the single-pole transform vanishes."""
