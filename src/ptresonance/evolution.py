@@ -15,9 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    _require_grid, _require_invertible, _spectral_phases, as_matrix, eig, mat_exp_evolution,
-)
+from .linalg import _require_grid, _spectral_phases, as_matrix, eig, mat_exp_evolution
 from .metric import PAPER_GAUGE_V, _metric_matrix
 
 __all__ = [
@@ -66,7 +64,8 @@ def evolve(H, psi0, times, V=None) -> StateTrajectory:
     times : array_like
         Finite, strictly ascending time grid.
     V : optional
-        Metric operator (matrix or MetricOperator); fills the v_norms track.
+        Metric operator (matrix or MetricOperator) of H's size, invertible;
+        fills the v_norms track.
     """
     H = as_matrix(H)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -82,9 +81,7 @@ def evolve(H, psi0, times, V=None) -> StateTrajectory:
     dirac = np.einsum("ti,ti->t", np.conj(states), states).real
     v_norms = None
     if V is not None:
-        Vm = _metric_matrix(V)
-        if Vm.shape != H.shape:
-            raise ValueError(f"V has shape {Vm.shape}, expected {H.shape}")
+        Vm = _metric_matrix(V, H.shape[0])
         v_norms = np.einsum("ti,ij,tj->t", np.conj(states), Vm, states)
     return StateTrajectory(times=t, states=states, dirac_norms=dirac, v_norms=v_norms)
 
@@ -97,10 +94,7 @@ class PseudoUnitarityResult(NamedTuple):
 def pseudounitarity_residual(H, V, times) -> PseudoUnitarityResult:
     """Residual curve of ``V^-1 U^dag(t) V U(t) = I`` and its maximum."""
     H = as_matrix(H)
-    Vm = _metric_matrix(V)
-    if Vm.shape != H.shape:
-        raise ValueError(f"V has shape {Vm.shape}, expected {H.shape}")
-    _require_invertible(Vm, "V")
+    Vm = _metric_matrix(V, H.shape[0])
     t = _require_grid(times)
     U = mat_exp_evolution(eig(H), t)  # U[k] = U(t_k)
     UH = np.conj(np.swapaxes(U, 1, 2))

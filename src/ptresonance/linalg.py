@@ -67,10 +67,17 @@ def _guard_exponent(rates, times, what: str) -> None:
         raise OverflowRangeError(f"{what} {top:.3g} exceeds cap {EXP_CAP:g}")
 
 
+def _condition(M: np.ndarray) -> tuple[float, bool]:
+    """M's 2-norm condition number and the package's one invertibility verdict
+    on it: finite and at most ``_CONDITION_CAP``."""
+    cond = float(np.linalg.cond(M, 2))
+    return cond, cond <= _CONDITION_CAP
+
+
 def _require_invertible(M: np.ndarray, name: str) -> None:
-    """Raise ``ValueError`` when M's 2-norm condition number exceeds the cap."""
-    cond = np.linalg.cond(M, 2)
-    if not np.isfinite(cond) or cond > _CONDITION_CAP:
+    """Raise ``ValueError`` when M is singular by ``_condition``'s verdict."""
+    cond, invertible = _condition(M)
+    if not invertible:
         raise ValueError(f"{name} is singular (condition estimate {cond:.3g})")
 
 
@@ -304,7 +311,8 @@ def eig(H) -> EigenSystem:
     ``DEFECT_FLOOR * ||H||_2`` and a cluster of algebraic multiplicity m is
     defective when ``H - mean(cluster) I`` has fewer than m singular values
     below the same threshold.  For a defective spectrum the eigenvector
-    blocks are omitted (the spectral formula is invalid there).
+    blocks are omitted (the spectral formula is invalid there).  A cluster
+    whose mean is beyond the double range raises ``OverflowRangeError``.
 
     Parameters
     ----------
@@ -334,16 +342,17 @@ def eig(H) -> EigenSystem:
 
     # Rank test for geometric multiplicity on each eigenvalue cluster.
     radius = DEFECT_FLOOR * max(h_norm, 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused below
+        clusters = [(m, complex(np.mean(w[m]))) for m in _cluster_eigenvalues(w, radius)
+                    if len(m) > 1]
     defects: list[DefectCluster] = []
-    for members in _cluster_eigenvalues(w, radius):
-        algebraic = len(members)
-        if algebraic == 1:
-            continue
-        center = complex(np.mean(w[members]))
+    for members, center in clusters:
+        if not np.isfinite(center):
+            raise OverflowRangeError(f"eigenvalue cluster centre {center:.3g} out of double range")
         sv = np.linalg.svd(H - center * np.eye(n), compute_uv=False)
         geometric = int(np.sum(sv <= radius))
-        if geometric < algebraic:
-            defects.append(DefectCluster(center, algebraic, geometric, tuple(members)))
+        if geometric < len(members):
+            defects.append(DefectCluster(center, len(members), geometric, tuple(members)))
 
     # A defective spectrum keeps no eigenvector blocks.
     R = L = None
@@ -444,11 +453,15 @@ def solve_intertwiner(H) -> IntertwinerSpace:
 
 def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
     """The phases ``exp(-i lambda_j t_k)``, shape ``shape(t) + (n,)``: the one
-    guarded phase rule of the spectral evolution (eigenbasis guard, then the
-    ``EXP_CAP`` guard on growing modes)."""
+    guarded phase rule of the spectral evolution (eigenbasis guard, ``EXP_CAP``
+    guard on growing modes, refusal of a phase ``lambda t`` past double range)."""
     _require_eigenbasis(eigsys)
     _guard_exponent(t, eigsys.eigenvalues.imag, "growing-mode exponent")
-    return np.exp(-1j * np.multiply.outer(t, eigsys.eigenvalues))
+    with np.errstate(over="ignore"):
+        phase = np.multiply.outer(t, eigsys.eigenvalues)
+    if not np.all(np.isfinite(phase)):
+        raise OverflowRangeError("phase lambda t is beyond the double range")
+    return np.exp(-1j * phase)
 
 
 def mat_exp_evolution(eigsys: EigenSystem, t) -> np.ndarray:
@@ -457,7 +470,8 @@ def mat_exp_evolution(eigsys: EigenSystem, t) -> np.ndarray:
     ``t`` is a time or an array of times; the result has shape
     ``shape(t) + (n, n)``.  Raises ``ValueError`` for a non-finite time,
     ``DefectiveMatrixError`` for a defective eigensystem and
-    ``OverflowRangeError`` for a growing mode past ``exp(300)``.
+    ``OverflowRangeError`` for a growing mode past ``exp(300)`` or a phase
+    ``lambda t`` beyond the double range.
     """
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")

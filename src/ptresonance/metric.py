@@ -17,12 +17,13 @@ import numpy as np
 
 from .errors import DefectiveMatrixError, NoMetricError
 from .linalg import (
-    _CONDITION_CAP,
     EigenSystem,
     IntertwinerSpace,
+    _condition,
     _require_eigenbasis,
     _require_invertible,
     as_matrix,
+    matrix_to_json,
 )
 
 __all__ = [
@@ -60,8 +61,8 @@ class MetricOperator:
     """An intertwiner V with certification flags.
 
     ``residual`` is ``||VH - H^dag V||_F / (||V||_F ||H||_F)`` against the
-    source Hamiltonian; ``condition_estimate`` is the 2-norm condition
-    number and ``invertible`` is its comparison against the configured cap.
+    source Hamiltonian; ``condition_estimate`` is the 2-norm condition number,
+    and ``invertible`` its verdict, true for every ``build_metric`` result.
     """
 
     V: np.ndarray
@@ -71,8 +72,6 @@ class MetricOperator:
     residual: float
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
         return {
             "V": matrix_to_json(self.V),
             "hermitian": self.hermitian,
@@ -92,16 +91,20 @@ class DualPair:
 
 def dual_pair(ket, V) -> DualPair:
     ket = np.asarray(ket, dtype=complex)
-    V = _metric_matrix(V)
-    if ket.shape != (V.shape[0],):
-        raise ValueError(f"dimension mismatch: ket has shape {ket.shape}, V is {V.shape}")
-    return DualPair(ket=ket, bra=np.conj(ket) @ V)
+    if ket.ndim != 1:
+        raise ValueError(f"ket must be a vector, got shape {ket.shape}")
+    return DualPair(ket=ket, bra=np.conj(ket) @ _metric_matrix(V, ket.size))
 
 
-def _metric_matrix(V) -> np.ndarray:
-    if isinstance(V, MetricOperator):
-        return V.V
-    return as_matrix(V)
+def _metric_matrix(V, n: int) -> np.ndarray:
+    """The one door for a metric given to a consumer: the matrix of a
+    ``MetricOperator`` or a finite array, refused with ``ValueError`` unless it
+    is ``(n, n)`` and invertible by the one verdict, ``linalg._condition``."""
+    V = as_matrix(V.V if isinstance(V, MetricOperator) else V)
+    if V.shape != (n, n):
+        raise ValueError(f"V has shape {V.shape}, expected ({n}, {n})")
+    _require_invertible(V, "V")
+    return V
 
 
 # Both checks take one matrix or a stack of them (the last two axes).
@@ -127,12 +130,20 @@ def _fix_sign(V: np.ndarray) -> np.ndarray:
     return V if key > 0 else -V
 
 
-def _certify(V: np.ndarray, H: np.ndarray) -> MetricOperator:
-    cond = float(np.linalg.cond(V, 2))
+def _certify(V: np.ndarray, H: np.ndarray, policy: str) -> MetricOperator:
+    """Certify V against H; a singular V raises ``NoMetricError`` with it."""
+    cond, invertible = _condition(V)
+    if not invertible:
+        err = NoMetricError(
+            f"no invertible metric operator: the {policy} candidate has smallest "
+            f"singular value {1.0 / cond:.3g} at unit spectral norm"
+        )
+        err.best_candidate = V
+        raise err
     return MetricOperator(
         V=V,
         hermitian=bool(_is_hermitian(V)),
-        invertible=bool(np.isfinite(cond) and cond <= _CONDITION_CAP),
+        invertible=invertible,
         condition_estimate=cond,
         residual=float(_intertwiner_residual(V, H)),
     )
@@ -165,17 +176,19 @@ def build_metric(
         comes first and wins ties, so a Hermitian Hamiltonian with
         orthonormal eigenvectors yields the identity.
     ``paper-gauge``
-        For a 2x2 diagonal conjugate-pair system only; returns the exact
-        antisymmetric unit matrix ``[[0, -1], [1, 0]]``.
+        The exact ``[[0, -1], [1, 0]]``, for a 2x2 H that it intertwines within
+        ``RESIDUAL_CAP`` as the search's candidates must: ``[[a, i beta],
+        [i gamma, conj(a)]]`` with real beta and gamma; else ``ValueError``.
     ``first-basis``
-        First intertwiner basis element, normalized; for a non-defective
-        spectrum, the invertible sum over a conjugate matching (see
-        ``solve_intertwiner``).
+        First intertwiner basis element, normalized: for a non-defective
+        spectrum, the sum over a conjugate matching (see ``solve_intertwiner``).
 
     The result is normalized to unit spectral norm with a deterministic sign
-    and certified (Hermiticity, invertibility, intertwiner residual) against
-    ``H``, a required keyword: the Hamiltonian of ``eigsys`` and ``space``.
-    A defective ``eigsys`` raises ``DefectiveMatrixError``.
+    and certified (Hermiticity, condition number, intertwiner residual)
+    against ``H``, a required keyword: the Hamiltonian of ``eigsys`` and
+    ``space``.  Under every policy a V above ``linalg._CONDITION_CAP``, the one
+    invertibility verdict, raises ``NoMetricError`` with it as
+    ``best_candidate``; a defective ``eigsys``, ``DefectiveMatrixError``.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -187,12 +200,13 @@ def build_metric(
     n = H.shape[0]
 
     if policy == "paper-gauge":
-        return _paper_gauge(H)
+        if n != 2 or _intertwiner_residual(PAPER_GAUGE_V, H) > RESIDUAL_CAP:
+            raise ValueError("paper-gauge needs a 2x2 H that [[0, -1], [1, 0]] intertwines")
+        return _certify(PAPER_GAUGE_V.copy(), H, policy)
 
     if policy == "first-basis":
         V = space.basis[0]
-        V = _fix_sign(V / np.linalg.norm(V, 2))
-        return _certify(V, H)
+        return _certify(_fix_sign(V / np.linalg.norm(V, 2)), H, policy)
 
     # hermitian-representative: Hermitian candidates in a fixed order (the
     # Hermitian and anti-Hermitian parts of each basis element, then seeded
@@ -224,19 +238,9 @@ def build_metric(
 
     if best is None:
         raise NoMetricError("no Hermitian intertwiner found in the searched combinations")
-    # Normalize the winner by its own singular values, so that V and the
-    # reported smallest singular value do not depend on the eigensolver.
-    s = np.linalg.svd(best, compute_uv=False)
-    best_v = best / s[0]
-    best_smin = float(s[-1] / s[0])
-    if best_smin < 1.0 / _CONDITION_CAP:
-        err = NoMetricError(
-            "no invertible Hermitian intertwiner found: best candidate has "
-            f"smallest singular value {best_smin:.3g} at unit spectral norm"
-        )
-        err.best_candidate = best_v
-        raise err
-    return _certify(_fix_sign(best_v), H)
+    # Normalize the winner by its largest singular value, not by its largest
+    # eigenvalue, so that V does not depend on the eigensolver.
+    return _certify(_fix_sign(best / np.linalg.norm(best, 2)), H, policy)
 
 
 def _candidate_blocks(gens: np.ndarray, coeffs: np.ndarray, size: int):
@@ -248,29 +252,13 @@ def _candidate_blocks(gens: np.ndarray, coeffs: np.ndarray, size: int):
         yield np.tensordot(coeffs[start : start + size], gens, axes=1)
 
 
-def _paper_gauge(H: np.ndarray) -> MetricOperator:
-    n = H.shape[0]
-    scale = max(float(np.linalg.norm(H, "fro")), 1e-300)
-    ptol = 1e-8 * scale
-    if n != 2:
-        raise ValueError("paper-gauge policy applies to 2x2 systems only")
-    if abs(H[0, 1]) > ptol or abs(H[1, 0]) > ptol:
-        raise ValueError("paper-gauge policy requires a diagonal system")
-    if abs(H[1, 1] - np.conj(H[0, 0])) > ptol or abs(H[0, 0].imag) <= ptol:
-        raise ValueError("paper-gauge policy requires a conjugate-pair diagonal system")
-    return _certify(PAPER_GAUGE_V.copy(), H)
-
-
 def v_inner(x, y, V) -> complex:
     """Metric inner product ``x^dag V y``; reduces to Dirac for V = I."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    V = _metric_matrix(V)
-    if x.shape != (V.shape[0],) or y.shape != (V.shape[0],):
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, y {y.shape}, V {V.shape}"
-        )
-    return complex(np.vdot(x, V @ y))
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError(f"x and y must be vectors of one length, got {x.shape} and {y.shape}")
+    return complex(np.vdot(x, _metric_matrix(V, x.size) @ y))
 
 
 def closure_check(kets, bras) -> float:
@@ -281,21 +269,24 @@ def closure_check(kets, bras) -> float:
     resolution of the identity, which reduces to the signed two-term sum for
     a conjugate-pair system where G is a signed permutation.  The bras carry
     the metric (``<ket|V``, see ``dual_pair``); n kets and bras of length n.
+    A G that is singular by the package's one invertibility verdict (condition
+    number above ``linalg._CONDITION_CAP``) raises ``DefectiveMatrixError``.
     """
     K = np.column_stack([np.asarray(k, dtype=complex) for k in kets])
     B = np.vstack([np.asarray(b, dtype=complex) for b in bras])
     n = K.shape[0]
     if K.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"need {n} kets and {n} bras of length {n}, got {K.shape}/{B.shape}")
+    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(B))):
+        raise ValueError("kets and bras must be finite")
     G = B @ K
-    try:
-        W = np.linalg.solve(G, np.eye(n))
-    except np.linalg.LinAlgError as exc:
+    cond, invertible = _condition(G)
+    if not invertible:
         raise DefectiveMatrixError(
-            "inner-product matrix is singular; the kets/bras do not form a "
-            "complete dual system"
-        ) from exc
-    return float(np.linalg.norm(K @ W @ B - np.eye(n), "fro"))
+            f"inner-product matrix is singular (condition estimate {cond:.3g}); "
+            "the kets/bras do not form a complete dual system"
+        )
+    return float(np.linalg.norm(K @ np.linalg.solve(G, np.eye(n)) @ B - np.eye(n), "fro"))
 
 
 class PseudoHermiticityResiduals(NamedTuple):
@@ -306,10 +297,7 @@ class PseudoHermiticityResiduals(NamedTuple):
 def verify_pseudo_hermiticity(H, V) -> PseudoHermiticityResiduals:
     """Both normalized residuals of the pseudo-Hermiticity condition."""
     H = as_matrix(H)
-    V = _metric_matrix(V)
-    if H.shape != V.shape:
-        raise ValueError(f"dimension mismatch: H {H.shape}, V {V.shape}")
-    _require_invertible(V, "V")
+    V = _metric_matrix(V, H.shape[0])
     h_norm = max(float(np.linalg.norm(H, "fro")), 1e-300)
     inter = float(_intertwiner_residual(V, H))
     sim = float(np.linalg.norm(V @ H @ np.linalg.inv(V) - H.conj().T, "fro")) / h_norm

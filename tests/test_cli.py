@@ -10,14 +10,19 @@ import pytest
 
 from ptresonance import (
     AntilinearSymmetry,
+    ConvergenceError,
     DefectiveMatrixError,
     IntertwinerSpace,
+    NoMetricError,
+    OverflowRangeError,
     build_metric,
+    classify_hamiltonian,
     eig,
     evolve,
     gain_loss_dimer,
     linalg,
     mat_exp_evolution,
+    metric,
     pseudounitarity_residual,
     pt_unbroken,
     solve_intertwiner,
@@ -814,3 +819,111 @@ class TestEdgeValueSweep:
         err = captured.err[len(usage):] if captured.err.startswith(usage) else captured.err
         assert err.count("\n") == 1 and err.endswith("\n"), captured.err
         assert written == []
+
+
+class TestInputErrors:
+    """Malformed files and conflicting options exit 1 with one stderr line
+    naming the problem."""
+
+    @pytest.fixture
+    def files(self, tmp_path, matrices):
+        (tmp_path / "bad.json").write_text("{")
+        write_matrix(tmp_path / "singular.json", np.diag([1.0, 1e-13]))
+        return {**matrices, "bad": str(tmp_path / "bad.json"),
+                "missing": str(tmp_path / "missing.json"),
+                "singular": str(tmp_path / "singular.json")}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "--input", "{missing}"], "cannot read"),
+            (["classify", "--input", "{bad}"], "not valid JSON"),
+            (["metric", "--input", "{m06}", "--s", "0.6"], "either --input or --s"),
+            (["evolve", "--s", "0.6", "--psi0", "1,abc"], "--psi0: cannot parse component"),
+            (["evolve", "--e0", "1", "--gamma", "0.8", "--s", "0.6", "--psi0", "0,1"],
+             "excludes --input and --s"),
+            (["evolve", "--e0", "1", "--psi0", "0,1"], "needs both --e0 and --gamma"),
+            (["evolve", "--s", "0.6", "--v-file", "{singular}", "--psi0", "1,0"],
+             "V is singular"),
+        ],
+        ids=["unreadable", "invalid-json", "input-and-s", "psi0", "preset-and-s",
+             "preset-half", "singular-v-file"],
+    )
+    def test_exit_1_with_one_line(self, argv, message, files, capsys):
+        code = main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
+    def test_evolve_json_without_metric(self, matrices, tmp_path):
+        out = tmp_path / "traj.json"
+        code = main(["evolve", "--input", matrices["herm"], "--psi0", "1,0", "--t-points", "3",
+                     "--format", "json", "--output", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["v_norms"] is None
+
+
+# Edge matrices for classify and the three metric policies: the paper's dimer and
+# its exceptional point, unpaired and near-real spectra, degenerate 2x2s, a coupled
+# pair that the paper gauge intertwines, and both ends of the double range.
+SWEEP_MATRICES = {
+    "dimer-0.6": gain_loss_dimer(0.6),
+    "exceptional-point": gain_loss_dimer(1.0),
+    "unpaired-3": np.diag([1 + 1j, 1 - 1j, 2 + 0.5j]),
+    "near-real": np.diag([1 + 5e-10j, 2]),
+    "identity": np.eye(2),
+    "real-pair": np.diag([1.0, 2.0]),
+    "zero": np.zeros((2, 2)),
+    "coupled-pair": np.array([[1 + 0.8j, 0.3j], [0.2j, 1 - 0.8j]]),
+    "tiny-exceptional-point": 1e-300 * gain_loss_dimer(1.0),
+    "huge-dimer": 1e300 * gain_loss_dimer(0.6),
+}
+SWEEP_RUNS = [["classify"]] + [["metric", "--policy", p] for p in metric.POLICIES]
+
+
+def _library_exit(run, H) -> int:
+    """The exit code of the library outcome, computed under the CLI's errstate:
+    0 returned, 1 ValueError, 3 DefectiveMatrixError, 4 NoMetricError, 5 an
+    overflow (and classify's own 2/3 for a broken or exceptional report)."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if run[0] == "classify":
+                report, _ = classify_hamiltonian(H)
+                return 3 if report.exceptional else 2 if report.broken else 0
+            build_metric(eig(H), solve_intertwiner(H), run[2], H=H)
+            return 0
+    except (ValueError, ConvergenceError):
+        return 1
+    except DefectiveMatrixError:
+        return 3
+    except NoMetricError:
+        return 4
+    except (OverflowRangeError, FloatingPointError):
+        return 5
+
+
+class TestMatrixInputSweep:
+    """Exit 0 with strictly finite JSON, or exit 1-5 with one stderr line (a
+    classify report with exit 2/3 and no stderr line), and always the exit
+    code of the library outcome.  ``first-basis`` exited 0 on the unpaired
+    spectra with an infinite ``condition_estimate``."""
+
+    @pytest.mark.parametrize("run", SWEEP_RUNS, ids=[" ".join(r) for r in SWEEP_RUNS])
+    @pytest.mark.parametrize("name", SWEEP_MATRICES)
+    def test_run(self, name, run, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PTR_TOL", raising=False)
+        H = SWEEP_MATRICES[name].astype(complex)
+        path = write_matrix(tmp_path / "h.json", H)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*run, "--input", path])
+        captured = capsys.readouterr()
+        assert code == _library_exit(run, H)
+        if code == 0 or (run[0] == "classify" and code in (2, 3)):
+            assert captured.err == ""
+            assert captured.out.startswith("{") and _all_finite(captured.out)
+        else:
+            assert 1 <= code <= 5
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -10,6 +10,7 @@ from ptresonance import (
     PAPER_GAUGE_V,
     DefectiveMatrixError,
     OverflowRangeError,
+    StateTrajectory,
     build_metric,
     eig,
     evolve,
@@ -80,6 +81,19 @@ class TestEvolve:
             evolve(DIAG_PAIR, np.array([1.0, 0.0]), [0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             evolve(DIAG_PAIR, np.array([1.0, 0.0]), TIMES, V=np.eye(3))
+
+    def test_non_finite_psi0_rejected(self):
+        with pytest.raises(ValueError, match="psi0 must be finite"):
+            evolve(DIAG_PAIR, np.array([np.nan, 0.0]), TIMES)
+
+    def test_trajectory_lengths_checked(self):
+        t, states, norms = np.array([0.0, 1.0]), np.zeros((2, 2), complex), np.ones(2)
+        with pytest.raises(ValueError, match="times and states"):
+            StateTrajectory(times=t, states=states[:1], dirac_norms=norms, v_norms=None)
+        with pytest.raises(ValueError, match="times and dirac_norms"):
+            StateTrajectory(times=t, states=states, dirac_norms=norms[:1], v_norms=None)
+        with pytest.raises(ValueError, match="times and v_norms"):
+            StateTrajectory(times=t, states=states, dirac_norms=norms, v_norms=norms[:1])
 
 
 class TestPseudoUnitarity:

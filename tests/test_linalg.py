@@ -21,6 +21,7 @@ from ptresonance import (
     SecondOrderIVP,
     StateTrajectory,
     as_matrix,
+    classify_hamiltonian,
     damped_oscillator_ivp,
     default_energy_grid,
     eig,
@@ -506,6 +507,12 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match=r"entries\[0\]\[0\]"):
             matrix_from_json({"n": 1, "entries": [[[True, False]]]})
 
+    def test_rejects_non_object_and_row_count(self):
+        with pytest.raises(ValueError, match="top-level value must be an object"):
+            matrix_from_json([[[1.0, 0.0]]])
+        with pytest.raises(ValueError, match="'entries' must be a list of 2 rows"):
+            matrix_from_json({"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]]]})
+
     def test_rejects_boolean_size(self):
         with pytest.raises(ValueError, match="'n'"):
             matrix_from_json({"n": True, "entries": [[[1.0, 0.0]]]})
@@ -517,3 +524,32 @@ class TestMatrixJson:
             as_matrix(np.array([[np.inf]]))
         with pytest.raises(ValueError, match="finite"):
             as_matrix(np.array([[1.0, complex(1.0, np.nan)], [0.0, 1.0]]))
+
+
+class TestDoubleRangeRefusals:
+    """Spectra at the end of the double range raise ``OverflowRangeError``,
+    where the cluster mean reached numpy's SVD as inf (``LinAlgError``) and
+    the phases ``lambda t`` overflowed into NaN states."""
+
+    def test_cluster_centre(self):
+        H = 1e308 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="cluster centre"):
+                eig(H)
+            with pytest.raises(OverflowRangeError, match="cluster centre"):
+                classify_hamiltonian(H)
+
+    def test_phase(self):
+        times = np.linspace(0.0, 5.0, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="phase"):
+                evolve(np.diag([1e308, 1.0]), [1.0, 1.0], times)
+            with pytest.raises(OverflowRangeError, match="phase"):
+                mat_exp_evolution(eig(np.diag([1e308, 1.0])), 5.0)
+        # eig's own residual overflows to inf here, with numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(OverflowRangeError, match="phase"):
+                evolve(gain_loss_dimer(1e308), [1.0, 0.0], times)

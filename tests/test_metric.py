@@ -7,17 +7,20 @@ import numpy.testing as npt
 import pytest
 
 from helpers import random_complex_matrix, random_pt_symmetric
-from ptresonance import metric
+from ptresonance import linalg, metric
 from ptresonance import (
     PAPER_GAUGE_V,
     DefectiveMatrixError,
+    IntertwinerSpace,
     NoMetricError,
     build_metric,
     classify_hamiltonian,
     closure_check,
     dual_pair,
     eig,
+    evolve,
     gain_loss_dimer,
+    pseudounitarity_residual,
     solve_intertwiner,
     v_inner,
     verify_pseudo_hermiticity,
@@ -499,3 +502,111 @@ class TestPseudoHermiticity:
     def test_singular_metric_rejected(self):
         with pytest.raises(ValueError):
             verify_pseudo_hermiticity(np.eye(2), np.zeros((2, 2)))
+
+
+class TestInvertibilityVerdict:
+    """One verdict, ``linalg._condition``: a condition number that is finite
+    and at most ``_CONDITION_CAP``."""
+
+    def test_verdict(self):
+        assert linalg._condition(np.diag([1.0, 2e-12])) == (5e11, True)
+        assert linalg._condition(np.diag([1.0, 5e-13])) == (2e12, False)
+        assert linalg._condition(np.zeros((2, 2))) == (np.inf, False)
+
+    @pytest.mark.parametrize("policy", ["hermitian-representative", "first-basis"])
+    @pytest.mark.parametrize(
+        "H",
+        [np.diag([1 + 1j, 1 - 1j, 2 + 0.5j]), np.diag([1 + 5e-10j, 2])],
+        ids=["unpaired-3", "near-real"],
+    )
+    def test_every_policy_refuses_a_singular_metric(self, policy, H):
+        # first-basis returned these singular V with invertible=False
+        H = H.astype(complex)
+        with pytest.raises(NoMetricError, match=f"the {policy} candidate has smallest "
+                           "singular value 0 at unit spectral norm") as info:
+            build_metric(eig(H), solve_intertwiner(H), policy, H=H)
+        V = info.value.best_candidate
+        assert np.linalg.norm(V, 2) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.cond(V) == np.inf
+
+    def test_no_hermitian_intertwiner_found(self):
+        # the identity misses V H = H^dag V for the pair: every candidate fails
+        # the residual filter, or is zero
+        space = IntertwinerSpace(basis=(np.eye(2, dtype=complex),))
+        with pytest.raises(NoMetricError, match="no Hermitian intertwiner found"):
+            build_metric(eig(DIAG_PAIR), space, H=DIAG_PAIR)
+
+    def test_closure_refuses_by_the_cap(self):
+        # G = diag(1, 1e-13): LAPACK solves it, the verdict refuses it
+        kets = [np.array([1.0, 0.0], complex), np.array([0.0, 1e-13], complex)]
+        bras = [np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex)]
+        with pytest.raises(DefectiveMatrixError, match="condition estimate 1e\\+13"):
+            closure_check(kets, bras)
+        with pytest.raises(ValueError, match="finite"):
+            closure_check([np.array([np.nan, 0.0]), kets[1]], bras)
+
+
+class TestPaperGauge:
+    """The paper gauge is accepted exactly where ``[[0, -1], [1, 0]]``
+    intertwines H within ``RESIDUAL_CAP``: ``[[a, i b], [i c, conj(a)]]``
+    with real b and c."""
+
+    @pytest.mark.parametrize(
+        "H",
+        [DIAG_PAIR, np.eye(2), np.zeros((2, 2)), np.array([[1 + 0.8j, 0.3j], [0.2j, 1 - 0.8j]]),
+         np.array([[1 + 0.8j, 1e-12 + 0.3j], [0.2j, 1 - 0.8j]])],
+        ids=["diagonal-pair", "identity", "zero", "coupled-pair", "within-cap"],
+    )
+    def test_accepted(self, H):
+        op = _metric_for(H.astype(complex), policy="paper-gauge")
+        assert np.array_equal(op.V, PAPER_GAUGE_V)
+        assert op.residual <= metric.RESIDUAL_CAP and op.invertible
+
+    @pytest.mark.parametrize(
+        "H",
+        [gain_loss_dimer(0.6), np.diag([1.0, 2.0]), np.diag([1 + 1j, 1 - 1j, 2.0]),
+         np.array([[1 + 0.8j, 3e-10 + 0.3j], [0.2j, 1 - 0.8j]])],
+        ids=["dimer", "real-pair", "3x3", "beyond-cap"],
+    )
+    def test_refused(self, H):
+        H = H.astype(complex)
+        assert solve_intertwiner(H).dimension >= 1  # refused by the gauge rule itself
+        with pytest.raises(ValueError, match="paper-gauge needs a 2x2 H that"):
+            _metric_for(H, policy="paper-gauge")
+
+
+_CONSUMERS = {
+    "evolve": lambda V: evolve(DIAG_PAIR, [1.0, 0.0], [0.0, 1.0], V=V),
+    "pseudounitarity_residual": lambda V: pseudounitarity_residual(DIAG_PAIR, V, [0.0, 1.0]),
+    "verify_pseudo_hermiticity": lambda V: verify_pseudo_hermiticity(DIAG_PAIR, V),
+    "dual_pair": lambda V: dual_pair([1.0, 0.0], V),
+    "v_inner": lambda V: v_inner([1.0, 0.0], [0.0, 1.0], V),
+}
+
+
+class TestMetricDoor:
+    """Every consumer of a metric takes it through ``metric._metric_matrix``:
+    a ``MetricOperator`` or a matrix, of H's size and invertible."""
+
+    @pytest.mark.parametrize("consumer", _CONSUMERS)
+    @pytest.mark.parametrize(
+        "V, message",
+        [(np.zeros((2, 2)), "V is singular"), (np.diag([1.0, 1e-13]), "V is singular"),
+         (np.eye(3), r"V has shape \(3, 3\), expected \(2, 2\)")],
+        ids=["zero", "ill-conditioned", "wrong-size"],
+    )
+    def test_refusals(self, consumer, V, message):
+        with pytest.raises(ValueError, match=message):
+            _CONSUMERS[consumer](V)
+
+    @pytest.mark.parametrize("consumer", _CONSUMERS)
+    def test_metric_operator_accepted(self, consumer):
+        op = _metric_for(DIAG_PAIR, policy="paper-gauge")
+        assert np.array_equal(metric._metric_matrix(op, 2), op.V)
+        _CONSUMERS[consumer](op)
+
+    def test_vector_shapes(self):
+        with pytest.raises(ValueError, match="ket must be a vector"):
+            dual_pair(np.ones((1, 2)), np.eye(2))
+        with pytest.raises(ValueError, match="vectors of one length"):
+            v_inner(np.ones((1, 2)), np.ones((1, 2)), np.eye(2))

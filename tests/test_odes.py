@@ -158,6 +158,13 @@ class TestIntegrate:
         with pytest.raises(OverflowRangeError):
             integrate(pt_wave_ivp(P, times, step=1e-2))
 
+    def test_non_finite_result_refused(self):
+        # a bounded mode, but psi = 1.7e308 (cos t + sin t) leaves the double range
+        ivp = SecondOrderIVP(c1=0.0, c0=1.0, psi0=1.7e308, dpsi0=1.7e308,
+                             times=np.linspace(0.0, 1.0, 3), step=1e-2)
+        with pytest.raises(OverflowRangeError, match="non-finite"):
+            integrate(ivp)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SecondOrderIVP(c1=0.0, c0=1.0, psi0=1.0, dpsi0=0.0,

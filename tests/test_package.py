@@ -1,6 +1,8 @@
-"""The package's public names: each listed once, in its own module."""
+"""The package surface: public names, each listed once in its own module, and
+the README library example."""
 
 import collections
+import pathlib
 
 import ptresonance
 from ptresonance import errors, evolution, linalg, metric, odes, response, symmetry
@@ -24,3 +26,13 @@ def test_module_level_names_are_package_names():
     for name in ("DefectCluster", "PTCheck", "PseudoHermiticityResiduals",
                  "characteristic_roots", "energy_response"):
         assert name in ptresonance.__all__
+
+
+def test_readme_library_example_runs(capsys):
+    """README's "Library example" block, run verbatim: its asserts hold and
+    the pseudounitarity residual it prints is at most 1e-10."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) <= 1e-10

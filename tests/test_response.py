@@ -252,6 +252,12 @@ class TestModel:
                 residues=np.array([1.0, -1.0]),
             )
 
+    def test_pole_and_residue_shapes_checked(self):
+        from ptresonance import PropagatorModel
+
+        with pytest.raises(ValueError, match="1-D and the same length"):
+            PropagatorModel(poles=np.array([1.0 - 1j, 2.0 - 1j]), residues=np.array([1.0]))
+
     def test_poles_2e308_apart_accepted(self):
         """The distinctness check compares poles: their distance overflows."""
         with np.errstate(over="raise"):
