@@ -6,8 +6,7 @@ linalg
     Biorthogonal eigendecomposition, defect detection, intertwiner null
     space, spectral evolution operator.
 symmetry
-    Antilinear-symmetry check, spectrum classification, broken/unbroken
-    phase.
+    Antilinear-symmetry check, spectrum classification.
 metric
     Metric-operator construction, conserved inner product, closure and
     pseudo-Hermiticity checks.

@@ -8,14 +8,12 @@ identical configurations and can be fed back into downstream commands.
 Exit codes: 0 success, 1 malformed input (usage errors included), 2 broken
 (unpairable) spectrum, 3 exceptional point, 4 no metric operator, 5 overflow
 guard or non-finite intermediate (subcommands run under an ``np.errstate``
-raising on overflow, invalid and divide).  Only ``classify`` takes a
-tolerance: ``--tol``, else the ``PTR_TOL`` environment variable, in (0, 1),
-sets which eigenvalues it counts as real.  Whatever the tolerance, a defect
-(exit 3) is found at ``linalg.DEFECT_FLOOR`` times ``||H||_2`` and
-eigenvalues pair within ``linalg.PAIR_TOL`` times the spectral radius;
-``metric`` refuses a defective spectrum before any intertwiner work.  Grid
-bounds must be finite and come in start/stop pairs, and every grid must have
-at least 2 points and be strictly ascending (no repeated values).
+raising on overflow, invalid and divide).  No subcommand takes a tolerance:
+``classify``, ``metric`` and ``evolve`` decide realness, pairing and the
+exceptional point (exit 3) within one backward error, ``linalg.RESIDUAL_CAP``
+times ``||H||_2``, so they give one verdict per matrix.  Grid bounds must be
+finite and come in start/stop pairs, and every grid must have at least 2
+points and be strictly ascending (no repeated values).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -90,18 +87,6 @@ def _load_metric_matrix(path: str) -> np.ndarray:
     return linalg.matrix_from_json(obj)
 
 
-def _resolve_tol(args) -> float:
-    """``--tol``, else ``PTR_TOL``, else the default; ``classify`` checks it."""
-    if args.tol is not None:
-        return args.tol
-    if os.environ.get("PTR_TOL"):
-        try:
-            return float(os.environ["PTR_TOL"])
-        except ValueError as exc:
-            raise ValueError(f"PTR_TOL: not a number ({os.environ['PTR_TOL']!r})") from exc
-    return symmetry.DEFAULT_CLASSIFY_TOL
-
-
 def _input_matrix(args) -> np.ndarray:
     has_input = getattr(args, "input", None) is not None
     has_s = getattr(args, "s", None) is not None
@@ -146,9 +131,8 @@ def _time_grid(args) -> np.ndarray:
 
 
 def cmd_classify(args) -> int:
-    tol = _resolve_tol(args)
     H = _input_matrix(args)
-    report, eigsys = symmetry.classify_hamiltonian(H, tol=tol)
+    report, eigsys = symmetry.classify_hamiltonian(H)
 
     check = None
     P = None
@@ -323,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = subs.add_parser("classify", help="classify a matrix spectrum")
     _add_matrix_args(c)
     c.add_argument("--p-file", help="linear part P of the antilinear symmetry (matrix JSON)")
-    c.add_argument("--tol", type=float)
     c.add_argument("--output", help="report path (default stdout)")
     c.set_defaults(func=cmd_classify)
 

@@ -39,16 +39,14 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-# A two-fold eigenvalue defect splits the computed eigenvalues by roughly
-# sqrt(machine eps) * ||H|| times a modest constant, so the defect test
-# cannot resolve clusters tighter than this floor.
-DEFECT_FLOOR = 1e-7
+# The one relative backward error of every spectral verdict: H is known to
+# within RESIDUAL_CAP * ||H||_2, so eigenvalue i to within kappa_i times that.
+# Realness, pairing, clusters, the defect rank test, the antilinear-symmetry
+# check and a metric's intertwiner residual all read it.
+RESIDUAL_CAP = 1e-10
 
 # exp() overflows double precision near 709; stay clear of it.
 EXP_CAP = 300.0
-
-# Relative cutoff for pairing an eigenvalue with a conjugate partner.
-PAIR_TOL = 1e-10
 
 # Condition number above which a matrix is treated as singular.
 _CONDITION_CAP = 1e12
@@ -81,42 +79,56 @@ def _require_invertible(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is singular (condition estimate {cond:.3g})")
 
 
-def _greedy_match(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
+def _greedy_match(a: np.ndarray, b: np.ndarray, cutoff) -> np.ndarray:
     """Greedy nearest-partner matching of the points ``a`` to the points ``b``.
 
     For each ``a[k]`` in order, ``match[k]`` is the index of the nearest
-    still-unused ``b`` with ``|b - a[k]| <= cutoff`` (ties go to the lowest
-    index), or -1 when there is none.
+    still-unused ``b[m]`` with ``|b[m] - a[k]| <= cutoff[k, m]`` (ties go to
+    the lowest index), or -1 when there is none.  ``cutoff`` is a scalar or
+    broadcasts to shape ``(len(a), len(b))``.
     """
     dist = np.abs(np.subtract.outer(a, b))
+    dist[~(dist <= cutoff)] = np.inf  # beyond the cutoff, like a used b: never a partner
     match = np.full(len(a), -1)
-    free = np.ones(len(b), dtype=bool)
-    for k in range(len(a)):
-        if not free.any():
-            break
-        m = int(np.argmin(np.where(free, dist[k], np.inf)))
-        if free[m] and dist[k, m] <= cutoff:
+    for k in range(len(a) if len(b) else 0):
+        m = int(np.argmin(dist[k]))
+        if dist[k, m] < np.inf:
             match[k] = m
-            free[m] = False
+            dist[:, m] = np.inf
     return match
 
 
-def _pair_cutoff(w: np.ndarray) -> float:
-    """Distance within which ``lambda_j`` is the conjugate partner of ``lambda_i``.
+def _radii(kappa: np.ndarray, norm: float) -> np.ndarray:
+    """How far eigenvalues of condition numbers ``kappa`` move under a
+    perturbation of H (``norm = ||H||_2``) within the backward error."""
+    return kappa * (RESIDUAL_CAP * norm)
 
-    ``|lambda_j - conj(lambda_i)| <= PAIR_TOL * max|lambda|``: the one pairing
-    rule of the intertwiner basis and the spectrum classification, relative
-    to the spectrum so that it does not depend on the units of H.
+
+def _pair_cutoffs(radii: np.ndarray) -> np.ndarray:
+    """``radii[i] + radii[j]``: values i and j within it count as one, for
+    conjugate pairing and clustering alike."""
+    return np.add.outer(radii, radii)
+
+
+def _conjugate_permutation(w: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The one pairing verdict of a sorted spectrum with its radii, read by
+    the classification, the intertwiner basis and the metric.
+
+    A greedy matching gives each value in order the free value nearest its
+    conjugate within ``_pair_cutoffs``.  ``perm[k]`` is k for a real value
+    (``|Im lambda_k| <= radii[k]``: it is its own partner), the other's index
+    for a value above the real axis matched to one below and for that one,
+    and -1 for an unmatched value.  An invertible metric ``L^dag P L`` exists
+    iff no entry is -1.
     """
-    return PAIR_TOL * float(np.max(np.abs(w), initial=0.0))
-
-
-def _conjugate_partners(w: np.ndarray) -> np.ndarray:
-    """The one conjugate matching of a sorted spectrum: for each value in
-    order, the index of the free value nearest its conjugate within the
-    pairing cutoff, or -1.  The intertwiner basis and the classification
-    both read their pairs from it."""
-    return _greedy_match(np.conj(w), w, _pair_cutoff(w))
+    real = np.abs(w.imag) <= radii
+    partner = _greedy_match(np.conj(w), w, _pair_cutoffs(radii))
+    perm = np.where(real, np.arange(w.size), -1)
+    for k in np.flatnonzero(~real & (w.imag > 0)):
+        m = partner[k]
+        if m >= 0 and not real[m] and w[m].imag < 0:
+            perm[k], perm[m] = m, k
+    return perm
 
 
 def _require_grid(values, name: str = "times") -> np.ndarray:
@@ -213,7 +225,9 @@ class EigenSystem:
     are ``None``.
 
     ``residual`` is the largest of the eigen-equation, biorthonormality and
-    completeness residuals (eigen-equation only when defective).
+    completeness residuals (eigen-equation only when defective).  ``kappa``
+    holds the eigenvalue condition numbers, the norms of the left rows (inf
+    for singular right vectors), and ``norm`` is ``||H||_2``, defective or not.
     """
 
     eigenvalues: np.ndarray
@@ -221,6 +235,8 @@ class EigenSystem:
     left: np.ndarray | None
     residual: float
     defects: tuple[DefectCluster, ...]
+    kappa: np.ndarray
+    norm: float
 
     @property
     def n(self) -> int:
@@ -251,8 +267,7 @@ def _require_eigenbasis(eigsys: EigenSystem) -> None:
     """Raise ``DefectiveMatrixError`` naming each defective cluster.
 
     The one refusal of every computation that needs a complete eigenbasis:
-    the spectral evolution formula, the intertwiner basis, the metric and
-    the symmetry phase.
+    the spectral evolution formula, the intertwiner basis and the metric.
     """
     if eigsys.defective:
         raise DefectiveMatrixError(
@@ -277,14 +292,16 @@ def _phase_gauge(columns: np.ndarray) -> np.ndarray:
     return columns * phases[np.newaxis, :]
 
 
-def _cluster_eigenvalues(w: np.ndarray, radius: float) -> list[list[int]]:
+def _cluster_eigenvalues(w: np.ndarray, radii: np.ndarray) -> list[list[int]]:
     """Cluster values sorted by real, then imaginary part: each cluster takes
-    in every value within ``radius`` of its mean.  The one merge rule of the
-    defect test and of the classification's real multiplicities."""
+    in every value j within ``radii[j]`` plus its members' largest radius of
+    its mean, so values i and j start one iff they lie within
+    ``_pair_cutoffs``.  The one merge rule of the defect test and of the
+    classification's real multiplicities."""
     n = w.shape[0]
-    # A cluster grows only from a value within radius of its seed, so when
+    # A cluster grows only from a value within reach of its seed, so when
     # only the n self-distances are that small, every value is a singleton.
-    if np.count_nonzero(np.abs(np.subtract.outer(w, w)) <= radius) == n:
+    if np.count_nonzero(np.abs(np.subtract.outer(w, w)) <= _pair_cutoffs(radii)) == n:
         return [[i] for i in range(n)]
     clusters: list[list[int]] = []
     assigned = np.zeros(n, dtype=bool)
@@ -294,7 +311,8 @@ def _cluster_eigenvalues(w: np.ndarray, radius: float) -> list[list[int]]:
         members = [i]
         assigned[i] = True
         while True:
-            near = np.flatnonzero(~assigned & (np.abs(w - np.mean(w[members])) <= radius))
+            reach = radii + np.max(radii[members])
+            near = np.flatnonzero(~assigned & (np.abs(w - np.mean(w[members])) <= reach))
             if near.size == 0:
                 break
             members += near.tolist()
@@ -306,13 +324,15 @@ def _cluster_eigenvalues(w: np.ndarray, radius: float) -> list[list[int]]:
 def eig(H) -> EigenSystem:
     """Biorthogonal eigendecomposition of a square complex matrix.
 
-    Eigenvalues are sorted by real part, then imaginary part.  Defectiveness
-    is decided by a rank test: eigenvalues are clustered with radius
-    ``DEFECT_FLOOR * ||H||_2`` and a cluster of algebraic multiplicity m is
-    defective when ``H - mean(cluster) I`` has fewer than m singular values
-    below the same threshold.  For a defective spectrum the eigenvector
-    blocks are omitted (the spectral formula is invalid there).  A cluster
-    whose mean is beyond the double range raises ``OverflowRangeError``.
+    Eigenvalues are sorted by real part, then imaginary part.  H is
+    defective when it lies within the backward error ``RESIDUAL_CAP *
+    ||H||_2`` of a defective matrix: values cluster by
+    ``_cluster_eigenvalues`` with the radii ``kappa_i RESIDUAL_CAP ||H||_2``,
+    and a cluster of m values is defective when ``H - mean(cluster) I`` has
+    fewer than m singular values at most ``RESIDUAL_CAP * ||H||_2``.  For a
+    defective spectrum the eigenvector blocks are omitted (the spectral
+    formula is invalid there).  A residual or a cluster mean beyond the
+    double range raises ``OverflowRangeError``.
 
     Parameters
     ----------
@@ -336,34 +356,43 @@ def eig(H) -> EigenSystem:
     R_raw = R_raw[:, order]
 
     h_norm = float(np.linalg.norm(H, 2))
-    eig_res = 0.0
-    if h_norm > 0.0:
-        eig_res = float(np.linalg.norm(H @ R_raw - R_raw * w[np.newaxis, :], "fro")) / h_norm
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
+        eig_res = float(np.linalg.norm(H @ R_raw - R_raw * w[np.newaxis, :], "fro"))
+    eig_res = eig_res / h_norm if h_norm > 0.0 else 0.0
+    if not np.isfinite(eig_res):
+        raise OverflowRangeError("eigen-equation residual is beyond the double range")
+
+    R = _phase_gauge(R_raw / np.linalg.norm(R_raw, axis=0, keepdims=True))
+    try:
+        L = np.linalg.inv(R)
+    except np.linalg.LinAlgError:  # exactly singular: kappa = inf, every value clusters
+        L = None
+    kappa = np.full(n, np.inf) if L is None else np.linalg.norm(L, axis=1)
 
     # Rank test for geometric multiplicity on each eigenvalue cluster.
-    radius = DEFECT_FLOOR * max(h_norm, 1e-300)
+    floor = RESIDUAL_CAP * h_norm
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused below
-        clusters = [(m, complex(np.mean(w[m]))) for m in _cluster_eigenvalues(w, radius)
-                    if len(m) > 1]
+        clusters = [(m, complex(np.mean(w[m])))
+                    for m in _cluster_eigenvalues(w, _radii(kappa, h_norm)) if len(m) > 1]
     defects: list[DefectCluster] = []
     for members, center in clusters:
         if not np.isfinite(center):
             raise OverflowRangeError(f"eigenvalue cluster centre {center:.3g} out of double range")
         sv = np.linalg.svd(H - center * np.eye(n), compute_uv=False)
-        geometric = int(np.sum(sv <= radius))
+        geometric = int(np.sum(sv <= floor))
         if geometric < len(members):
             defects.append(DefectCluster(center, len(members), geometric, tuple(members)))
 
     # A defective spectrum keeps no eigenvector blocks.
-    R = L = None
     residual = eig_res
-    if not defects:
-        R = _phase_gauge(R_raw / np.linalg.norm(R_raw, axis=0, keepdims=True))
-        L = np.linalg.inv(R)
+    if defects:
+        R = L = None
+    else:
         biorth = float(np.linalg.norm(L @ R - np.eye(n), "fro"))
         complete = float(np.linalg.norm(R @ L - np.eye(n), "fro"))
         residual = max(eig_res, biorth, complete)
-    return EigenSystem(eigenvalues=w, right=R, left=L, residual=residual, defects=tuple(defects))
+    return EigenSystem(eigenvalues=w, right=R, left=L, residual=residual,
+                       defects=tuple(defects), kappa=kappa, norm=h_norm)
 
 
 def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, paired) -> np.ndarray:
@@ -400,7 +429,8 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     Writing ``V = L^dag M L`` with the biorthonormal left eigenvectors L
     turns the equation into ``M_ij lambda_j = conj(lambda_i) M_ij``, so the
     solutions are spanned by the outer products ``L_i^dag L_j`` over the
-    index pairs with ``|lambda_j - conj(lambda_i)| <= PAIR_TOL * max|lambda|``.
+    index pairs within the backward error, ``|lambda_j - conj(lambda_i)| <=
+    (kappa_i + kappa_j) RESIDUAL_CAP ||H||_2``.
     Those are orthonormalized by a QR factorization, with the sum over a
     matching of the pairs in front, so that ``basis[0]`` is invertible
     whenever every eigenvalue has a conjugate partner.  When the eigenvectors
@@ -421,9 +451,9 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     H = as_matrix(H)
     eigsys = eig(H)
     _require_eigenbasis(eigsys)
-    w, L = eigsys.eigenvalues, eigsys.left
+    w, L, radii = eigsys.eigenvalues, eigsys.left, _radii(eigsys.kappa, eigsys.norm)
     n = eigsys.n
-    paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= _pair_cutoff(w)
+    paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= _pair_cutoffs(radii)
     i, j = np.nonzero(paired)
     k = i.size
     if k == 0:
@@ -432,7 +462,7 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     # Put the sum over a conjugate matching of the pairs in front, in place of
     # one of its own terms so that the span is kept: L^dag P L with P a
     # permutation, invertible when the spectrum pairs up.
-    in_match = j == _conjugate_partners(w)[i]
+    in_match = j == _conjugate_permutation(w, radii)[i]
     first = int(np.argmax(in_match))
     outer[first] = outer[in_match].sum(axis=0)
     outer[[0, first]] = outer[[first, 0]]
@@ -451,17 +481,22 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     return IntertwinerSpace(basis=tuple(B))
 
 
-def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
-    """The phases ``exp(-i lambda_j t_k)``, shape ``shape(t) + (n,)``: the one
-    guarded phase rule of the spectral evolution (eigenbasis guard, ``EXP_CAP``
-    guard on growing modes, refusal of a phase ``lambda t`` past double range)."""
-    _require_eigenbasis(eigsys)
-    _guard_exponent(t, eigsys.eigenvalues.imag, "growing-mode exponent")
+def _phases(t, values: np.ndarray, what: str) -> np.ndarray:
+    """The phases ``exp(-i lambda_j t_k)``, shape ``shape(t) + shape(values)``:
+    the one guarded phase rule of the spectral evolution and the residue sum
+    (``EXP_CAP`` guard named ``what``; a phase past double range refused)."""
+    _guard_exponent(t, values.imag, what)
     with np.errstate(over="ignore"):
-        phase = np.multiply.outer(t, eigsys.eigenvalues)
+        phase = np.multiply.outer(t, values)
     if not np.all(np.isfinite(phase)):
         raise OverflowRangeError("phase lambda t is beyond the double range")
     return np.exp(-1j * phase)
+
+
+def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
+    """``_phases`` of the eigenvalues, after the eigenbasis guard."""
+    _require_eigenbasis(eigsys)
+    return _phases(t, eigsys.eigenvalues, "growing-mode exponent")
 
 
 def mat_exp_evolution(eigsys: EigenSystem, t) -> np.ndarray:

@@ -17,9 +17,12 @@ import numpy as np
 
 from .errors import DefectiveMatrixError, NoMetricError
 from .linalg import (
+    RESIDUAL_CAP,
     EigenSystem,
     IntertwinerSpace,
     _condition,
+    _conjugate_permutation,
+    _radii,
     _require_eigenbasis,
     _require_invertible,
     as_matrix,
@@ -44,7 +47,6 @@ POLICIES = ("hermitian-representative", "paper-gauge", "first-basis")
 # diagonal conjugate-pair two-level system.
 PAPER_GAUGE_V = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
-RESIDUAL_CAP = 1e-10
 _SEARCH_SAMPLES = 128
 # Combined candidates scored at once: as many as fit in 256 KiB (all 128 up
 # to n = 11), and at least 16, since each block reads the whole generator
@@ -130,13 +132,17 @@ def _fix_sign(V: np.ndarray) -> np.ndarray:
     return V if key > 0 else -V
 
 
-def _certify(V: np.ndarray, H: np.ndarray, policy: str) -> MetricOperator:
-    """Certify V against H; a singular V raises ``NoMetricError`` with it."""
+def _certify(V: np.ndarray, H: np.ndarray, policy: str, unmatched) -> MetricOperator:
+    """Certify V against H; a singular V, or any V of a spectrum with
+    ``unmatched`` eigenvalues, raises ``NoMetricError`` with it."""
     cond, invertible = _condition(V)
-    if not invertible:
+    if not invertible or len(unmatched):
         err = NoMetricError(
             f"no invertible metric operator: the {policy} candidate has smallest "
-            f"singular value {1.0 / cond:.3g} at unit spectral norm"
+            f"singular value {1.0 / cond:.3g} at unit spectral norm" if not invertible else
+            "no invertible metric operator: eigenvalues "
+            + ", ".join(f"{z:.6g}" for z in unmatched)
+            + " have no conjugate partner within the backward error"
         )
         err.best_candidate = V
         raise err
@@ -177,18 +183,24 @@ def build_metric(
         orthonormal eigenvectors yields the identity.
     ``paper-gauge``
         The exact ``[[0, -1], [1, 0]]``, for a 2x2 H that it intertwines within
-        ``RESIDUAL_CAP`` as the search's candidates must: ``[[a, i beta],
+        the residual cap, as the search's candidates must: ``[[a, i beta],
         [i gamma, conj(a)]]`` with real beta and gamma; else ``ValueError``.
     ``first-basis``
         First intertwiner basis element, normalized: for a non-defective
         spectrum, the sum over a conjugate matching (see ``solve_intertwiner``).
+
+    The residual cap is ``RESIDUAL_CAP`` plus the intertwiner residual of the
+    pairing's own metric ``L^dag P L`` (P from the pairing verdict,
+    ``linalg._conjugate_permutation``), which its pairs' gaps leave.
 
     The result is normalized to unit spectral norm with a deterministic sign
     and certified (Hermiticity, condition number, intertwiner residual)
     against ``H``, a required keyword: the Hamiltonian of ``eigsys`` and
     ``space``.  Under every policy a V above ``linalg._CONDITION_CAP``, the one
     invertibility verdict, raises ``NoMetricError`` with it as
-    ``best_candidate``; a defective ``eigsys``, ``DefectiveMatrixError``.
+    ``best_candidate``, and so does any V of a spectrum with unmatched
+    values, which ``classify`` reports broken; a defective ``eigsys`` raises
+    ``DefectiveMatrixError``.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -198,15 +210,19 @@ def build_metric(
 
     H = as_matrix(H)
     n = H.shape[0]
+    w, L = eigsys.eigenvalues, eigsys.left
+    perm = _conjugate_permutation(w, _radii(eigsys.kappa, eigsys.norm))
+    unmatched = w[perm < 0]
+    cap = RESIDUAL_CAP + (0.0 if len(unmatched) else _intertwiner_residual(L.conj().T @ L[perm], H))
 
     if policy == "paper-gauge":
-        if n != 2 or _intertwiner_residual(PAPER_GAUGE_V, H) > RESIDUAL_CAP:
+        if n != 2 or _intertwiner_residual(PAPER_GAUGE_V, H) > cap:
             raise ValueError("paper-gauge needs a 2x2 H that [[0, -1], [1, 0]] intertwines")
-        return _certify(PAPER_GAUGE_V.copy(), H, policy)
+        return _certify(PAPER_GAUGE_V.copy(), H, policy, unmatched)
 
     if policy == "first-basis":
         V = space.basis[0]
-        return _certify(_fix_sign(V / np.linalg.norm(V, 2)), H, policy)
+        return _certify(_fix_sign(V / np.linalg.norm(V, 2)), H, policy, unmatched)
 
     # hermitian-representative: Hermitian candidates in a fixed order (the
     # Hermitian and anti-Hermitian parts of each basis element, then seeded
@@ -233,14 +249,14 @@ def build_metric(
         score = s.min(axis=1) / np.where(smax >= 1e-14, smax, 1.0)
         for j, score_j in enumerate(score.tolist()):
             if score_j > best_score * (1.0 + 1e-9) and smax[j] >= 1e-14:
-                if _intertwiner_residual(cand[j], H) <= RESIDUAL_CAP:
+                if _intertwiner_residual(cand[j], H) <= cap:
                     best, best_score = cand[j].copy(), score_j
 
     if best is None:
         raise NoMetricError("no Hermitian intertwiner found in the searched combinations")
     # Normalize the winner by its largest singular value, not by its largest
     # eigenvalue, so that V does not depend on the eigensolver.
-    return _certify(_fix_sign(best / np.linalg.norm(best, 2)), H, policy)
+    return _certify(_fix_sign(best / np.linalg.norm(best, 2)), H, policy, unmatched)
 
 
 def _candidate_blocks(gens: np.ndarray, coeffs: np.ndarray, size: int):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _guard_exponent, _require_grid
+from .linalg import _phases, _require_grid
 
 __all__ = [
     "ResonanceParams",
@@ -31,7 +31,6 @@ __all__ = [
     "pt_propagator",
     "phase_shift",
     "time_delay",
-    "scattering_amplitude",
     "build_model",
     "inverse_ft",
     "quadrature_ift",
@@ -159,13 +158,6 @@ def time_delay(E, p: ResonanceParams, branch: str = "delay"):
     return float(value[0]) if scalar else value
 
 
-def scattering_amplitude(E, p: ResonanceParams, branch: str = "delay"):
-    """Resonant amplitude ``exp(i delta) sin(delta)`` (normalization 1)."""
-    delta = np.asarray(phase_shift(E, p, branch))
-    value = np.exp(1j * delta) * np.sin(delta)
-    return value.item() if value.ndim == 0 else value
-
-
 @dataclass(frozen=True, eq=False)
 class PropagatorModel:
     """Finite model of simple poles and their residues.
@@ -229,17 +221,17 @@ def inverse_ft(model: PropagatorModel, t):
 
     With the ``1/(2 pi)`` inverse-transform normalization, every pole
     contributes ``-i r exp(-i p t)`` for t > 0 and nothing for t < 0 (all
-    close in the lower half-plane); t = 0 takes the t -> 0+ branch.
+    close in the lower half-plane); t = 0 takes the t -> 0+ branch.  A
+    growing mode past ``exp(300)`` or a phase ``p t`` beyond the double range
+    raises ``OverflowRangeError``.
     """
     ts, scalar = _finite_grid(t, "t")
     out = np.zeros(ts.shape, dtype=complex)
     after = ts >= 0
     if np.any(after):
         # |exp(-i p t)| = exp(Im p * t)
-        _guard_exponent(model.poles.imag, ts[after], "residue exponent")
-        out[after] = -1j * np.sum(
-            model.residues[:, None] * np.exp(-1j * np.outer(model.poles, ts[after])), axis=0
-        )
+        phases = _phases(ts[after], model.poles, "residue exponent")
+        out[after] = -1j * np.sum(model.residues * phases, axis=1)
     return complex(out[0]) if scalar else out
 
 

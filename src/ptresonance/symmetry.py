@@ -3,9 +3,10 @@
 An antilinear symmetry is an invertible linear map P composed with complex
 conjugation (T = K).  A matrix H commuting with it satisfies
 ``P conj(H) P^-1 = H`` and its eigenvalues are forced to be real or to come
-in complex-conjugate pairs; this module checks the symmetry, classifies a
-spectrum into those categories, and decides whether the symmetry is unbroken
-(all eigenvalues real, eigenvectors shared with the antilinear map).
+in complex-conjugate pairs; this module checks the symmetry and classifies a
+spectrum into those categories, both within the one backward error
+``linalg.RESIDUAL_CAP``.  The symmetry is unbroken when the classification
+reports real values only.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    EigenSystem,
+    RESIDUAL_CAP,
     _cluster_eigenvalues,
-    _conjugate_partners,
-    _require_eigenbasis,
+    _conjugate_permutation,
+    _radii,
     _require_invertible,
     as_matrix,
     eig,
@@ -32,12 +33,8 @@ __all__ = [
     "check_pt",
     "classify_spectrum",
     "classify_hamiltonian",
-    "pt_unbroken",
     "gain_loss_dimer",
 ]
-
-# Classification tolerance, relative to the spectral radius.
-DEFAULT_CLASSIFY_TOL = 1e-9
 
 
 def gain_loss_dimer(s: float) -> np.ndarray:
@@ -74,8 +71,8 @@ class PTCheck(NamedTuple):
 def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
     """Check invariance of H under the antilinear map.
 
-    Returns whether ``||P conj(H) P^-1 - H|| <= 1e-10 * ||H||`` together with
-    the relative residual.
+    Returns whether ``||P conj(H) P^-1 - H|| <= RESIDUAL_CAP * ||H||`` (Frobenius
+    norms) together with the relative residual.
     """
     H = as_matrix(H)
     if H.shape != sym.P.shape:
@@ -89,7 +86,7 @@ def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
     residual = float(np.linalg.norm(transformed - H, "fro"))
     if h_norm > 0.0:
         residual /= h_norm
-    return PTCheck(residual <= 1e-10, residual)
+    return PTCheck(residual <= RESIDUAL_CAP, residual)
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class SpectrumReport:
     ``real_values`` lists ``(value, multiplicity)``, ``conjugate_pairs``
     lists ``(E0, Gamma)`` with eigenvalues ``E0 +/- i Gamma``, and
     ``unmatched`` collects complex values with no conjugate partner within
-    tolerance (a broken-antilinearity flag).  Every input eigenvalue lands in
+    the backward error (a broken-antilinearity flag).  Every input eigenvalue lands in
     exactly one of those three; ``exceptional`` annotates defective clusters
     on top of that partition without removing values from it.
     """
@@ -108,7 +105,6 @@ class SpectrumReport:
     conjugate_pairs: tuple[tuple[float, float], ...]
     unmatched: tuple[complex, ...]
     exceptional: tuple[tuple[complex, int], ...]
-    tol_used: float
 
     @property
     def broken(self) -> bool:
@@ -142,64 +138,60 @@ class SpectrumReport:
                 {"value": [z.real, z.imag], "multiplicity": m} for z, m in self.exceptional
             ],
             "broken": self.broken,
-            "tol_used": self.tol_used,
         }
 
 
-def classify_spectrum(
-    eigenvalues,
-    tol: float = DEFAULT_CLASSIFY_TOL,
-    defective_clusters=(),
-) -> SpectrumReport:
+def classify_spectrum(eigenvalues, defective_clusters=()) -> SpectrumReport:
     """Classify eigenvalues into real values, conjugate pairs and leftovers.
 
-    Values with ``|Im| <= tol * spectral_radius`` count as real, with the
-    multiplicities of ``linalg._cluster_eigenvalues`` at that radius.  A value
-    above the real axis pairs with the value below it that the intertwiner
-    basis's matching, ``linalg._conjugate_partners``, gives it (within
-    ``linalg.PAIR_TOL * spectral_radius``, whatever ``tol``), so values paired
-    here are paired there too.  Other complex values are reported unmatched.
+    The rule of ``classify_hamiltonian`` for the normal matrix ``diag(w)``:
+    every value has condition number 1 and ``||diag(w)||_2 = max|lambda|``.
     ``defective_clusters`` (value, multiplicity) fill ``exceptional``.
-    ``tol`` must lie in (0, 1), since ``|Im| <= max|lambda|`` always
-    (``ValueError`` otherwise).
     """
     w = np.asarray(list(eigenvalues), dtype=complex)
     if w.size and not np.all(np.isfinite(w)):
         raise ValueError("eigenvalues must be finite")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if tol >= 1:
-        raise ValueError(f"tol must be below 1, got {tol!r}: every value would count as real")
-    w = w[np.lexsort((w.imag, w.real))]
-    abs_tol = tol * (float(np.max(np.abs(w))) if w.size else 0.0)
+    return _classify(w, _radii(np.ones(w.shape), float(np.max(np.abs(w), initial=0.0))),
+                     defective_clusters)
 
-    real = np.abs(w.imag) <= abs_tol
-    reals = w[real].real
-    partner = _conjugate_partners(w)
-    lower = ~real & (w.imag < 0)
-    up = [k for k in np.flatnonzero(~real & (w.imag > 0)) if partner[k] >= 0 and lower[partner[k]]]
-    down = partner[up]
+
+def _classify(w: np.ndarray, radii: np.ndarray, defective_clusters) -> SpectrumReport:
+    """The classification of values with their backward-error radii."""
+    order = np.lexsort((w.imag, w.real))
+    w, radii = w[order], radii[order]
+    perm = _conjugate_permutation(w, radii)
+    real = perm == np.arange(w.size)
+    up = np.flatnonzero(~real & (perm >= 0) & (w.imag > 0))
+    down = perm[up]
     e0, gamma = (w[up].real + w[down].real) / 2.0, (w[up].imag - w[down].imag) / 2.0
-    single = ~real
-    single[up] = single[down] = False
+    reals = w[real].real
     return SpectrumReport(
         real_values=tuple(
-            (float(np.mean(reals[c])), len(c)) for c in _cluster_eigenvalues(reals, abs_tol)
+            (float(np.mean(reals[c])), len(c)) for c in _cluster_eigenvalues(reals, radii[real])
         ),
         conjugate_pairs=tuple(sorted(zip(e0.tolist(), gamma.tolist()))),
-        unmatched=tuple(complex(z) for z in w[single]),
+        unmatched=tuple(complex(z) for z in w[perm < 0]),
         exceptional=tuple((complex(v), int(m)) for v, m in defective_clusters),
-        tol_used=tol,
     )
 
 
-def classify_hamiltonian(H, tol: float = DEFAULT_CLASSIFY_TOL):
+def classify_hamiltonian(H):
     """Eigendecompose H and classify its spectrum.
 
+    Each eigenvalue has the radius ``r_i = kappa_i RESIDUAL_CAP ||H||_2``,
+    how far it moves under a perturbation of H within the backward error.
+    The pairing verdict ``linalg._conjugate_permutation``, which the
+    intertwiner basis and ``build_metric`` read too, sorts the values into
+    real ones (``|Im lambda_i| <= r_i``), conjugate pairs (within ``r_i +
+    r_j``) and unmatched ones; real values share a multiplicity by
+    ``linalg._cluster_eigenvalues``.  A spectrum reported without unmatched
+    values gets a metric, one with them none.
+
     Defective clusters found by the rank test are annotated in the report's
-    ``exceptional`` list; their values are still categorized (a two-fold
-    defect with a real eigenvalue shows up as a real value of multiplicity 2
-    plus the annotation).
+    ``exceptional`` list; their values are still categorized, snapped to the
+    cluster centre with condition number 1 (a two-fold defect with a real
+    eigenvalue shows up as a real value of multiplicity 2 plus the
+    annotation).
 
     Returns
     -------
@@ -209,31 +201,8 @@ def classify_hamiltonian(H, tol: float = DEFAULT_CLASSIFY_TOL):
     # The rank test certifies each defective cluster as one eigenvalue; snap
     # its members to the cluster center so the sqrt-of-eps numerical splitting
     # at the defect does not masquerade as a genuine pair.
-    w = eigsys.eigenvalues.copy()
+    w, kappa = eigsys.eigenvalues.copy(), eigsys.kappa.copy()
     for d in eigsys.defects:
-        for idx in d.members:
-            w[idx] = d.value
+        w[list(d.members)], kappa[list(d.members)] = d.value, 1.0
     defects = [(d.value, d.algebraic) for d in eigsys.defects]
-    report = classify_spectrum(w, tol=tol, defective_clusters=defects)
-    return report, eigsys
-
-
-def pt_unbroken(sym: AntilinearSymmetry, eigsys: EigenSystem) -> bool:
-    """Whether the antilinear symmetry is unbroken on the eigenbasis.
-
-    True iff every right eigenvector is mapped to a multiple of itself by
-    ``v -> P conj(v)`` (within 1e-8 relative), which for a symmetric H with
-    complete spectrum is equivalent to all eigenvalues being real.
-    """
-    _require_eigenbasis(eigsys)
-    if sym.P.shape != (eigsys.n, eigsys.n):
-        raise ValueError(f"dimension mismatch: {eigsys.n} eigenvalues, P is {sym.P.shape}")
-    for k in range(eigsys.n):
-        v = eigsys.right[:, k]
-        image = sym.apply(v)
-        coeff = np.vdot(v, image) / np.vdot(v, v)
-        defect = np.linalg.norm(image - coeff * v)
-        scale = max(np.linalg.norm(image), 1e-300)
-        if defect / scale > 1e-8:
-            return False
-    return True
+    return _classify(w, _radii(kappa, eigsys.norm), defects), eigsys

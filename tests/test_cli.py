@@ -9,7 +9,6 @@ import numpy.testing as npt
 import pytest
 
 from ptresonance import (
-    AntilinearSymmetry,
     ConvergenceError,
     DefectiveMatrixError,
     IntertwinerSpace,
@@ -24,7 +23,6 @@ from ptresonance import (
     mat_exp_evolution,
     metric,
     pseudounitarity_residual,
-    pt_unbroken,
     solve_intertwiner,
 )
 from ptresonance.cli import build_parser, main
@@ -157,7 +155,6 @@ def test_one_refusal_everywhere(H, clusters, tmp_path, capsys):
         "mat_exp_evolution": lambda: mat_exp_evolution(eig(H), 1.0),
         "evolve": lambda: evolve(H, np.eye(n)[0], times),
         "pseudounitarity_residual": lambda: pseudounitarity_residual(H, np.eye(n), times),
-        "pt_unbroken": lambda: pt_unbroken(AntilinearSymmetry(np.eye(n)), eig(H)),
     }
     messages = {}
     for name, call in refusals.items():
@@ -393,7 +390,9 @@ class TestMetric:
         ],
     )
     def test_exit_code_agrees_with_classify(self, matrices, name, env_tol, tmp_path, monkeypatch):
-        """A spectrum classify pairs gets a metric; an unpairable one gets none."""
+        """A spectrum classify pairs gets a metric; an unpairable one gets none.
+        ``PTR_TOL``, once classify's own tolerance, is read by no subcommand:
+        left in the environment, it moves neither verdict."""
         if env_tol is not None:
             monkeypatch.setenv("PTR_TOL", env_tol)
         classified = main(["classify", "--input", matrices[name], "--output", str(tmp_path / "r")])
@@ -633,69 +632,45 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestTolEnv:
-    def test_env_override_used(self, matrices, tmp_path, monkeypatch):
-        monkeypatch.setenv("PTR_TOL", "1e-6")
-        out = tmp_path / "rep.json"
-        assert main(["classify", "--input", matrices["m06"], "--output", str(out)]) == 0
-        assert json.loads(out.read_text())["tol_used"] == 1e-6
+BAND = [(k, sign) for k in range(8, 17) for sign in (1, -1)]
 
-    def test_flag_beats_env(self, matrices, tmp_path, monkeypatch):
-        monkeypatch.setenv("PTR_TOL", "1e-6")
-        out = tmp_path / "rep.json"
-        assert main(
-            ["classify", "--input", matrices["m06"], "--tol", "1e-12", "--output", str(out)]
-        ) == 0
-        assert json.loads(out.read_text())["tol_used"] == 1e-12
 
-    def test_env_sets_classify_only(self, tmp_path, monkeypatch):
-        """``PTR_TOL`` widens classify's real-value test only; whether the
-        spectrum is defective is decided at one fixed radius, so near the
-        exceptional point classify, metric and evolve all find it complete."""
-        monkeypatch.setenv("PTR_TOL", "1e-5")
-        for argv in (["classify"], ["metric"], ["evolve", "--psi0", "1,0"]):
-            out = str(tmp_path / argv[0])
-            assert main(argv + ["--s", "1.00000000001", "--output", out]) == 0
-        monkeypatch.setenv("PTR_TOL", "not-a-number")
-        argv = ["evolve", "--s", "0.6", "--psi0", "1,0", "--output", str(tmp_path / "abc.csv")]
+class TestOneVerdictPerMatrix:
+    """``classify``, ``metric`` and ``evolve`` decide the exceptional point by
+    one backward-error rule.  Along the dimer s = 1 +/- 10^-k, classify called
+    the spectrum real (s > 1) or broken (s < 1) for k = 12-14 while metric
+    found no intertwiner and evolve ran; each now exits 0 up to k = 9 and 3
+    (exceptional) from k = 10 on, where the dimer lies within the backward
+    error of its exceptional point."""
+
+    @pytest.mark.parametrize("k, sign", BAND, ids=[f"1{'+-'[sign < 0]}1e-{k}" for k, sign in BAND])
+    def test_band(self, k, sign, tmp_path):
+        s = 1 + sign * 10.0**-k
+        expected = 0 if k <= 9 else 3
+        codes = {
+            argv[0]: main([*argv, "--s", repr(s), "--output", str(tmp_path / argv[0])])
+            for argv in (["classify"], ["metric"], ["evolve", "--psi0", "1,0"])
+        }
+        assert codes == dict.fromkeys(codes, expected)
+
+    def test_near_real_value_is_unmatched(self, tmp_path):
+        """1 + 5e-10i lies beyond its radius 2e-10 of the real axis: classify
+        reports it unmatched (exit 2), as metric finds no metric (exit 4),
+        where classify had counted it real (exit 0)."""
+        path = write_matrix(tmp_path / "h.json", np.diag([1 + 5e-10j, 2]))
+        assert main(["classify", "--input", path, "--output", str(tmp_path / "r")]) == 2
+        assert main(["metric", "--input", path, "--output", str(tmp_path / "v")]) == 4
+
+    def test_paper_gauge_on_a_pair_within_the_backward_error(self, tmp_path):
+        """The pair misses conjugacy by 1.5e-10, within its cutoff 2.56e-10, so
+        the intertwiner space is not empty and the paper gauge, whose residual
+        meets ``RESIDUAL_CAP``, is returned, where metric exited 4."""
+        path = write_matrix(tmp_path / "h.json", np.diag([1 + 0.8j, 1 - 0.8j + 1.5e-10]))
+        out = tmp_path / "v.json"
+        assert main(["classify", "--input", path, "--output", str(tmp_path / "r")]) == 0
+        argv = ["metric", "--input", path, "--policy", "paper-gauge", "--output", str(out)]
         assert main(argv) == 0
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_tolerance_must_be_finite_and_positive(self, value, source, monkeypatch, capsys):
-        """``--tol nan`` reported both real eigenvalues of ``--s 2`` unmatched
-        (exit 2, a bare NaN in the JSON); ``--tol inf`` called the pair of
-        ``--s 0.6`` one real value of multiplicity 2 (exit 0)."""
-        argv = ["classify", "--s", "2"]
-        if source == "flag":
-            argv.append(f"--tol={value}")
-        else:
-            monkeypatch.setenv("PTR_TOL", value)
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        message = f"tol must be finite and positive, got {float(value)!r}"
-        assert captured.err == f"input error: {message}\n"
-
-    @pytest.mark.parametrize("value", ["1", "1e308"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_tolerance_must_be_below_one(self, value, source, monkeypatch, capsys):
-        """``|Im| <= max|lambda|``, so ``--tol 1e308`` reported the pair of
-        ``--s 0.6`` as one real value of multiplicity 2 (exit 0)."""
-        argv = ["classify", "--s", "0.6"]
-        if source == "flag":
-            argv.append(f"--tol={value}")
-        else:
-            monkeypatch.setenv("PTR_TOL", value)
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"input error: tol must be below 1, got {float(value)!r}")
-
-    def test_bad_env_value(self, matrices, monkeypatch, capsys):
-        monkeypatch.setenv("PTR_TOL", "not-a-number")
-        assert main(["classify", "--input", matrices["m06"]]) == 1
-        assert "PTR_TOL" in capsys.readouterr().err
+        assert json.loads(out.read_text())["residual"] <= metric.RESIDUAL_CAP
 
 
 class TestFiniteOut:
@@ -911,8 +886,7 @@ class TestMatrixInputSweep:
 
     @pytest.mark.parametrize("run", SWEEP_RUNS, ids=[" ".join(r) for r in SWEEP_RUNS])
     @pytest.mark.parametrize("name", SWEEP_MATRICES)
-    def test_run(self, name, run, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("PTR_TOL", raising=False)
+    def test_run(self, name, run, tmp_path, capsys):
         H = SWEEP_MATRICES[name].astype(complex)
         path = write_matrix(tmp_path / "h.json", H)
         with warnings.catch_warnings():

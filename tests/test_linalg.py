@@ -89,6 +89,23 @@ class TestEig:
         assert d.algebraic == 2 and d.geometric == 1
         assert abs(d.value - 1.0) < 1e-7
 
+    def test_condition_numbers(self):
+        """kappa_i is the norm of left row i for unit right vectors, at least
+        1 and exactly 1 for orthonormal eigenvectors; ``norm`` is ||H||_2.
+        Both are kept for a defective spectrum."""
+        es = eig(np.diag([1 + 0.8j, 1 - 0.8j, 2.0]))
+        npt.assert_array_equal(es.kappa, [1.0, 1.0, 1.0])
+        assert es.norm == pytest.approx(2.0, rel=1e-15)
+        rng = np.random.default_rng(17)
+        for n in (2, 5, 8):
+            H = random_complex_matrix(rng, n)
+            es = eig(H)
+            npt.assert_array_equal(es.kappa, np.linalg.norm(es.left, axis=1))
+            assert np.all(es.kappa >= 1.0 - 1e-12)
+            assert es.norm == np.linalg.norm(H, 2)
+        es = eig(gain_loss_dimer(1.0))
+        assert es.defective and es.kappa.shape == (2,) and np.all(es.kappa > 1e6)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             eig(np.ones((2, 3)))
@@ -197,22 +214,25 @@ class TestClusterEigenvalues:
                 base[-1] + 0.6 * r * np.arange(1, m + 1),
             ])
             w = w[np.lexsort((w.imag, w.real))]
-            assert linalg._cluster_eigenvalues(w, r) == _clusters_by_loop(w, r)
+            # radius r / 2 on each value: a value joins within r of the mean
+            radii = np.full(w.shape, r / 2)
+            assert linalg._cluster_eigenvalues(w, radii) == _clusters_by_loop(w, r)
 
     def test_distinct_values_are_singletons_in_sorted_order(self):
         w = np.array([-1.0, 0.5j, 2.0 - 1j, 2.0 + 1j, 3.0])
-        assert linalg._cluster_eigenvalues(w, 1e-3) == [[0], [1], [2], [3], [4]]
+        assert linalg._cluster_eigenvalues(w, np.full(5, 1e-3)) == [[0], [1], [2], [3], [4]]
 
     def test_one_close_pair(self):
         r = 1e-7
         w = np.array([1.0, 1.0 + 0.5j * r, 2.0, 3.0])
-        assert linalg._cluster_eigenvalues(w, r) == [[0, 1], [2], [3]]
+        assert linalg._cluster_eigenvalues(w, np.full(4, r / 2)) == [[0, 1], [2], [3]]
 
     def test_value_joins_through_the_cluster_mean(self):
-        """0.95j r is 1.05 r from both seeds but 0.95 r from their mean."""
+        """0.95j r is 1.05 r from both seeds but 0.95 r from their mean, and
+        radii r / 2 let a value join within r of the mean."""
         r = 1e-7
         w = np.array([-0.45 * r, 0.45 * r, 0.95j * r])
-        assert linalg._cluster_eigenvalues(w, r) == [[0, 1, 2]]
+        assert linalg._cluster_eigenvalues(w, np.full(3, r / 2)) == [[0, 1, 2]]
 
 
 class TestIntertwiner:
@@ -347,10 +367,11 @@ class TestGreedyMatch:
         assert linalg._greedy_match(np.array([1.0]), np.array([]), np.inf).tolist() == [-1]
 
     def test_conjugate_partners(self):
-        """Each value is matched to the value nearest its conjugate, within
-        ``PAIR_TOL`` of the spectral radius; a real value is its own partner."""
+        """Each value is matched to the value nearest its conjugate, within the
+        sum of the two radii; a real value is its own partner."""
         w = np.array([-1.0, 1 - 2j, 1 + 2j + 1e-11, 3 - 1j, 3 + 1j + 1e-9])
-        npt.assert_array_equal(linalg._conjugate_partners(w), [0, 2, 1, -1, -1])
+        radii = np.full(5, linalg.RESIDUAL_CAP * np.max(np.abs(w)))
+        npt.assert_array_equal(linalg._conjugate_permutation(w, radii), [0, 2, 1, -1, -1])
 
 
 class TestEvolutionOperator:
@@ -540,6 +561,14 @@ class TestDoubleRangeRefusals:
             with pytest.raises(OverflowRangeError, match="cluster centre"):
                 classify_hamiltonian(H)
 
+    def test_eigen_residual(self):
+        # the residual norm overflowed to inf after numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (eig, classify_hamiltonian, solve_intertwiner):
+                with pytest.raises(OverflowRangeError, match="eigen-equation residual"):
+                    call(gain_loss_dimer(1e308))
+
     def test_phase(self):
         times = np.linspace(0.0, 5.0, 201)
         with warnings.catch_warnings():
@@ -548,8 +577,6 @@ class TestDoubleRangeRefusals:
                 evolve(np.diag([1e308, 1.0]), [1.0, 1.0], times)
             with pytest.raises(OverflowRangeError, match="phase"):
                 mat_exp_evolution(eig(np.diag([1e308, 1.0])), 5.0)
-        # eig's own residual overflows to inf here, with numpy's warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(OverflowRangeError, match="phase"):
+            # eig's own residual overflows here: refused there, without a warning
+            with pytest.raises(OverflowRangeError, match="eigen-equation residual"):
                 evolve(gain_loss_dimer(1e308), [1.0, 0.0], times)

@@ -575,6 +575,69 @@ class TestPaperGauge:
             _metric_for(H, policy="paper-gauge")
 
 
+def _similar_near_pair(factor):
+    """``S diag(0.5, 1.5, 1 + 0.5i, 1 - 0.5i + g) S^-1`` with cond(S) = 10 and
+    the gap g at ``factor`` times the pair's cutoff ``(kappa_3 + kappa_4)
+    RESIDUAL_CAP ||H||_2``."""
+    rng = np.random.default_rng(0)
+    Q1, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    S = Q1 @ np.diag(np.geomspace(1.0, 10.0, 4)) @ Q2
+    S_inv = np.linalg.inv(S)
+    w = np.array([0.5, 1.5, 1 + 0.5j, 1 - 0.5j])
+    kappa = np.linalg.norm(S, axis=0) * np.linalg.norm(S_inv, axis=1)
+    norm = np.linalg.norm(S @ np.diag(w) @ S_inv, 2)
+    w[3] += factor * (kappa[2] + kappa[3]) * linalg.RESIDUAL_CAP * norm
+    return S @ np.diag(w) @ S_inv
+
+
+class TestPairingVerdict:
+    """``build_metric`` reads the pairing verdict that ``classify`` reports:
+    a spectrum with unmatched values gets no metric, a paired one gets one,
+    whichever side of ``RESIDUAL_CAP`` its pairs' gaps put the residual."""
+
+    def test_invertible_candidate_of_an_unmatched_spectrum_refused(self):
+        # The pair misses conjugacy by 3 cutoffs; the Schur correction divides
+        # rounding noise by that gap, and the search found a V of condition
+        # 6.6e7 from it, where classify reports the pair unmatched.
+        H = _similar_near_pair(3.0)
+        report, eigsys = classify_hamiltonian(H)
+        assert len(report.unmatched) == 2
+        with pytest.raises(NoMetricError, match="have no conjugate partner within the backward "
+                           "error") as info:
+            build_metric(eigsys, solve_intertwiner(H), H=H)
+        assert linalg._condition(info.value.best_candidate)[1]
+
+    def test_pair_within_the_backward_error_gets_a_metric(self):
+        # At 0.9 cutoffs every intertwiner of the pair misses the equation by
+        # more than RESIDUAL_CAP: the cap adds the residual of L^dag P L.
+        H = _similar_near_pair(0.9)
+        report, eigsys = classify_hamiltonian(H)
+        assert report.unmatched == () and len(report.conjugate_pairs) == 1
+        op = build_metric(eigsys, solve_intertwiner(H), H=H)
+        assert metric.RESIDUAL_CAP < op.residual < 2 * metric.RESIDUAL_CAP
+        assert op.condition_estimate < 10
+
+    def test_near_real_value(self):
+        """1 + 5e-10i is 2.5 radii off the real axis: unmatched, so no metric
+        (classify had counted it real within 1e-9 max|lambda|)."""
+        H = np.diag([1 + 5e-10j, 2]).astype(complex)
+        report, _ = classify_hamiltonian(H)
+        assert report.unmatched == (1 + 5e-10j,) and report.real_values == ((2.0, 1),)
+        with pytest.raises(NoMetricError):
+            _metric_for(H)
+
+    def test_paper_gauge_of_a_pair_within_the_backward_error(self):
+        """The pair misses conjugacy by 1.5e-10 < 2.56e-10, its cutoff: the
+        space is not empty, and the paper gauge, residual 8.3e-11, is taken."""
+        H = np.diag([1 + 0.8j, 1 - 0.8j + 1.5e-10])
+        report, _ = classify_hamiltonian(H)
+        assert report.unmatched == () and len(report.conjugate_pairs) == 1
+        op = _metric_for(H, policy="paper-gauge")
+        assert np.array_equal(op.V, PAPER_GAUGE_V)
+        assert op.residual == pytest.approx(8.3e-11, rel=1e-2)
+
+
 _CONSUMERS = {
     "evolve": lambda V: evolve(DIAG_PAIR, [1.0, 0.0], [0.0, 1.0], V=V),
     "pseudounitarity_residual": lambda V: pseudounitarity_residual(DIAG_PAIR, V, [0.0, 1.0]),

@@ -16,7 +16,6 @@ from ptresonance import (
     phase_shift,
     pt_propagator,
     quadrature_ift,
-    scattering_amplitude,
     time_delay,
 )
 from ptresonance.response import _PANEL_BLOCK, energy_response
@@ -57,7 +56,6 @@ class TestSinglePolePropagator:
             pt_propagator,
             phase_shift,
             time_delay,
-            scattering_amplitude,
             pytest.param(
                 lambda E, p: energy_response("pt-pair", p, np.atleast_1d(E)), id="energy_response"
             ),
@@ -210,20 +208,6 @@ class TestTimeDelay:
             assert abs(grid[idx] - P.e0) <= step
 
 
-class TestAmplitude:
-    def test_delay_closed_form(self):
-        """exp(i delta) sin(delta) with tan(delta) = Gamma/(E0 - E) equals
-        Gamma / (E0 - i Gamma - E)."""
-        grid = default_energy_grid(P, points=101)
-        expected = P.gamma / (P.e0 - 1j * P.gamma - grid)
-        npt.assert_allclose(scattering_amplitude(grid, P, "delay"), expected, rtol=1e-12)
-
-    def test_advance_closed_form(self):
-        grid = default_energy_grid(P, points=101)
-        expected = -P.gamma / (P.e0 + 1j * P.gamma - grid)
-        npt.assert_allclose(scattering_amplitude(grid, P, "advance"), expected, rtol=1e-12)
-
-
 class TestModel:
     def test_single_pole_model(self):
         m = build_model("breit-wigner", P)
@@ -315,6 +299,23 @@ class TestInverseTransform:
             warnings.simplefilter("error")
             with pytest.raises(OverflowRangeError, match="residue exponent inf exceeds cap 300"):
                 inverse_ft(m, 5.0)
+
+    def test_phase_beyond_the_double_range(self):
+        # E0 t = 5e308: refused at the phase, where 129 of 201 values came out
+        # non-finite after numpy's overflow warnings
+        m = build_model("breit-wigner", ResonanceParams(1e308, 0.8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="phase"):
+                inverse_ft(m, np.linspace(0.0, 5.0, 201))
+
+    @pytest.mark.parametrize("kind", ["breit-wigner", "pt-pair"])
+    def test_residue_sum_bit_for_bit(self, kind):
+        """The guarded phases leave the residue sum of finite input unchanged."""
+        m = build_model(kind, P)
+        ts = np.linspace(0.0, 5.0, 201)
+        expected = -1j * np.sum(m.residues[:, None] * np.exp(-1j * np.outer(m.poles, ts)), axis=0)
+        assert np.array_equal(inverse_ft(m, ts).view(np.uint64), expected.view(np.uint64))
 
     def test_first_order_relation(self):
         """(d/dt + i E0 + Gamma) applied to the single-pole transform vanishes."""

@@ -15,8 +15,6 @@ from ptresonance import (
     eig,
     gain_loss_dimer,
     linalg,
-    pt_unbroken,
-    symmetry,
 )
 
 SIGMA_X = AntilinearSymmetry(PAULI_X)
@@ -114,24 +112,26 @@ class TestClassifySpectrum:
 
     def test_real_multiplicities_use_the_cluster_rule(self):
         """Real values merge by the defect test's rule, within the radius of
-        a cluster's mean, not by a chain of adjacent gaps: the third value is
-        0.9e-9 from the second but 1.35e-9 from the mean of the first two."""
-        rep = classify_spectrum([1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9])
+        a cluster's mean, not by a chain of adjacent gaps.  Each value has the
+        radius 1e-10 (``RESIDUAL_CAP`` times max|lambda|), so values within 2e-10
+        of a cluster's mean join it: the third value is 1.8e-10 from the second
+        but 2.7e-10 from the mean of the first two."""
+        rep = classify_spectrum([1.0, 1.0 + 1.8e-10, 1.0 + 3.6e-10])
         assert [m for _, m in rep.real_values] == [2, 1]
-        npt.assert_allclose([v for v, _ in rep.real_values], [1.00000000045, 1.0000000018],
+        npt.assert_allclose([v for v, _ in rep.real_values], [1.00000000009, 1.00000000036],
                             rtol=1e-15)
         assert rep.total_multiplicity == 3
 
     def test_pairs_are_the_intertwiner_matching(self):
-        """Every classified pair is a pair of ``linalg._conjugate_partners``,
+        """Every classified pair is a pair of ``linalg._conjugate_permutation``,
         the matching whose sum leads the intertwiner basis."""
         rng = np.random.default_rng(47)
         for _ in range(40):
             H, _ = random_pt_symmetric(rng, int(rng.integers(2, 9)))
             w = eig(H).eigenvalues
-            partner = linalg._conjugate_partners(w)
+            cut = linalg.RESIDUAL_CAP * np.max(np.abs(w))
+            partner = linalg._conjugate_permutation(w, np.full(w.shape, cut))
             rep = classify_spectrum(w)
-            cut = symmetry.DEFAULT_CLASSIFY_TOL * np.max(np.abs(w))
             matched = {(w[k].real + w[m].real, w[k].imag - w[m].imag)
                        for k, m in enumerate(partner) if w[k].imag > cut and m >= 0}
             assert {(2 * e0, 2 * g) for e0, g in rep.conjugate_pairs} == matched
@@ -141,24 +141,15 @@ class TestClassifySpectrum:
         counted real is nearer the lower value's conjugate than the upper
         value is, so the matching gives it the lower value, and the upper one
         finds no partner."""
-        w = [1 + 0.99999e-9j, 1 - 1.00001e-9j, 1 + 1.00001e-9j]
+        w = [1 + 0.99999e-10j, 1 - 1.00001e-10j, 1 + 1.00001e-10j]
         rep = classify_spectrum(w)
         assert rep.real_values == ((1.0, 1),)
         assert rep.conjugate_pairs == ()
-        assert rep.unmatched == (1 - 1.00001e-9j, 1 + 1.00001e-9j)
+        assert rep.unmatched == (1 - 1.00001e-10j, 1 + 1.00001e-10j)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             classify_spectrum([np.nan + 0j])
-        with pytest.raises(ValueError):
-            classify_spectrum([1.0], tol=0.0)
-        for tol in (np.nan, np.inf, -np.inf, -1e-9):
-            with pytest.raises(ValueError, match="tol must be finite and positive"):
-                classify_spectrum([1.0 + 1e-3j, 1.0 - 1e-3j], tol=tol)
-        # |Im| <= max|lambda|: from tol = 1 on, the pair would be one real value
-        for tol in (1.0, 1e308):
-            with pytest.raises(ValueError, match="tol must be below 1"):
-                classify_spectrum([1.0 + 1e-3j, 1.0 - 1e-3j], tol=tol)
 
 
 class TestExceptionalPoint:
@@ -179,52 +170,3 @@ class TestExceptionalPoint:
         assert not eigsys.defective
         assert rep.exceptional == ()
         assert rep.conjugate_pairs == ((pytest.approx(1.0), pytest.approx(0.8)),)
-
-
-class TestUnbrokenPhase:
-    def test_real_spectrum_unbroken(self):
-        H = gain_loss_dimer(2.0)
-        assert pt_unbroken(SIGMA_X, eig(H))
-
-    def test_complex_pair_broken(self):
-        """The antilinear map swaps the two eigenvectors of a conjugate pair."""
-        H = gain_loss_dimer(0.6)
-        assert not pt_unbroken(SIGMA_X, eig(H))
-
-    def test_hermitian_with_trivial_linear_part(self):
-        H = np.diag([1.0, 2.0]).astype(complex)
-        sym = AntilinearSymmetry(np.eye(2))
-        assert pt_unbroken(sym, eig(H))
-
-    def test_defective_rejected(self):
-        H = gain_loss_dimer(1.0)
-        with pytest.raises(DefectiveMatrixError):
-            pt_unbroken(SIGMA_X, eig(H))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            pt_unbroken(SIGMA_X, eig(np.eye(3)))
-
-    def test_hamiltonian_and_tol_arguments_removed(self):
-        """The eigensystem carries H's size; the tolerance is fixed."""
-        H = gain_loss_dimer(2.0)
-        with pytest.raises(TypeError):
-            pt_unbroken(H, SIGMA_X, eig(H))
-        with pytest.raises(TypeError):
-            pt_unbroken(SIGMA_X, eig(H), tol=1e-8)
-
-    def test_matches_real_spectrum_criterion(self):
-        rng = np.random.default_rng(47)
-        hits = {True: 0, False: 0}
-        for _ in range(40):
-            n = int(rng.integers(2, 5))
-            H, P = random_pt_symmetric(rng, n)
-            eigsys = eig(H)
-            if eigsys.defective:
-                continue
-            expected = bool(np.all(np.abs(eigsys.eigenvalues.imag) <= 1e-8))
-            got = pt_unbroken(AntilinearSymmetry(P), eigsys)
-            assert got == expected
-            hits[expected] += 1
-        # the draw must have exercised both phases
-        assert hits[True] > 0 and hits[False] > 0
