@@ -85,12 +85,18 @@ def _greedy_match(a: np.ndarray, b: np.ndarray, cutoff) -> np.ndarray:
     For each ``a[k]`` in order, ``match[k]`` is the index of the nearest
     still-unused ``b[m]`` with ``|b[m] - a[k]| <= cutoff[k, m]`` (ties go to
     the lowest index), or -1 when there is none.  ``cutoff`` is a scalar or
-    broadcasts to shape ``(len(a), len(b))``.
+    broadcasts to shape ``(len(a), len(b))``.  When no point has two
+    candidates on either side, that unique assignment is the result.
     """
     dist = np.abs(np.subtract.outer(a, b))
-    dist[~(dist <= cutoff)] = np.inf  # beyond the cutoff, like a used b: never a partner
+    candidate = (dist <= cutoff) & (dist < np.inf)
     match = np.full(len(a), -1)
-    for k in range(len(a) if len(b) else 0):
+    rows, cols = np.nonzero(candidate)
+    if len(set(rows.tolist())) == rows.size == len(set(cols.tolist())):
+        match[rows] = cols
+        return match
+    dist[~candidate] = np.inf  # beyond the cutoff, like a used b: never a partner
+    for k in range(len(a)):
         m = int(np.argmin(dist[k]))
         if dist[k, m] < np.inf:
             match[k] = m
@@ -124,10 +130,12 @@ def _conjugate_permutation(w: np.ndarray, radii: np.ndarray) -> np.ndarray:
     real = np.abs(w.imag) <= radii
     partner = _greedy_match(np.conj(w), w, _pair_cutoffs(radii))
     perm = np.where(real, np.arange(w.size), -1)
-    for k in np.flatnonzero(~real & (w.imag > 0)):
-        m = partner[k]
-        if m >= 0 and not real[m] and w[m].imag < 0:
-            perm[k], perm[m] = m, k
+    k = np.flatnonzero(~real & (w.imag > 0) & (partner >= 0))
+    m = partner[k]
+    pair = ~real[m] & (w[m].imag < 0)
+    k, m = k[pair], m[pair]
+    # the matching uses each value once, so no entry is written twice
+    perm[k], perm[m] = m, k
     return perm
 
 

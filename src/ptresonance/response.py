@@ -10,7 +10,10 @@ single-pole transform is also computable by direct quadrature of the inverse
 Fourier integral, which serves as the independent cross-check; the two-pole
 form has a growing mode and is residue-only.  The propagators, phase shifts,
 time delays and transforms raise ``ValueError`` on a NaN or infinite energy
-or time.
+or time.  Every single-pole propagator value ``G``, the quadrature's included,
+is checked by ``G (E - E0 + i Gamma) = 1`` and refused with
+``FloatingPointError`` where ``(E - E0)^2 + Gamma^2`` is not a normal finite
+double, the range rule of the time delay.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ MODEL_KINDS = ("breit-wigner", "pt-pair")
 LOWER = "lower"
 
 _FORM_CHECK_TOL = 1e-13
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -78,31 +82,47 @@ def _branch_sign(branch: str) -> float:
     return 1.0 if branch == "delay" else -1.0
 
 
+def _checked_inverse(d: np.ndarray, gamma: float) -> np.ndarray:
+    """``1/(d + i Gamma)`` on an array of finite offsets ``d = E - E0``, each
+    value checked by its defining identity, ``|value (d + i Gamma) - 1|`` at
+    most 1e-13.
+
+    In exact arithmetic the identity's residual is the relative difference to
+    the rationalized form ``(d - i Gamma) / den``, ``den = d^2 + Gamma^2``;
+    it costs one product and no square root or division.  Where ``den`` is
+    not a normal finite double at some node (the range rule of
+    ``time_delay``, decided exactly by the nearest and the farthest |d|),
+    or the residual exceeds 1e-13 or is NaN, the check fails closed with
+    ``FloatingPointError``.
+    """
+    offsets = np.abs(d)
+    near, far = float(offsets.min()), float(offsets.max())
+    gamma2 = gamma * gamma
+    if not (near * near + gamma2 >= _NORMAL_MIN and far * far + gamma2 < np.inf):
+        raise FloatingPointError(
+            "propagator check: (E - E0)^2 + Gamma^2 leaves the normal double range"
+        )
+    z = d + 1j * gamma
+    value = 1.0 / z
+    z *= value
+    z -= 1.0
+    if not np.max(np.abs(z)) <= _FORM_CHECK_TOL:
+        raise FloatingPointError(
+            "propagator check: G (E - E0 + i Gamma) differs from 1 beyond machine precision"
+        )
+    return value
+
+
 def bw_propagator(E, p: ResonanceParams):
     """Single-pole resonance propagator ``1/(E - E0 + i Gamma)``.
 
-    Every evaluation is verified against the rationalized form
-    ``(E - E0 - i Gamma) / den``, ``den = (E - E0)^2 + Gamma^2``, in real
-    arithmetic: the rational form has modulus ``den^(-1/2)``, so the relative
-    difference is ``|value sqrt(den) - (E - E0 - i Gamma) / sqrt(den)|``.  It
-    must be at most 1e-13, and where it cannot be computed (NaN, or ``den``
-    overflowing or underflowing) the check fails closed with
-    ``FloatingPointError``.  Non-finite E raises ``ValueError``.
+    Every value is checked by ``G (E - E0 + i Gamma) = 1`` to 1e-13, and
+    refused with ``FloatingPointError`` where ``(E - E0)^2 + Gamma^2`` leaves
+    the normal double range, as in ``time_delay`` (see ``_checked_inverse``).
+    Non-finite E raises ``ValueError``.
     """
     x, scalar = _finite_grid(E, "E")
-    d = x - p.e0
-    value = 1.0 / (d + 1j * p.gamma)
-    s = np.sqrt(d * d + p.gamma * p.gamma)
-    # products, squares and sum in place, to spare block-sized temporaries
-    re = value.real * s
-    re -= d / s
-    im = value.imag * s
-    im += p.gamma / s
-    re *= re
-    im *= im
-    re += im
-    if not np.max(re) <= _FORM_CHECK_TOL**2:
-        raise FloatingPointError("propagator forms disagree beyond machine precision")
+    value = _checked_inverse(x - p.e0, p.gamma)
     return complex(value[0]) if scalar else value
 
 
@@ -150,7 +170,7 @@ def time_delay(E, p: ResonanceParams, branch: str = "delay"):
     x, scalar = _finite_grid(E, "E")
     d = x - p.e0
     den = d * d + p.gamma * p.gamma
-    if not np.all((den >= np.finfo(float).tiny) & (den < np.inf)):
+    if not np.all((den >= _NORMAL_MIN) & (den < np.inf)):
         raise FloatingPointError(
             "time delay denominator (E - E0)^2 + Gamma^2 leaves the normal double range"
         )
@@ -269,6 +289,9 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     times a step table ``exp(-2i h t m)`` built once per call: 2104
     exponentials at N = 200000 instead of 6N.  A block is evaluated as a
     (nodes, panels) array and reduced as ``(node weights @ f) @ phases``.
+    Its nodes are finite offsets by construction, so they go straight to the
+    propagator's check, ``_checked_inverse``, without ``bw_propagator``'s
+    validation.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
@@ -279,7 +302,6 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     h = L / N
     node_weights = h * weights * np.exp(-1j * h * t * nodes)
-    centred = ResonanceParams(0.0, p.gamma)
     # Centres of the panels on x >= 0 are h q, q = q0 + 2m ascending with
     # q0 = 0 or 1; for odd N, q[0] = 0 is the centre panel.
     q = np.arange((N + 1) % 2, N, 2, dtype=float)
@@ -287,7 +309,7 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     total = 0.0j
     for start in range(0, q.size, _PANEL_BLOCK):
         centres = h * q[start : start + _PANEL_BLOCK]
-        f = bw_propagator(h * nodes[:, None] + centres, centred)
+        f = _checked_inverse(h * nodes[:, None] + centres, p.gamma)
         phases = np.exp(-1j * h * t * q[start]) * steps[: centres.size]
         if start == 0 and N % 2:
             phases[0] *= 0.5  # the centre panel is its own mirror image

@@ -691,9 +691,11 @@ class TestFiniteOut:
             ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e-320"],
             ["response", "--kind", "breit-wigner", "--e0", "1", "--gamma", "1e300"],
             ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e308"],
+            ["response", "--kind", "pt-pair", "--e0", "0", "--gamma", "1e-160"],
         ],
         ids=["evolve-s", "evolve-e0", "evolve-psi0", "classify-s", "metric-s", "response-e0",
-             "response-gamma", "response-bw-gamma", "response-gamma-large"],
+             "response-gamma", "response-bw-gamma", "response-gamma-large",
+             "response-gamma-subnormal"],
     )
     def test_exit_5_with_one_line(self, argv, tmp_path, capsys):
         before = np.geterr()
@@ -712,6 +714,15 @@ class TestFiniteOut:
         argv = ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e308"]
         assert main(argv + ["--output", str(tmp_path / "out")]) == 5
         assert capsys.readouterr().err == "overflow: residue exponent inf exceeds cap 300\n"
+
+    def test_subnormal_denominator_names_the_propagator_check(self, tmp_path, capsys):
+        # Gamma^2 = 1e-320 is subnormal at E = E0: refused by the propagator's
+        # range rule before the time delay's
+        argv = ["response", "--kind", "pt-pair", "--e0", "0", "--gamma", "1e-160"]
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err == (
+            "overflow: propagator check: (E - E0)^2 + Gamma^2 leaves the normal double range\n"
+        )
 
 
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "abc")

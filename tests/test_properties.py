@@ -6,7 +6,8 @@ values are real (with their multiplicities), which pair up, which are left
 over, or the dimension of the intertwiner space.  The classification itself
 must not depend on the order of its input, and a report must survive a round
 trip through its own eigenvalue list.  ``classify``'s verdict and the metric's
-agree: a spectrum reported paired gets a metric, any other none.
+agree: a spectrum reported paired gets a metric, any other none.  The
+matching and the pairing verdict give what their loop forms give.
 
 Inputs are random PT-symmetric matrices from ``helpers.random_pt_symmetric``
 at unit 2-norm, and drawn spectra ``S diag(w) S^-1`` with values moved to
@@ -156,3 +157,85 @@ def test_verdicts_agree_near_the_cutoff(H):
     except (NoMetricError, DefectiveMatrixError):
         built = False
     assert built == (not report.unmatched and not report.exceptional)
+
+
+def _loop_greedy_match(a, b, cutoff):
+    """``linalg._greedy_match`` as a loop over every point of ``a``."""
+    dist = np.abs(np.subtract.outer(a, b))
+    dist[~(dist <= cutoff)] = np.inf
+    match = np.full(len(a), -1)
+    for k in range(len(a) if len(b) else 0):
+        m = int(np.argmin(dist[k]))
+        if dist[k, m] < np.inf:
+            match[k] = m
+            dist[:, m] = np.inf
+    return match
+
+
+def _loop_conjugate_permutation(w, radii):
+    """``linalg._conjugate_permutation`` with the pairs written one by one."""
+    real = np.abs(w.imag) <= radii
+    partner = _loop_greedy_match(np.conj(w), w, np.add.outer(radii, radii))
+    perm = np.where(real, np.arange(w.size), -1)
+    for k in np.flatnonzero(~real & (w.imag > 0)):
+        m = partner[k]
+        if m >= 0 and not real[m] and w[m].imag < 0:
+            perm[k], perm[m] = m, k
+    return perm
+
+
+# Points on a lattice of 1/32 with radii of 1/16 to 1/4: distances are exact,
+# so equal distances tie exactly, and a value lies within the cutoff of none,
+# one or several others.
+LATTICE = st.builds(complex, st.integers(-40, 40).map(lambda k: k / 32),
+                    st.integers(-12, 12).map(lambda k: k / 32))
+RADII = st.sampled_from([1 / 16, 1 / 8, 1 / 4])
+
+
+@st.composite
+def crowded_points(draw, max_size=12):
+    """Lattice points, some repeated, and near-conjugate chains: a value,
+    then copies of its conjugate and of itself each one lattice step further
+    from the real axis."""
+    points = draw(st.lists(LATTICE, max_size=max_size))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=4))
+    for start in draw(st.lists(LATTICE, max_size=2)):
+        for j in range(draw(st.integers(1, 4))):
+            z = start + 1j * j / 32
+            points += [z, z.conjugate()]
+    return np.array(points, dtype=complex)
+
+
+@st.composite
+def crowded_spectrum(draw):
+    """Crowded points and a radius for each."""
+    w = draw(crowded_points())
+    return w, np.array(draw(st.lists(RADII, min_size=w.size, max_size=w.size)), dtype=float)
+
+
+@PROPERTY
+@given(crowded_points(), crowded_spectrum(), st.one_of(RADII, st.just(np.inf), st.none()))
+def test_greedy_match_is_the_loop(a, spectrum, cutoff):
+    """With at most one candidate per point the matching skips the loop;
+    either way it is the loop's matching, for a scalar cutoff and for the
+    per-pair cutoffs ``radius_a + radius_b`` (None)."""
+    b, radii = spectrum
+    if cutoff is None:
+        cutoff = np.add.outer(np.resize(radii, a.size), radii)
+    np.testing.assert_array_equal(
+        linalg._greedy_match(a, b, cutoff), _loop_greedy_match(a, b, cutoff)
+    )
+
+
+@PROPERTY
+@given(crowded_spectrum())
+def test_conjugate_permutation_is_the_loop(spectrum):
+    """In drawn and in sorted order, the pairs written at once are the pairs
+    written one by one."""
+    w, radii = spectrum
+    order = np.lexsort((w.imag, w.real))
+    for values, r in ((w, radii), (w[order], radii[order])):
+        np.testing.assert_array_equal(
+            linalg._conjugate_permutation(values, r), _loop_conjugate_permutation(values, r)
+        )

@@ -18,7 +18,7 @@ from ptresonance import (
     quadrature_ift,
     time_delay,
 )
-from ptresonance.response import _PANEL_BLOCK, energy_response
+from ptresonance.response import _PANEL_BLOCK, _checked_inverse, energy_response
 
 P = ResonanceParams(1.0, 0.8)
 
@@ -72,13 +72,31 @@ class TestSinglePolePropagator:
     )
     def test_form_check_fails_closed(self, propagator, gamma):
         """At E = E0, Gamma^2 is subnormal (1e-160), overflows (1e160) or
-        underflows to 0 (1e-170), and the second form cannot confirm the
-        value.  A check that reads NaN there (the complex-arithmetic ones at
-        1e-160 and 1e-170, the real-arithmetic one at 1e160 and 1e-170)
-        passes under a ``>`` comparison."""
+        underflows to 0 (1e-170), and the rationalized form cannot confirm
+        the value.  A check that reads NaN there (the complex-arithmetic ones
+        at 1e-160 and 1e-170, the real-arithmetic one at 1e160 and 1e-170)
+        passes under a ``>`` comparison; the identity ``G (E - E0 + i Gamma)
+        = 1`` holds at all three, so bw_propagator refuses them by the range
+        of ``(E - E0)^2 + Gamma^2``."""
         p = ResonanceParams(1.0, gamma)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             propagator(p.e0, p)
+
+    @pytest.mark.parametrize("e0, gamma", [(1.0, 0.8), (-3.0, 1e-6), (0.0, 1e-150), (2.0, 1e150)])
+    def test_bit_for_bit_the_quotient(self, e0, gamma):
+        """The checked value is ``1/(E - E0 + i Gamma)`` itself, on a grid from
+        the peak to far tails, and so are both kinds of energy curve."""
+        p = ResonanceParams(e0, gamma)
+        E = e0 + gamma * np.concatenate(
+            [-np.logspace(-20, 150, 1500)[::-1], [0.0], np.logspace(-20, 150, 1500)]
+        )
+        E = E[np.abs(E - e0) < 1e150]
+        expected = 1.0 / (E - e0 + 1j * gamma)
+        npt.assert_array_equal(bw_propagator(E, p).view(np.uint64), expected.view(np.uint64))
+        for kind, d in (("breit-wigner", expected), ("pt-pair", expected - np.conj(expected))):
+            table = energy_response(kind, p, E)
+            npt.assert_array_equal(table["re_d"].view(np.uint64), d.real.view(np.uint64))
+            npt.assert_array_equal(table["im_d"].view(np.uint64), d.imag.view(np.uint64))
 
 
 def _complex_form_check(E, p):
@@ -91,8 +109,40 @@ def _complex_form_check(E, p):
     return np.abs(value - rational) / np.abs(rational)
 
 
+def _real_form_check(E, p):
+    """The same difference in real arithmetic, squared, as bw_propagator
+    checked it before the identity check: the rational form has modulus
+    ``den^(-1/2)``, so the difference is ``|value sqrt(den) - (d - i Gamma) /
+    sqrt(den)|``.  NaN where it cannot be computed."""
+    d = np.asarray(E, dtype=float) - p.e0
+    value = 1.0 / (d + 1j * p.gamma)
+    s = np.sqrt(d * d + p.gamma * p.gamma)
+    re = value.real * s - d / s
+    im = value.imag * s + p.gamma / s
+    return re * re + im * im
+
+
+def _refused(E, p, function=bw_propagator):
+    """Whether ``function`` refuses each energy of E on its own."""
+    refused = []
+    for e in E:
+        try:
+            function(e, p)
+            refused.append(False)
+        except FloatingPointError:
+            refused.append(True)
+    return np.array(refused)
+
+
+def _normal_den(E, p):
+    """Whether ``(E - E0)^2 + Gamma^2`` is a normal finite double, per energy."""
+    d = np.asarray(E, dtype=float) - p.e0
+    den = d * d + p.gamma * p.gamma
+    return (den >= np.finfo(float).tiny) & (den < np.inf)
+
+
 class TestFormCheckVerdicts:
-    """The real-arithmetic check in bw_propagator against the complex one."""
+    """The identity check in bw_propagator against the two-form checks."""
 
     # E0 = 0 keeps the offsets of the Gamma = 1e-150 grid from rounding away.
     @pytest.mark.parametrize("e0, gamma", [(1.0, 0.8), (0.0, 1e-150), (0.0, 1e150)])
@@ -104,21 +154,69 @@ class TestFormCheckVerdicts:
         E = p.e0 + offsets
         with np.errstate(all="ignore"):
             err = _complex_form_check(E, p)
-            compared = 0
-            for e, ref in zip(E, err):
-                if np.isnan(ref):
-                    continue
-                try:
-                    bw_propagator(e, p)
-                    failed = False
-                except FloatingPointError:
-                    failed = True
-                assert failed == (ref > 1e-13), (e, ref)
-                compared += 1
-        assert compared >= 2000
+            refused = _refused(E, p)
+            # the real-arithmetic check, kept as the reference, on every energy
+            npt.assert_array_equal(refused, ~(_real_form_check(E, p) <= 1e-13**2))
+        compared = ~np.isnan(err)
+        npt.assert_array_equal(refused[compared], err[compared] > 1e-13)
+        assert np.sum(compared) >= 2000
         # |E - E0| = 1e150 passes and 1e155, where (E - E0)^2 overflows, fails
         assert err[-3] <= 1e-13 and err[-2] <= 1e-13
         assert err[-4] > 1e-13 and err[-1] > 1e-13
+
+    @pytest.mark.parametrize("e0, gamma", [(1.0, 0.8), (1.0, 0.3), (2.0, 0.5)])
+    def test_quadrature_nodes_pass_both_checks(self, e0, gamma, monkeypatch):
+        """Every node of the cross-check's rule at N = 200000, L = 1e4 Gamma,
+        passes the identity check and the real-arithmetic one.  The nodes are
+        offsets from E0, so the reference reads them with E0 = 0."""
+        seen = []
+
+        def spy(d, g):
+            seen.append(d.copy())
+            return _checked_inverse(d, g)
+
+        monkeypatch.setattr("ptresonance.response._checked_inverse", spy)
+        quadrature_ift(ResonanceParams(e0, gamma), 0.5, 1e4 * gamma, 200000)
+        nodes = np.concatenate([d.ravel() for d in seen])
+        assert nodes.size == 6 * 100000
+        assert np.max(_real_form_check(nodes, ResonanceParams(0.0, gamma))) <= 1e-13**2
+
+    @pytest.mark.parametrize(
+        "band",
+        ["gamma at E0", "E at gamma 1e-160", "E at gamma 1e-170", "gamma at the overflow"],
+    )
+    def test_band_where_den_leaves_the_normal_range(self, band):
+        """bw_propagator refuses exactly where ``(E - E0)^2 + Gamma^2`` is not a
+        normal finite double, and so does time_delay.  The real-arithmetic
+        check refused the same energies at and beyond the overflow, but inside
+        the subnormal band only where the rounding of the subnormal
+        denominator cost more than 1e-13, about half of them: those verdicts
+        move from pass to refusal, and every one of its refusals stays."""
+        edge = np.sqrt(np.finfo(float).tiny)
+        if band == "gamma at E0":
+            cases = [(0.0, ResonanceParams(0.0, g)) for g in edge * np.logspace(-4, 1, 1201)]
+        elif band == "gamma at the overflow":
+            top = np.sqrt(np.finfo(float).max)
+            cases = [(0.0, ResonanceParams(0.0, g)) for g in top * np.logspace(-1, 0.02, 1201)]
+        else:
+            p = ResonanceParams(0.0, 1e-160 if band.endswith("1e-160") else 1e-170)
+            offsets = edge * np.logspace(-4, 1, 600)
+            cases = [(e, p) for e in np.concatenate([-offsets, offsets])]
+        with np.errstate(all="ignore"):
+            refused = np.array([_refused([e], p)[0] for e, p in cases])
+            delay_refused = np.array([_refused([e], p, time_delay)[0] for e, p in cases])
+            normal = np.array([_normal_den([e], p)[0] for e, p in cases])
+            reference = np.array([not _real_form_check(e, p) <= 1e-13**2 for e, p in cases])
+        assert np.any(normal) and np.any(~normal)
+        npt.assert_array_equal(refused, ~normal)
+        npt.assert_array_equal(delay_refused, ~normal)
+        npt.assert_array_equal(reference[normal], refused[normal])
+        assert np.all(refused[reference])
+        moved = refused & ~reference
+        if band == "gamma at the overflow":
+            assert not np.any(moved)
+        else:
+            assert 0 < np.sum(moved) < np.sum(~normal)
 
 
 class TestTwoPolePropagator:
@@ -423,14 +521,14 @@ class TestQuadratureFold:
 
     def test_two_form_check_runs_on_every_node(self, monkeypatch):
         """The x >= 0 half of N = 4 B + 3 panels is 2 B + 2 panels of 6 nodes,
-        in three blocks of at most B panels."""
+        in three blocks of at most B panels, each checked by the kernel."""
         seen = []
 
-        def counting(E, p):
-            seen.append(np.size(E))
-            return bw_propagator(E, p)
+        def counting(d, gamma):
+            seen.append(np.size(d))
+            return _checked_inverse(d, gamma)
 
-        monkeypatch.setattr("ptresonance.response.bw_propagator", counting)
+        monkeypatch.setattr("ptresonance.response._checked_inverse", counting)
         quadrature_ift(P, 0.5, 40.0, 4 * _PANEL_BLOCK + 3)
         assert sum(seen) == 6 * (2 * _PANEL_BLOCK + 2)
         assert len(seen) == 3
