@@ -5,15 +5,15 @@ File formats are the JSON matrix interchange format and plain CSV with full
 double precision (17 significant digits), so outputs are byte-identical for
 identical configurations and can be fed back into downstream commands.
 
-Exit codes: 0 success, 1 malformed input (usage errors included), 2 broken
-(unpairable) spectrum, 3 exceptional point, 4 no metric operator, 5 overflow
-guard or non-finite intermediate (subcommands run under an ``np.errstate``
-raising on overflow, invalid and divide).  No subcommand takes a tolerance:
-``classify``, ``metric`` and ``evolve`` decide realness, pairing and the
-exceptional point (exit 3) within one backward error, ``linalg.RESIDUAL_CAP``
-times ``||H||_2``, so they give one verdict per matrix.  Grid bounds must be
-finite and come in start/stop pairs, and every grid must have at least 2
-points and be strictly ascending (no repeated values).
+Exit codes, one exception type each (``errors``): 0 success, 1 malformed input
+(usage errors included), 2 broken (unpairable) spectrum, 3 exceptional point, 4
+no metric operator, 5 overflow guard or non-finite intermediate (subcommands
+run under an ``np.errstate`` raising on overflow, invalid and divide).  No
+subcommand takes a tolerance: ``classify``, ``metric`` and ``evolve`` decide
+realness, pairing and the exceptional point (exit 3) within one backward error,
+``linalg.RESIDUAL_CAP`` times ``||H||_2``, so they give one verdict per matrix.
+Grid bounds must be finite and come in start/stop pairs, and every grid must
+have at least 2 points and be strictly ascending (no repeated values).
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import sys
 import numpy as np
 
 from . import evolution, linalg, metric, odes, response, symmetry
-from .errors import (
-    ConvergenceError,
-    DefectiveMatrixError,
-    NoMetricError,
-    OverflowRangeError,
-)
+from .errors import DefectiveMatrixError, NoMetricError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -362,7 +357,7 @@ def main(argv=None) -> int:
         # A non-finite intermediate is an error here, never a NaN in the output.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (ValueError, ConvergenceError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DefectiveMatrixError as exc:
@@ -371,7 +366,7 @@ def main(argv=None) -> int:
     except NoMetricError as exc:
         print(f"no metric: {exc}", file=sys.stderr)
         return EXIT_NO_METRIC
-    except (OverflowRangeError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per CLI exit code:
+``ValueError`` (1; ``ConvergenceError`` is one), ``DefectiveMatrixError`` (3),
+``NoMetricError`` (4) and ``FloatingPointError`` (5; ``OverflowRangeError`` is one)."""
 
 __all__ = ["ConvergenceError", "DefectiveMatrixError", "NoMetricError", "OverflowRangeError"]
 
@@ -12,9 +14,9 @@ class NoMetricError(Exception):
     """Raised when no invertible metric operator can be constructed."""
 
 
-class OverflowRangeError(Exception):
-    """Raised when a growing mode would overflow double precision."""
+class OverflowRangeError(FloatingPointError):
+    """Raised when a value would leave the double range or lose its digits there."""
 
 
-class ConvergenceError(Exception):
+class ConvergenceError(ValueError):
     """Raised when the underlying eigenvalue iteration fails to converge."""

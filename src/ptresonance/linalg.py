@@ -79,6 +79,13 @@ def _require_invertible(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is singular (condition estimate {cond:.3g})")
 
 
+def _distances(a: np.ndarray, b) -> np.ndarray:
+    """``|a_i - b_j|``, shape ``shape(a) + shape(b)``; a distance beyond the
+    double range is inf, without a numpy warning, and within no cutoff."""
+    with np.errstate(over="ignore"):
+        return np.abs(np.subtract.outer(a, b))
+
+
 def _greedy_match(a: np.ndarray, b: np.ndarray, cutoff) -> np.ndarray:
     """Greedy nearest-partner matching of the points ``a`` to the points ``b``.
 
@@ -88,7 +95,7 @@ def _greedy_match(a: np.ndarray, b: np.ndarray, cutoff) -> np.ndarray:
     broadcasts to shape ``(len(a), len(b))``.  When no point has two
     candidates on either side, that unique assignment is the result.
     """
-    dist = np.abs(np.subtract.outer(a, b))
+    dist = _distances(a, b)
     candidate = (dist <= cutoff) & (dist < np.inf)
     match = np.full(len(a), -1)
     rows, cols = np.nonzero(candidate)
@@ -309,7 +316,7 @@ def _cluster_eigenvalues(w: np.ndarray, radii: np.ndarray) -> list[list[int]]:
     n = w.shape[0]
     # A cluster grows only from a value within reach of its seed, so when
     # only the n self-distances are that small, every value is a singleton.
-    if np.count_nonzero(np.abs(np.subtract.outer(w, w)) <= _pair_cutoffs(radii)) == n:
+    if np.count_nonzero(_distances(w, w) <= _pair_cutoffs(radii)) == n:
         return [[i] for i in range(n)]
     clusters: list[list[int]] = []
     assigned = np.zeros(n, dtype=bool)
@@ -320,7 +327,7 @@ def _cluster_eigenvalues(w: np.ndarray, radii: np.ndarray) -> list[list[int]]:
         assigned[i] = True
         while True:
             reach = radii + np.max(radii[members])
-            near = np.flatnonzero(~assigned & (np.abs(w - np.mean(w[members])) <= reach))
+            near = np.flatnonzero(~assigned & (_distances(w, np.mean(w[members])) <= reach))
             if near.size == 0:
                 break
             members += near.tolist()
@@ -461,7 +468,7 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     _require_eigenbasis(eigsys)
     w, L, radii = eigsys.eigenvalues, eigsys.left, _radii(eigsys.kappa, eigsys.norm)
     n = eigsys.n
-    paired = np.abs(w[np.newaxis, :] - np.conj(w)[:, np.newaxis]) <= _pair_cutoffs(radii)
+    paired = _distances(np.conj(w), w) <= _pair_cutoffs(radii)
     i, j = np.nonzero(paired)
     k = i.size
     if k == 0:
@@ -480,8 +487,11 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     res = B @ H
     res -= H.conj().T @ B
     # The Kronecker null space reaches about 1.5 eps ||H||_F; correct only
-    # above 4 eps ||H||_F, since near rounding level a correction is noise.
-    if np.max(np.linalg.norm(res, axis=(1, 2))) > 4 * np.finfo(float).eps * np.linalg.norm(H, "fro"):
+    # above 4 eps ||H||_F, since near rounding level a correction is noise
+    # (and never where ||H||_F is beyond the double range).
+    with np.errstate(over="ignore"):
+        noise = 4 * np.finfo(float).eps * np.linalg.norm(H, "fro")
+    if np.max(np.linalg.norm(res, axis=(1, 2))) > noise:
         B -= _null_space_correction(res, H, eigsys.right, paired)
         del res
         Q, _ = np.linalg.qr(B.reshape(k, n * n).T)

@@ -109,7 +109,7 @@ def _check_roots(coeffs, expected: np.ndarray):
     # O(sqrt(eps)); well-separated roots sit at the 1e-10 level
     tol = (1e-10 + 4.0 * np.sqrt(np.finfo(float).eps)) * scale
     if np.any(_greedy_match(roots, expected, tol) < 0):
-        raise FloatingPointError("characteristic-root verification failed")
+        raise OverflowRangeError("characteristic-root verification failed")
 
 
 @dataclass(frozen=True, eq=False)

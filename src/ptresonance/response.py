@@ -10,10 +10,10 @@ single-pole transform is also computable by direct quadrature of the inverse
 Fourier integral, which serves as the independent cross-check; the two-pole
 form has a growing mode and is residue-only.  The propagators, phase shifts,
 time delays and transforms raise ``ValueError`` on a NaN or infinite energy
-or time.  Every single-pole propagator value ``G``, the quadrature's included,
-is checked by ``G (E - E0 + i Gamma) = 1`` and refused with
-``FloatingPointError`` where ``(E - E0)^2 + Gamma^2`` is not a normal finite
-double, the range rule of the time delay.
+or time.  An energy enters as ``E - E0`` by one door, ``_offsets``, and one
+rule, ``_require_normal_range``, refuses a ``(E - E0)^2 + Gamma^2`` that is
+not a normal finite double; every single-pole propagator value ``G``, the
+quadrature's included, is checked by ``G (E - E0 + i Gamma) = 1``.
 """
 
 from __future__ import annotations
@@ -65,15 +65,29 @@ class ResonanceParams:
             raise ValueError("gamma must be positive")
 
 
-def _finite_grid(values, name: str):
-    """``values`` as a 1-D float array, and whether it was a scalar.
-
-    Raises ``ValueError`` naming ``name`` when an entry is NaN or infinite.
+def _offsets(values, name: str, origin: float = 0.0):
+    """The one door for an energy or a time: ``values - origin`` as a 1-D
+    float array (``d = E - E0`` for an energy), and whether it was a scalar.
+    Raises ``ValueError`` naming ``name`` when an entry is NaN or infinite; an
+    offset beyond the double range is infinite, without a numpy warning.
     """
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    return np.atleast_1d(arr), arr.ndim == 0
+    with np.errstate(over="ignore"):
+        return np.atleast_1d(arr) - origin, arr.ndim == 0
+
+
+def _require_normal_range(d: np.ndarray, gamma: float, what: str) -> None:
+    """The one range rule of ``d^2 + Gamma^2``: ``OverflowRangeError`` unless it
+    is a normal finite double (subnormal, it has lost digits) at every offset
+    d, decided exactly by the nearest and the farthest |d|."""
+    if d.size == 0:
+        return
+    offsets = np.abs(d)
+    near, far = float(offsets.min()), float(offsets.max())
+    if not (near * near + gamma * gamma >= _NORMAL_MIN and far * far + gamma * gamma < np.inf):
+        raise OverflowRangeError(f"{what}: (E - E0)^2 + Gamma^2 leaves the normal double range")
 
 
 def _branch_sign(branch: str) -> float:
@@ -89,25 +103,17 @@ def _checked_inverse(d: np.ndarray, gamma: float) -> np.ndarray:
 
     In exact arithmetic the identity's residual is the relative difference to
     the rationalized form ``(d - i Gamma) / den``, ``den = d^2 + Gamma^2``;
-    it costs one product and no square root or division.  Where ``den`` is
-    not a normal finite double at some node (the range rule of
-    ``time_delay``, decided exactly by the nearest and the farthest |d|),
-    or the residual exceeds 1e-13 or is NaN, the check fails closed with
-    ``FloatingPointError``.
+    it costs one product and no square root or division.  It fails closed
+    with ``OverflowRangeError`` by ``_require_normal_range`` or a residual
+    above 1e-13 or NaN.
     """
-    offsets = np.abs(d)
-    near, far = float(offsets.min()), float(offsets.max())
-    gamma2 = gamma * gamma
-    if not (near * near + gamma2 >= _NORMAL_MIN and far * far + gamma2 < np.inf):
-        raise FloatingPointError(
-            "propagator check: (E - E0)^2 + Gamma^2 leaves the normal double range"
-        )
+    _require_normal_range(d, gamma, "propagator check")
     z = d + 1j * gamma
     value = 1.0 / z
     z *= value
     z -= 1.0
-    if not np.max(np.abs(z)) <= _FORM_CHECK_TOL:
-        raise FloatingPointError(
+    if not np.max(np.abs(z), initial=0.0) <= _FORM_CHECK_TOL:
+        raise OverflowRangeError(
             "propagator check: G (E - E0 + i Gamma) differs from 1 beyond machine precision"
         )
     return value
@@ -116,13 +122,13 @@ def _checked_inverse(d: np.ndarray, gamma: float) -> np.ndarray:
 def bw_propagator(E, p: ResonanceParams):
     """Single-pole resonance propagator ``1/(E - E0 + i Gamma)``.
 
-    Every value is checked by ``G (E - E0 + i Gamma) = 1`` to 1e-13, and
-    refused with ``FloatingPointError`` where ``(E - E0)^2 + Gamma^2`` leaves
-    the normal double range, as in ``time_delay`` (see ``_checked_inverse``).
-    Non-finite E raises ``ValueError``.
+    Every value is checked by ``G (E - E0 + i Gamma) = 1`` to 1e-13 and, like
+    one whose ``(E - E0)^2 + Gamma^2`` is not a normal finite double, refused
+    with ``OverflowRangeError`` (see ``_checked_inverse``).  Non-finite E
+    raises ``ValueError``.
     """
-    x, scalar = _finite_grid(E, "E")
-    value = _checked_inverse(x - p.e0, p.gamma)
+    d, scalar = _offsets(E, "E", p.e0)
+    value = _checked_inverse(d, p.gamma)
     return complex(value[0]) if scalar else value
 
 
@@ -131,15 +137,19 @@ def pt_propagator(E, p: ResonanceParams):
 
     Computed both as the two-pole sum
     ``1/(E - (E0 - i Gamma)) - 1/(E - (E0 + i Gamma))`` and as the closed
-    form; the two must agree to 1e-13 relative.  The value is purely
-    imaginary with negative imaginary part for every real E.
+    form, both after ``_require_normal_range``, and must agree to 1e-13
+    relative.  The value is purely imaginary with negative imaginary part.
     """
-    x, scalar = _finite_grid(E, "E")
-    d = x - p.e0
+    d, scalar = _offsets(E, "E", p.e0)
+    _require_normal_range(d, p.gamma, "two-pole propagator")
     two_pole = 1.0 / (d + 1j * p.gamma) - 1.0 / (d - 1j * p.gamma)
     closed = -2j * p.gamma / (d * d + p.gamma * p.gamma)
-    if not np.max(np.abs(two_pole - closed) / np.abs(closed)) <= _FORM_CHECK_TOL:
-        raise FloatingPointError("two-pole and closed propagator forms disagree")
+    # relative difference; a closed value that underflowed to 0 confirms nothing
+    size = np.abs(closed)
+    diff = np.divide(np.abs(two_pole - closed), size, out=np.full(size.shape, np.inf),
+                     where=size > 0)
+    if not np.all(diff <= _FORM_CHECK_TOL):
+        raise OverflowRangeError("two-pole and closed propagator forms disagree")
     return complex(closed[0]) if scalar else closed
 
 
@@ -150,11 +160,11 @@ def phase_shift(E, p: ResonanceParams, branch: str = "delay"):
     ``delta(E0) = +pi/2``; advance branch: the opposite sign, falling
     0 -> -pi with ``delta(E0) = -pi/2``.  The two-argument arctangent keeps
     the branch continuous (no pi jumps) since the Gamma component never
-    vanishes.
+    vanishes, and gives an offset beyond the double range its limit.
     """
     sign = _branch_sign(branch)
-    x, scalar = _finite_grid(E, "E")
-    delta = np.arctan2(sign * p.gamma, p.e0 - x)
+    d, scalar = _offsets(E, "E", p.e0)
+    delta = np.arctan2(sign * p.gamma, -d)
     return float(delta[0]) if scalar else delta
 
 
@@ -163,18 +173,13 @@ def time_delay(E, p: ResonanceParams, branch: str = "delay"):
 
     ``+Gamma / ((E - E0)^2 + Gamma^2)`` on the delay branch, its exact
     negative on the advance branch; peak value ``+/- 1/Gamma`` at E = E0.
-    Fails closed with ``FloatingPointError`` where the denominator is not a
-    normal finite double: subnormal, it has lost digits, and the value with it.
+    Refused with ``OverflowRangeError`` where the denominator is not a normal
+    finite double (``_require_normal_range``).
     """
     sign = _branch_sign(branch)
-    x, scalar = _finite_grid(E, "E")
-    d = x - p.e0
-    den = d * d + p.gamma * p.gamma
-    if not np.all((den >= _NORMAL_MIN) & (den < np.inf)):
-        raise FloatingPointError(
-            "time delay denominator (E - E0)^2 + Gamma^2 leaves the normal double range"
-        )
-    value = sign * p.gamma / den
+    d, scalar = _offsets(E, "E", p.e0)
+    _require_normal_range(d, p.gamma, "time delay")
+    value = sign * p.gamma / (d * d + p.gamma * p.gamma)
     return float(value[0]) if scalar else value
 
 
@@ -197,6 +202,8 @@ class PropagatorModel:
         object.__setattr__(self, "residues", residues)
         if poles.ndim != 1 or poles.shape != residues.shape:
             raise ValueError("poles and residues must be 1-D and the same length")
+        if not (np.all(np.isfinite(poles)) and np.all(np.isfinite(residues))):
+            raise ValueError("poles and residues must be finite")
         # compared, not subtracted: poles 1e308 apart have no finite distance
         if len(set(poles.tolist())) != poles.size:
             raise ValueError("poles must be distinct (simple poles only)")
@@ -245,7 +252,7 @@ def inverse_ft(model: PropagatorModel, t):
     growing mode past ``exp(300)`` or a phase ``p t`` beyond the double range
     raises ``OverflowRangeError``.
     """
-    ts, scalar = _finite_grid(t, "t")
+    ts, scalar = _offsets(t, "t")
     out = np.zeros(ts.shape, dtype=complex)
     after = ts >= 0
     if np.any(after):
@@ -291,7 +298,8 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     (nodes, panels) array and reduced as ``(node weights @ f) @ phases``.
     Its nodes are finite offsets by construction, so they go straight to the
     propagator's check, ``_checked_inverse``, without ``bw_propagator``'s
-    validation.
+    validation.  A phase ``E t`` or a tail estimate beyond the double range
+    raises ``OverflowRangeError``.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
@@ -299,6 +307,12 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
         raise ValueError("truncation half-width L must be finite and positive")
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ValueError("panel count N must be a positive integer")
+    tail = 1.0 / (np.pi * L)
+    if not np.isfinite(tail):
+        raise OverflowRangeError(f"the tail estimate 1/(pi L) leaves the double range, L = {L:g}")
+    # every phase below, E0 t and the node and panel-step phases, is at most this
+    if not np.isfinite((abs(p.e0) + 2.0 * L) * t):
+        raise OverflowRangeError("phase E t is beyond the double range")
     nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     h = L / N
     node_weights = h * weights * np.exp(-1j * h * t * nodes)
@@ -315,16 +329,19 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
             phases[0] *= 0.5  # the centre panel is its own mirror image
         total += (node_weights @ f) @ phases
     value = complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total.imag)
-    return QuadratureResult(value=value, tail_estimate=1.0 / (np.pi * L))
+    return QuadratureResult(value=value, tail_estimate=tail)
 
 
 def default_energy_grid(p: ResonanceParams, halfwidth: float = 20.0, points: int = 2001):
     """Grid of ``points`` energies spanning ``E0 +/- halfwidth * Gamma``.
 
-    ``ValueError`` unless halfwidth and span are positive and finite and
+    ``ValueError`` unless points is a positive integer, halfwidth and span
+    are positive and finite and
     ``linalg._require_grid`` accepts the grid (a Gamma too small to resolve at
     E0 repeats values); ``OverflowRangeError`` if the peak 1/Gamma overflows.
     """
+    if not isinstance(points, (int, np.integer)) or points <= 0:
+        raise ValueError("point count must be a positive integer")
     if not (halfwidth > 0 and np.isfinite(2 * halfwidth)):
         raise ValueError("halfwidth must be positive, with a finite span 2 * halfwidth")
     if not np.isfinite(1.0 / float(p.gamma)):

@@ -22,6 +22,7 @@ from ptresonance import (
     StateTrajectory,
     as_matrix,
     classify_hamiltonian,
+    classify_spectrum,
     damped_oscillator_ivp,
     default_energy_grid,
     eig,
@@ -568,6 +569,17 @@ class TestDoubleRangeRefusals:
             for call in (eig, classify_hamiltonian, solve_intertwiner):
                 with pytest.raises(OverflowRangeError, match="eigen-equation residual"):
                     call(gain_loss_dimer(1e308))
+
+    def test_pairing_at_both_ends(self):
+        """Eigenvalues +/-1e308 are 2e308 apart: that distance is inf, within
+        no cutoff, so both stay real and unpaired, without a numpy warning."""
+        H = np.array([[1e308, 1.0], [1.0, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for report in (classify_hamiltonian(H)[0], classify_spectrum([1e308, -1e308])):
+                assert report.real_values == ((-1e308, 1), (1e308, 1))
+                assert report.conjugate_pairs == report.unmatched == report.exceptional == ()
+            assert solve_intertwiner(H).dimension == 2
 
     def test_phase(self):
         times = np.linspace(0.0, 5.0, 201)

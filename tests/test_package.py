@@ -1,11 +1,13 @@
 """The package surface: public names, each listed once in its own module, and
 the README library example."""
 
+import ast
 import collections
+import inspect
 import pathlib
 
 import ptresonance
-from ptresonance import errors, evolution, linalg, metric, odes, response, symmetry
+from ptresonance import cli, errors, evolution, linalg, metric, odes, response, symmetry
 
 MODULES = (errors, evolution, linalg, metric, odes, response, symmetry)
 
@@ -26,6 +28,17 @@ def test_module_level_names_are_package_names():
     for name in ("DefectCluster", "PTCheck", "PseudoHermiticityResiduals",
                  "characteristic_roots", "energy_response"):
         assert name in ptresonance.__all__
+
+
+def test_one_exception_type_per_exit_code():
+    """Exit 1 is ``ValueError`` and exit 5 ``FloatingPointError``; the package's
+    own types for those failures are kinds of them, and ``cli.main`` catches
+    one type per exit code."""
+    assert issubclass(errors.ConvergenceError, ValueError)
+    assert issubclass(errors.OverflowRangeError, FloatingPointError)
+    tree = ast.parse(inspect.getsource(cli.main))
+    caught = [ast.unparse(h.type) for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)]
+    assert caught == ["ValueError", "DefectiveMatrixError", "NoMetricError", "FloatingPointError"]
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,5 +1,6 @@
 """Tests for propagators, phase shifts, time delay and the inverse transforms."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ptresonance import (
     OverflowRangeError,
+    PropagatorModel,
     ResonanceParams,
     build_model,
     bw_propagator,
@@ -18,6 +20,7 @@ from ptresonance import (
     quadrature_ift,
     time_delay,
 )
+from ptresonance import response
 from ptresonance.response import _PANEL_BLOCK, _checked_inverse, energy_response
 
 P = ResonanceParams(1.0, 0.8)
@@ -205,11 +208,13 @@ class TestFormCheckVerdicts:
         with np.errstate(all="ignore"):
             refused = np.array([_refused([e], p)[0] for e, p in cases])
             delay_refused = np.array([_refused([e], p, time_delay)[0] for e, p in cases])
+            pair_refused = np.array([_refused([e], p, pt_propagator)[0] for e, p in cases])
             normal = np.array([_normal_den([e], p)[0] for e, p in cases])
             reference = np.array([not _real_form_check(e, p) <= 1e-13**2 for e, p in cases])
         assert np.any(normal) and np.any(~normal)
         npt.assert_array_equal(refused, ~normal)
         npt.assert_array_equal(delay_refused, ~normal)
+        npt.assert_array_equal(pair_refused, ~normal)
         npt.assert_array_equal(reference[normal], refused[normal])
         assert np.all(refused[reference])
         moved = refused & ~reference
@@ -569,3 +574,176 @@ class TestCurves:
         }
         npt.assert_allclose(table["im_d"], pt_propagator(grid, P).imag, rtol=1e-13)
         npt.assert_array_equal(table["dt_delay"], -table["dt_advance"])
+
+
+class TestEmptyGrid:
+    """An empty energy grid gives empty arrays, as an empty grid of times does."""
+
+    @pytest.mark.parametrize("function", [bw_propagator, pt_propagator, phase_shift, time_delay])
+    def test_energy_functions(self, function):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = function([], P)
+        assert value.shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["breit-wigner", "pt-pair"])
+    def test_energy_response_has_seven_empty_columns(self, kind):
+        table = energy_response(kind, P, [])
+        assert len(table) == 7
+        assert all(column.shape == (0,) for column in table.values())
+
+    def test_gamma_beyond_the_range_rule_still_passes(self):
+        """The range rule judges offsets; with none there is nothing to refuse."""
+        assert time_delay([], ResonanceParams(0.0, 1e160)).shape == (0,)
+
+
+class TestOneDoorOneRule:
+    """The offset ``E - E0`` and its denominator are judged the same way by
+    every energy function, without a numpy warning."""
+
+    FAR = (1e308, ResonanceParams(-1e308, 1.0))  # E - E0 = 2e308 has no double
+
+    @pytest.mark.parametrize(
+        "function, E, p",
+        [
+            (pt_propagator, 1.0, ResonanceParams(0.0, 1e308)),
+            (pt_propagator, 1.0, ResonanceParams(1.0, 1e-200)),
+            (time_delay, 0.0, ResonanceParams(1e308, 1e308)),
+            (bw_propagator, *FAR),
+            (pt_propagator, *FAR),
+            (time_delay, *FAR),
+        ],
+    )
+    def test_refused_by_the_range_rule(self, function, E, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="normal double range"):
+                function(E, p)
+
+    @pytest.mark.parametrize("branch, limit", [("delay", np.pi), ("advance", -np.pi)])
+    def test_phase_shift_at_an_infinite_offset_is_its_limit(self, branch, limit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phase_shift(1e308, ResonanceParams(-1e308, 1.0), branch) == limit
+            assert phase_shift(-1e308, ResonanceParams(1e308, 1.0), branch) == 0.0
+
+    def test_phase_shift_reads_the_offset(self):
+        """``arctan2(Gamma, -(E - E0))`` is ``arctan2(Gamma, E0 - E)`` bit for bit,
+        the signed zero at E = E0 included."""
+        E = np.concatenate([P.e0 + np.linspace(-1e6, 1e6, 100001), [P.e0]])
+        for branch, sign in (("delay", 1.0), ("advance", -1.0)):
+            expected = np.arctan2(sign * P.gamma, P.e0 - E)
+            npt.assert_array_equal(phase_shift(E, P, branch).view(np.uint64),
+                                   expected.view(np.uint64))
+
+    def test_quadrature_phase_beyond_the_double_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="phase E t"):
+                quadrature_ift(ResonanceParams(1.0, 1.0), 1e308, 1e3, 10)
+
+
+# Finite in, finite out: one working call per callable of ``response.__all__``,
+# with its numeric arguments named.  Array arguments take an edge value in one
+# entry; E0 and Gamma are arguments of their own.
+_GRID = np.array([-1.0, 0.5, 1.0, 3.0])
+_PAIR = {"e0": 1.0, "gamma": 0.8}
+_SWEEP_CALLS = {
+    "ResonanceParams": (ResonanceParams, dict(_PAIR)),
+    "PropagatorModel": (
+        PropagatorModel,
+        {"poles": np.array([1 - 0.8j, 1 + 0.8j]), "residues": np.array([1 + 0j, -1 + 0j])},
+    ),
+    "bw_propagator": (
+        lambda E, e0, gamma: bw_propagator(E, ResonanceParams(e0, gamma)),
+        {"E": _GRID, **_PAIR},
+    ),
+    "pt_propagator": (
+        lambda E, e0, gamma: pt_propagator(E, ResonanceParams(e0, gamma)),
+        {"E": _GRID, **_PAIR},
+    ),
+    "phase_shift": (
+        lambda E, e0, gamma: phase_shift(E, ResonanceParams(e0, gamma), "advance"),
+        {"E": _GRID, **_PAIR},
+    ),
+    "time_delay": (
+        lambda E, e0, gamma: time_delay(E, ResonanceParams(e0, gamma), "advance"),
+        {"E": _GRID, **_PAIR},
+    ),
+    "build_model": (
+        lambda e0, gamma: build_model("pt-pair", ResonanceParams(e0, gamma)),
+        dict(_PAIR),
+    ),
+    "inverse_ft": (
+        lambda t, e0, gamma: inverse_ft(build_model("pt-pair", ResonanceParams(e0, gamma)), t),
+        {"t": np.array([-1.0, 0.0, 0.5, 2.0]), **_PAIR},
+    ),
+    "quadrature_ift": (
+        lambda t, L, N, e0, gamma: quadrature_ift(ResonanceParams(e0, gamma), t, L, N),
+        {"t": 0.5, "L": 100.0, "N": 101, **_PAIR},
+    ),
+    "default_energy_grid": (
+        lambda halfwidth, points, e0, gamma: default_energy_grid(
+            ResonanceParams(e0, gamma), halfwidth, points
+        ),
+        {"halfwidth": 20.0, "points": 201, **_PAIR},
+    ),
+    "energy_response": (
+        lambda E, e0, gamma: energy_response("pt-pair", ResonanceParams(e0, gamma), E),
+        {"E": _GRID, **_PAIR},
+    ),
+}
+# The record quadrature_ift returns holds what it is given; the sweep of
+# quadrature_ift checks what goes into it.
+_SWEEP_RECORDS = {"QuadratureResult"}
+_SWEEP_VALUES = (0.0, -1.0, np.nan, np.inf, -np.inf, 1e308, 1e-320)
+_SWEEP_CASES = [
+    (name, arg, value)
+    for name, (_, kwargs) in _SWEEP_CALLS.items()
+    for arg in kwargs
+    for value in _SWEEP_VALUES
+]
+
+
+def _numbers(out):
+    """Every number in a returned value, flattened into one complex array."""
+    if dataclasses.is_dataclass(out):
+        out = [getattr(out, f.name) for f in dataclasses.fields(out)]
+    elif isinstance(out, dict):
+        out = list(out.values())
+    if isinstance(out, (list, tuple)):
+        parts = [_numbers(item) for item in out if not isinstance(item, str)]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    return np.asarray(out, dtype=complex).ravel()
+
+
+class TestFiniteOutSweep:
+    """Each public callable of ``response``, with 0, -1, nan, +/-inf, 1e308 or
+    1e-320 put into one numeric argument, returns all-finite output or raises
+    ``ValueError`` or ``OverflowRangeError``, and never a numpy warning."""
+
+    def test_the_sweep_covers_the_module(self):
+        assert set(_SWEEP_CALLS) | _SWEEP_RECORDS == set(response.__all__)
+
+    @pytest.mark.parametrize("name", _SWEEP_CALLS)
+    def test_working_call(self, name):
+        function, kwargs = _SWEEP_CALLS[name]
+        assert np.all(np.isfinite(_numbers(function(**kwargs))))
+
+    @pytest.mark.parametrize("name, arg, value", _SWEEP_CASES,
+                             ids=[f"{n}-{a}-{v!r}" for n, a, v in _SWEEP_CASES])
+    def test_edge_value(self, name, arg, value):
+        function, kwargs = _SWEEP_CALLS[name]
+        kwargs = dict(kwargs)
+        if isinstance(kwargs[arg], np.ndarray):
+            kwargs[arg] = kwargs[arg].copy()
+            kwargs[arg][-1] = value
+        else:
+            kwargs[arg] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = function(**kwargs)
+            except (ValueError, OverflowRangeError):
+                return
+        assert np.all(np.isfinite(_numbers(out)))
