@@ -99,12 +99,10 @@ def _parse_state(text: str, n: int, option: str) -> np.ndarray:
     if len(parts) != n:
         raise ValueError(f"{option}: expected {n} comma-separated components, got {len(parts)}")
     try:
-        vec = np.array([complex(p) for p in parts])
+        vec = [complex(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"{option}: cannot parse component ({exc})") from exc
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{option}: components must be finite")
-    return vec
+    return linalg._as_vector(vec, f"{option}: components")
 
 
 def _linspace(start: float, stop: float, points: int, name: str) -> np.ndarray:

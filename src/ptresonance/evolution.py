@@ -15,8 +15,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _require_grid, _spectral_phases, as_matrix, eig, mat_exp_evolution
+from .linalg import (
+    _as_vector,
+    _require_finite,
+    _require_grid,
+    _spectral_phases,
+    as_matrix,
+    eig,
+    mat_exp_evolution,
+)
 from .metric import PAPER_GAUGE_V, _metric_matrix
+from .response import ResonanceParams
 
 __all__ = [
     "StateTrajectory",
@@ -66,23 +75,23 @@ def evolve(H, psi0, times, V=None) -> StateTrajectory:
     V : optional
         Metric operator (matrix or MetricOperator) of H's size, invertible;
         fills the v_norms track.
+
+    A state or norm beyond the double range raises ``OverflowRangeError``.
     """
     H = as_matrix(H)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (H.shape[0],):
-        raise ValueError(f"psi0 has shape {psi0.shape}, expected ({H.shape[0]},)")
-    if not np.all(np.isfinite(psi0)):
-        raise ValueError("psi0 must be finite")
+    psi0 = _as_vector(psi0, "psi0", H.shape[0])
     t = _require_grid(times)
 
     eigsys = eig(H)
     # the phases first: their guards refuse a defective or overflowing H
-    states = (_spectral_phases(eigsys, t) * (eigsys.left @ psi0)) @ eigsys.right.T  # (T, n)
-    dirac = np.einsum("ti,ti->t", np.conj(states), states).real
-    v_norms = None
-    if V is not None:
-        Vm = _metric_matrix(V, H.shape[0])
-        v_norms = np.einsum("ti,ij,tj->t", np.conj(states), Vm, states)
+    phases = _spectral_phases(eigsys, t)
+    Vm = None if V is None else _metric_matrix(V, H.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = (phases * (eigsys.left @ psi0)) @ eigsys.right.T  # (T, n)
+        dirac = _require_finite(np.einsum("ti,ti->t", np.conj(states), states).real,
+                                "state check: a state or its Dirac norm")
+        v_norms = None if Vm is None else _require_finite(
+            np.einsum("ti,ij,tj->t", np.conj(states), Vm, states), "state check: a V-norm")
     return StateTrajectory(times=t, states=states, dirac_norms=dirac, v_norms=v_norms)
 
 
@@ -104,9 +113,8 @@ def pseudounitarity_residual(H, V, times) -> PseudoUnitarityResult:
 
 def two_level_hamiltonian(e0: float, gamma: float) -> np.ndarray:
     """Diagonal two-channel generator ``diag(E0 + i Gamma, E0 - i Gamma)``."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return np.array([[e0 + 1j * gamma, 0.0], [0.0, e0 - 1j * gamma]], dtype=complex)
+    p = ResonanceParams(e0, gamma)
+    return np.array([[p.e0 + 1j * p.gamma, 0.0], [0.0, p.e0 - 1j * p.gamma]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,21 @@ eigensystem, and the spectral time-evolution operator ``U(t) = exp(-i H t)``.
 Every routine that needs a complete eigenbasis refuses a defective spectrum
 through one guard, ``_require_eigenbasis``.
 
-All routines work on plain ``numpy`` arrays of complex numbers; matrices are
-validated to be square with finite entries before use, and the time and
-energy grids of every module by the one grid rule, ``_require_grid``.
+All routines work on plain ``numpy`` arrays of complex numbers.  Each input
+kind of the package enters by one door, and each door raises ``ValueError``
+naming the input:
+
+* a matrix (H, P, V) by ``as_matrix``: square, non-empty, finite;
+* a vector (a state, a ket or bra, a pole or residue list, a polynomial's
+  coefficients, a spectrum) by ``_as_vector``: 1-D, of a given length, finite;
+* a time or energy grid by ``_require_grid``: 1-D, finite, strictly ascending;
+* a level pair (E0, Gamma) by ``response.ResonanceParams``: finite, Gamma > 0;
+* an energy or time offset by ``response._offsets``, and a metric given to a
+  consumer by ``metric._metric_matrix``.
+
+A product or norm of finite inputs that leaves the double range is formed with
+overflow ignored and refused once, by ``_require_finite``, with
+``OverflowRangeError``.
 """
 
 from __future__ import annotations
@@ -63,6 +75,15 @@ def _guard_exponent(rates, times, what: str) -> None:
         top = float(np.max(np.multiply.outer(rates, times)))
     if top > EXP_CAP:
         raise OverflowRangeError(f"{what} {top:.3g} exceeds cap {EXP_CAP:g}")
+
+
+def _require_finite(value, what: str):
+    """Return ``value``, a quantity its caller formed with overflow ignored;
+    ``OverflowRangeError`` naming ``what`` when an entry is beyond the double
+    range (inf, or the NaN an overflow leaves)."""
+    if not np.all(np.isfinite(value)):
+        raise OverflowRangeError(f"{what} is beyond the double range")
+    return value
 
 
 def _condition(M: np.ndarray) -> tuple[float, bool]:
@@ -157,6 +178,18 @@ def _require_grid(values, name: str = "times") -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
         raise ValueError(f"{name} must be strictly ascending")
     return grid
+
+
+def _as_vector(data, name: str, n: int | None = None, what: str = "a vector") -> np.ndarray:
+    """The one door for a vector: ``data`` as a finite 1-D complex array, of
+    length n when given; else ``ValueError`` saying ``name`` must be ``what``."""
+    v = np.asarray(data, dtype=complex)
+    if v.ndim != 1 or (n is not None and v.size != n):
+        expected = "" if n is None else f", expected ({n},)"
+        raise ValueError(f"{name} must be {what}, got shape {v.shape}{expected}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def as_matrix(data) -> np.ndarray:
@@ -373,9 +406,8 @@ def eig(H) -> EigenSystem:
     h_norm = float(np.linalg.norm(H, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
         eig_res = float(np.linalg.norm(H @ R_raw - R_raw * w[np.newaxis, :], "fro"))
-    eig_res = eig_res / h_norm if h_norm > 0.0 else 0.0
-    if not np.isfinite(eig_res):
-        raise OverflowRangeError("eigen-equation residual is beyond the double range")
+    eig_res = _require_finite(eig_res / h_norm if h_norm > 0.0 else 0.0,
+                              "eigen-equation residual")
 
     R = _phase_gauge(R_raw / np.linalg.norm(R_raw, axis=0, keepdims=True))
     try:
@@ -506,9 +538,7 @@ def _phases(t, values: np.ndarray, what: str) -> np.ndarray:
     _guard_exponent(t, values.imag, what)
     with np.errstate(over="ignore"):
         phase = np.multiply.outer(t, values)
-    if not np.all(np.isfinite(phase)):
-        raise OverflowRangeError("phase lambda t is beyond the double range")
-    return np.exp(-1j * phase)
+    return np.exp(-1j * _require_finite(phase, "phase lambda t"))
 
 
 def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:

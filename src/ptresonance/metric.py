@@ -20,10 +20,12 @@ from .linalg import (
     RESIDUAL_CAP,
     EigenSystem,
     IntertwinerSpace,
+    _as_vector,
     _condition,
     _conjugate_permutation,
     _radii,
     _require_eigenbasis,
+    _require_finite,
     _require_invertible,
     as_matrix,
     matrix_to_json,
@@ -92,10 +94,11 @@ class DualPair:
 
 
 def dual_pair(ket, V) -> DualPair:
-    ket = np.asarray(ket, dtype=complex)
-    if ket.ndim != 1:
-        raise ValueError(f"ket must be a vector, got shape {ket.shape}")
-    return DualPair(ket=ket, bra=np.conj(ket) @ _metric_matrix(V, ket.size))
+    ket = _as_vector(ket, "ket")
+    Vm = _metric_matrix(V, ket.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bra = np.conj(ket) @ Vm
+    return DualPair(ket=ket, bra=_require_finite(bra, "bra <ket|V"))
 
 
 def _metric_matrix(V, n: int) -> np.ndarray:
@@ -116,8 +119,11 @@ def _is_hermitian(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> np.ndarray:
-    denom = np.maximum(np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(H, "fro"), 1e-300)
-    return np.linalg.norm(V @ H - H.conj().T @ V, axis=(-2, -1)) / denom
+    """``||VH - H^dag V||_F / (||V||_F ||H||_F)``; inf or NaN, without a numpy
+    warning, where a term is beyond the double range (no cap admits it)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = np.maximum(np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(H, "fro"), 1e-300)
+        return np.linalg.norm(V @ H - H.conj().T @ V, axis=(-2, -1)) / denom
 
 
 def _fix_sign(V: np.ndarray) -> np.ndarray:
@@ -151,7 +157,7 @@ def _certify(V: np.ndarray, H: np.ndarray, policy: str, unmatched) -> MetricOper
         hermitian=bool(_is_hermitian(V)),
         invertible=invertible,
         condition_estimate=cond,
-        residual=float(_intertwiner_residual(V, H)),
+        residual=float(_require_finite(_intertwiner_residual(V, H), "intertwiner residual")),
     )
 
 
@@ -200,7 +206,8 @@ def build_metric(
     invertibility verdict, raises ``NoMetricError`` with it as
     ``best_candidate``, and so does any V of a spectrum with unmatched
     values, which ``classify`` reports broken; a defective ``eigsys`` raises
-    ``DefectiveMatrixError``.
+    ``DefectiveMatrixError``, and an ``||H||_F`` beyond the double range
+    ``OverflowRangeError``.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -210,6 +217,8 @@ def build_metric(
 
     H = as_matrix(H)
     n = H.shape[0]
+    with np.errstate(over="ignore"):  # once per call: every residual below divides by it
+        _require_finite(np.linalg.norm(H, "fro"), "metric: ||H||_F")
     w, L = eigsys.eigenvalues, eigsys.left
     perm = _conjugate_permutation(w, _radii(eigsys.kappa, eigsys.norm))
     unmatched = w[perm < 0]
@@ -270,11 +279,12 @@ def _candidate_blocks(gens: np.ndarray, coeffs: np.ndarray, size: int):
 
 def v_inner(x, y, V) -> complex:
     """Metric inner product ``x^dag V y``; reduces to Dirac for V = I."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.ndim != 1 or y.shape != x.shape:
-        raise ValueError(f"x and y must be vectors of one length, got {x.shape} and {y.shape}")
-    return complex(np.vdot(x, _metric_matrix(V, x.size) @ y))
+    x = _as_vector(x, "x and y", what="vectors of one length")
+    y = _as_vector(y, "x and y", x.size, what="vectors of one length")
+    Vm = _metric_matrix(V, x.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.vdot(x, Vm @ y)
+    return complex(_require_finite(value, "inner product x^dag V y"))
 
 
 def closure_check(kets, bras) -> float:
@@ -286,23 +296,24 @@ def closure_check(kets, bras) -> float:
     a conjugate-pair system where G is a signed permutation.  The bras carry
     the metric (``<ket|V``, see ``dual_pair``); n kets and bras of length n.
     A G that is singular by the package's one invertibility verdict (condition
-    number above ``linalg._CONDITION_CAP``) raises ``DefectiveMatrixError``.
+    number above ``linalg._CONDITION_CAP``) raises ``DefectiveMatrixError``, and
+    a G or residual beyond the double range ``OverflowRangeError``.
     """
-    K = np.column_stack([np.asarray(k, dtype=complex) for k in kets])
-    B = np.vstack([np.asarray(b, dtype=complex) for b in bras])
+    K = np.column_stack([_as_vector(k, "kets and bras", what="vectors") for k in kets])
+    B = np.vstack([_as_vector(b, "kets and bras", what="vectors") for b in bras])
     n = K.shape[0]
     if K.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"need {n} kets and {n} bras of length {n}, got {K.shape}/{B.shape}")
-    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(B))):
-        raise ValueError("kets and bras must be finite")
-    G = B @ K
-    cond, invertible = _condition(G)
-    if not invertible:
-        raise DefectiveMatrixError(
-            f"inner-product matrix is singular (condition estimate {cond:.3g}); "
-            "the kets/bras do not form a complete dual system"
-        )
-    return float(np.linalg.norm(K @ np.linalg.solve(G, np.eye(n)) @ B - np.eye(n), "fro"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _require_finite(B @ K, "inner-product matrix")
+        cond, invertible = _condition(G)
+        if not invertible:
+            raise DefectiveMatrixError(
+                f"inner-product matrix is singular (condition estimate {cond:.3g}); "
+                "the kets/bras do not form a complete dual system"
+            )
+        residual = float(np.linalg.norm(K @ np.linalg.solve(G, np.eye(n)) @ B - np.eye(n), "fro"))
+    return _require_finite(residual, "closure residual")
 
 
 class PseudoHermiticityResiduals(NamedTuple):
@@ -311,10 +322,13 @@ class PseudoHermiticityResiduals(NamedTuple):
 
 
 def verify_pseudo_hermiticity(H, V) -> PseudoHermiticityResiduals:
-    """Both normalized residuals of the pseudo-Hermiticity condition."""
+    """Both normalized residuals of the pseudo-Hermiticity condition;
+    ``OverflowRangeError`` where one, or ``||H||_F``, is beyond the double range."""
     H = as_matrix(H)
     V = _metric_matrix(V, H.shape[0])
-    h_norm = max(float(np.linalg.norm(H, "fro")), 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_norm = max(float(np.linalg.norm(H, "fro")), 1e-300)
+        sim = float(np.linalg.norm(V @ H @ np.linalg.inv(V) - H.conj().T, "fro")) / h_norm
     inter = float(_intertwiner_residual(V, H))
-    sim = float(np.linalg.norm(V @ H @ np.linalg.inv(V) - H.conj().T, "fro")) / h_norm
+    _require_finite((h_norm, inter, sim), "||H||_F or a pseudo-Hermiticity residual")
     return PseudoHermiticityResiduals(intertwiner=inter, similarity=sim)

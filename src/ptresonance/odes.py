@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _greedy_match, _guard_exponent, _require_grid
+from .linalg import _as_vector, _greedy_match, _guard_exponent, _require_grid
 from .response import ResonanceParams
 
 __all__ = [
@@ -52,10 +52,20 @@ def characteristic_roots(coefficients) -> np.ndarray:
     Uses the cancellation-avoiding quadratic formula (larger root first, the
     other from the product), which keeps full precision even when the roots
     coalesce -- companion-matrix root finders lose half the digits there.
+    The one range rule of the package's quadratics: ``ValueError`` for a zero
+    c2, ``OverflowRangeError`` when ``c1 / c2``, ``c0 / c2`` or the
+    discriminant ``c1^2 - 4 c0`` of those leaves the double range (every
+    later step is then finite).
     """
-    c2, c1, c0 = (complex(c) for c in coefficients)
+    c2, c1, c0 = _as_vector(coefficients, "coefficients", 3).tolist()
+    if c2 == 0:
+        raise ValueError("the leading coefficient c2 must be nonzero")
     c1, c0 = c1 / c2, c0 / c2
-    disc = np.sqrt(c1 * c1 - 4.0 * c0)
+    discriminant = c1 * c1 - 4.0 * c0  # NaN, too, where c1 or c0 is not finite
+    if not np.isfinite(discriminant):
+        raise OverflowRangeError("coefficients leave the double range: "
+                                 "(c1/c2)^2 - 4 c0/c2 is not finite")
+    disc = np.sqrt(discriminant)
     cand_plus = (-c1 + disc) / 2.0
     cand_minus = (-c1 - disc) / 2.0
     r1 = cand_plus if abs(cand_plus) >= abs(cand_minus) else cand_minus
@@ -65,13 +75,14 @@ def characteristic_roots(coefficients) -> np.ndarray:
 
 
 def _squared_scale(p: ResonanceParams) -> float:
-    """``E0^2 + Gamma^2``; ``OverflowRangeError`` when the discriminant
-    ``c1^2 - 4 c0``, whose terms reach four times that, overflows."""
+    """``E0^2 + Gamma^2``; ``OverflowRangeError`` when it overflows (a
+    discriminant beyond the double range is ``characteristic_roots``'s to
+    refuse)."""
     try:
         value = p.e0**2 + p.gamma**2
     except OverflowError:  # float ** raises where float * gives inf
         value = math.inf
-    if not math.isfinite(4.0 * value):
+    if not math.isfinite(value):
         raise OverflowRangeError(f"coefficients leave the double range at E0 = {p.e0:g}, "
                                  f"Gamma = {p.gamma:g}")
     return value
@@ -130,12 +141,13 @@ class SecondOrderIVP:
     step: float
 
     def __post_init__(self):
+        _as_vector((self.c1, self.c0, self.psi0, self.dpsi0), "c1, c0, psi0 and dpsi0")
         t = _require_grid(self.times)
         object.__setattr__(self, "times", t)
         if t[0] < 0:
             raise ValueError("times must start at or after t = 0")
-        if not (self.step > 0):
-            raise ValueError("step must be positive")
+        if not (0 < self.step < math.inf):
+            raise ValueError("step must be positive and finite")
         # Python floats: an infinite quotient fails the cap instead of raising.
         if not float(t[-1]) / float(self.step) <= MAX_SUBSTEPS:
             raise ValueError(f"step {self.step:g} needs more than {MAX_SUBSTEPS:g} substeps")

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _phases, _require_grid
+from .linalg import _as_vector, _phases, _require_grid
 
 __all__ = [
     "ResonanceParams",
@@ -138,17 +138,16 @@ def pt_propagator(E, p: ResonanceParams):
     Computed both as the two-pole sum
     ``1/(E - (E0 - i Gamma)) - 1/(E - (E0 + i Gamma))`` and as the closed
     form, both after ``_require_normal_range``, and must agree to 1e-13
-    relative.  The value is purely imaginary with negative imaginary part.
+    relative, or in absolute terms below the smallest normal double, where
+    the closed form has underflowed (as ``time_delay`` does there).  The value
+    is purely imaginary with negative imaginary part.
     """
     d, scalar = _offsets(E, "E", p.e0)
     _require_normal_range(d, p.gamma, "two-pole propagator")
     two_pole = 1.0 / (d + 1j * p.gamma) - 1.0 / (d - 1j * p.gamma)
     closed = -2j * p.gamma / (d * d + p.gamma * p.gamma)
-    # relative difference; a closed value that underflowed to 0 confirms nothing
-    size = np.abs(closed)
-    diff = np.divide(np.abs(two_pole - closed), size, out=np.full(size.shape, np.inf),
-                     where=size > 0)
-    if not np.all(diff <= _FORM_CHECK_TOL):
+    gap = np.abs(two_pole - closed)  # compared without dividing: closed may be 0
+    if not np.all((gap <= _FORM_CHECK_TOL * np.abs(closed)) | (gap < _NORMAL_MIN)):
         raise OverflowRangeError("two-pole and closed propagator forms disagree")
     return complex(closed[0]) if scalar else closed
 
@@ -196,14 +195,11 @@ class PropagatorModel:
     residues: np.ndarray
 
     def __post_init__(self):
-        poles = np.asarray(self.poles, dtype=complex)
-        residues = np.asarray(self.residues, dtype=complex)
+        what = "1-D and the same length"
+        poles = _as_vector(self.poles, "poles and residues", what=what)
+        residues = _as_vector(self.residues, "poles and residues", poles.size, what)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "residues", residues)
-        if poles.ndim != 1 or poles.shape != residues.shape:
-            raise ValueError("poles and residues must be 1-D and the same length")
-        if not (np.all(np.isfinite(poles)) and np.all(np.isfinite(residues))):
-            raise ValueError("poles and residues must be finite")
         # compared, not subtracted: poles 1e308 apart have no finite distance
         if len(set(poles.tolist())) != poles.size:
             raise ValueError("poles must be distinct (simple poles only)")

@@ -18,9 +18,11 @@ import numpy as np
 
 from .linalg import (
     RESIDUAL_CAP,
+    _as_vector,
     _cluster_eigenvalues,
     _conjugate_permutation,
     _radii,
+    _require_finite,
     _require_invertible,
     as_matrix,
     eig,
@@ -44,7 +46,7 @@ def gain_loss_dimer(s: float) -> np.ndarray:
     complex-conjugate pair for ``s < 1``, with the transition at ``s = 1``
     where the matrix becomes defective.
     """
-    return np.array([[1.0 + 1.0j, s], [s, 1.0 - 1.0j]], dtype=complex)
+    return as_matrix([[1.0 + 1.0j, s], [s, 1.0 - 1.0j]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +61,8 @@ class AntilinearSymmetry:
         _require_invertible(P, "linear part P")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply the antilinear map to a vector."""
-        return self.P @ np.conj(v)
+        """Apply the antilinear map to a vector of P's size."""
+        return self.P @ np.conj(_as_vector(v, "v", self.P.shape[0]))
 
 
 class PTCheck(NamedTuple):
@@ -72,7 +74,8 @@ def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
     """Check invariance of H under the antilinear map.
 
     Returns whether ``||P conj(H) P^-1 - H|| <= RESIDUAL_CAP * ||H||`` (Frobenius
-    norms) together with the relative residual.
+    norms) together with the relative residual; ``OverflowRangeError`` where a
+    norm is beyond the double range.
     """
     H = as_matrix(H)
     if H.shape != sym.P.shape:
@@ -81,9 +84,11 @@ def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
             f"P is {sym.P.shape[0]}x{sym.P.shape[0]}"
         )
     P_inv = np.linalg.inv(sym.P)
-    transformed = sym.P @ np.conj(H) @ P_inv
-    h_norm = float(np.linalg.norm(H, "fro"))
-    residual = float(np.linalg.norm(transformed - H, "fro"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        transformed = sym.P @ np.conj(H) @ P_inv
+        h_norm = float(np.linalg.norm(H, "fro"))
+        residual = float(np.linalg.norm(transformed - H, "fro"))
+    _require_finite((h_norm, residual), "antilinear check: ||H||_F or ||P conj(H) P^-1 - H||_F")
     if h_norm > 0.0:
         residual /= h_norm
     return PTCheck(residual <= RESIDUAL_CAP, residual)
@@ -148,9 +153,7 @@ def classify_spectrum(eigenvalues, defective_clusters=()) -> SpectrumReport:
     every value has condition number 1 and ``||diag(w)||_2 = max|lambda|``.
     ``defective_clusters`` (value, multiplicity) fill ``exceptional``.
     """
-    w = np.asarray(list(eigenvalues), dtype=complex)
-    if w.size and not np.all(np.isfinite(w)):
-        raise ValueError("eigenvalues must be finite")
+    w = _as_vector(list(eigenvalues), "eigenvalues")
     return _classify(w, _radii(np.ones(w.shape), float(np.max(np.abs(w), initial=0.0))),
                      defective_clusters)
 

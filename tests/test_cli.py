@@ -735,6 +735,24 @@ class TestFiniteOut:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_state_beyond_the_double_range_names_the_state_check(self, tmp_path, capsys):
+        # |psi|^2 = 2e616 has no double: refused by the state check, where
+        # numpy's bare "overflow encountered in multiply" came first
+        argv = ["evolve", "--e0", "1", "--gamma", "0.8", "--psi0", "1e308,1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--output", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err == (
+            "overflow: state check: a state or its Dirac norm is beyond the double range\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_level_pair_names_the_resonance_parameters(self, tmp_path, capsys):
+        # the preset's pair enters by ResonanceParams, as in response and ode
+        argv = ["evolve", "--e0", "nan", "--gamma", "0.8", "--psi0", "0,1"]
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "input error: resonance parameters must be finite\n"
+
 
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "abc")
 

@@ -15,16 +15,23 @@ from helpers import (
 from ptresonance import linalg
 from ptresonance import (
     PAPER_GAUGE_V,
+    PAULI_X,
+    AntilinearSymmetry,
     DefectiveMatrixError,
     OverflowRangeError,
     ResonanceParams,
     SecondOrderIVP,
     StateTrajectory,
     as_matrix,
+    build_metric,
+    characteristic_roots,
+    check_pt,
     classify_hamiltonian,
     classify_spectrum,
+    closure_check,
     damped_oscillator_ivp,
     default_energy_grid,
+    dual_pair,
     eig,
     evolve,
     gain_loss_dimer,
@@ -35,7 +42,10 @@ from ptresonance import (
     pseudounitarity_residual,
     pt_wave_ivp,
     solve_intertwiner,
+    two_level_hamiltonian,
     two_level_scenario,
+    v_inner,
+    verify_pseudo_hermiticity,
 )
 
 NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
@@ -592,3 +602,107 @@ class TestDoubleRangeRefusals:
             # eig's own residual overflows here: refused there, without a warning
             with pytest.raises(OverflowRangeError, match="eigen-equation residual"):
                 evolve(gain_loss_dimer(1e308), [1.0, 0.0], times)
+
+
+class TestOneDoorPerInputKind:
+    """Vectors enter by ``linalg._as_vector`` and level pairs by
+    ``ResonanceParams``: a NaN or infinite entry is one ``ValueError`` naming
+    the input, where these returned NaN or warned and went on."""
+
+    def test_vector_door(self):
+        npt.assert_array_equal(linalg._as_vector([1, 2j], "x"), np.array([1, 2j]))
+        npt.assert_array_equal(linalg._as_vector([], "x"), np.zeros(0, complex))
+        with pytest.raises(ValueError, match=r"^x must be a vector, got shape \(1, 2\)$"):
+            linalg._as_vector([[1, 2]], "x")
+        expected = r"^x must be a vector, got shape \(2,\), expected \(3,\)$"
+        with pytest.raises(ValueError, match=expected):
+            linalg._as_vector([1, 2], "x", 3)
+        with pytest.raises(ValueError, match="^x must be pairs, got shape"):
+            linalg._as_vector(np.ones((2, 2)), "x", what="pairs")
+        for bad in (np.nan, np.inf, complex(0, -np.inf)):
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                linalg._as_vector([1.0, bad], "x")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_states_and_coefficients(self, bad):
+        V = np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x and y must be finite"):
+                v_inner([bad, 1.0], [1.0, 0.0], V)
+            with pytest.raises(ValueError, match="x and y must be finite"):
+                v_inner([1.0, 0.0], [bad, 1.0], V)
+            with pytest.raises(ValueError, match="ket must be finite"):
+                dual_pair([bad, 1.0], V)
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                characteristic_roots((1.0, bad, 1.0))
+            with pytest.raises(ValueError, match="c1, c0, psi0 and dpsi0 must be finite"):
+                SecondOrderIVP(c1=0.0, c0=1.0, psi0=bad, dpsi0=0.0, times=[0.0, 1.0],
+                               step=0.01)
+            with pytest.raises(ValueError, match="eigenvalues must be finite"):
+                classify_spectrum([1.0, bad])
+            with pytest.raises(ValueError, match="v must be finite"):
+                AntilinearSymmetry(PAULI_X).apply([1.0, bad])
+
+    @pytest.mark.parametrize("e0, gamma", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0)])
+    def test_level_pair(self, e0, gamma):
+        with pytest.raises(ValueError, match="resonance parameters must be finite"):
+            two_level_hamiltonian(e0, gamma)
+        with pytest.raises(ValueError, match="resonance parameters must be finite"):
+            two_level_scenario(e0, gamma, [1.0, 0.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf])
+    def test_dimer_coupling(self, s):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            gain_loss_dimer(s)
+
+    def test_step_finite(self):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            SecondOrderIVP(c1=0.0, c0=1.0, psi0=1.0, dpsi0=0.0, times=[0.0, 1.0], step=np.inf)
+
+
+class TestOverflowingProducts:
+    """A product or norm of finite inputs beyond the double range raises
+    ``OverflowRangeError`` naming it, without a numpy warning, where each of
+    these warned ("overflow encountered in dot/multiply/matmul")."""
+
+    WIDE = np.array([[1e308, 1.0], [1.0, -1e308]])
+
+    def test_frobenius_norm_of_h(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match=r"antilinear check: \|\|H\|\|_F"):
+                check_pt(self.WIDE, AntilinearSymmetry(PAULI_X))
+            with pytest.raises(OverflowRangeError, match=r"\|\|H\|\|_F or a pseudo-Hermiticity"):
+                verify_pseudo_hermiticity(self.WIDE, PAPER_GAUGE_V)
+            with pytest.raises(OverflowRangeError, match=r"metric: \|\|H\|\|_F"):
+                build_metric(eig(self.WIDE), solve_intertwiner(self.WIDE), H=self.WIDE)
+
+    def test_states(self):
+        big = [1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowRangeError, match="state check"):
+                evolve(two_level_hamiltonian(1.0, 0.8), big, [0.0, 1.0])
+            with pytest.raises(OverflowRangeError, match="state check"):
+                two_level_scenario(1.0, 0.8, big, [0.0, 1.0])
+            with pytest.raises(OverflowRangeError, match="inner product"):
+                v_inner(big, big, np.eye(2))
+            with pytest.raises(OverflowRangeError, match="bra"):
+                dual_pair(big, np.ones((2, 2)) + np.eye(2))
+            with pytest.raises(OverflowRangeError, match="inner-product matrix"):
+                closure_check(np.diag(big), np.diag(big))
+
+    def test_quadratic_coefficients(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leading coefficient c2 must be nonzero"):
+                characteristic_roots((0.0, 1.0, 1.0))
+            for coefficients in [(1e-320, 1.0, 1.0), (1.0, 1e308, 1.0), (1.0, 0.0, 1e308)]:
+                with pytest.raises(OverflowRangeError, match="coefficients leave the double"):
+                    characteristic_roots(coefficients)
+            for c1, c0 in [(1e308, 1.0), (0.0, 1e308)]:
+                ivp = SecondOrderIVP(c1=c1, c0=c0, psi0=1.0, dpsi0=0.0, times=[0.0, 1.0],
+                                     step=0.01)
+                with pytest.raises(OverflowRangeError, match="coefficients leave the double"):
+                    integrate(ivp)

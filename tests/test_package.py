@@ -41,6 +41,21 @@ def test_one_exception_type_per_exit_code():
     assert caught == ["ValueError", "DefectiveMatrixError", "NoMetricError", "FloatingPointError"]
 
 
+def test_one_door_per_vector_and_matrix():
+    """Input becomes a complex array in two functions only: ``as_matrix`` and
+    the vector door ``linalg._as_vector``; every other entry calls them."""
+    readers = []
+    for module in MODULES + (cli,):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and ast.unparse(call.func) == "np.asarray"
+                and any(ast.unparse(k.value) == "complex" for k in call.keywords)
+                for call in ast.walk(fn)
+            ):
+                readers.append(f"{module.__name__}.{fn.name}")
+    assert readers == ["ptresonance.linalg._as_vector", "ptresonance.linalg.as_matrix"]
+
+
 def test_readme_library_example_runs(capsys):
     """README's "Library example" block, run verbatim: its asserts hold and
     the pseudounitarity residual it prints is at most 1e-10."""
