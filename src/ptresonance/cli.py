@@ -19,7 +19,6 @@ have at least 2 points and be strictly ascending (no repeated values).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -36,10 +35,6 @@ EXIT_NO_METRIC = 4
 EXIT_OVERFLOW = 5
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -53,11 +48,11 @@ def _write_json(path: str | None, obj) -> None:
 
 
 def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    rows = zip(*columns)
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """One row per line, each value as ``%.17g`` of its Python float, so it
+    reads back to the same double; one ``%`` formats a whole row."""
+    row = ",".join(["%.17g"] * len(columns))
+    values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    _write_text(path, "\n".join([",".join(header)] + [row % v for v in values]) + "\n")
 
 
 def _read_json(path: str):
@@ -249,7 +244,7 @@ def cmd_ode(args) -> int:
         ivp = odes.damped_oscillator_ivp(p, times, args.step)
     if args.init is not None:
         init = _parse_state(args.init, 2, "--init")
-        ivp = dataclasses.replace(ivp, psi0=init[0], dpsi0=init[1])
+        ivp = ivp._replace(psi0=init[0], dpsi0=init[1])
     series = odes.integrate(ivp)
     _write_csv(
         args.output,

@@ -8,15 +8,13 @@ The module tracks both norms, measures the pseudounitarity residual
 scenario of a balanced gain/loss level pair.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     _as_vector,
+    _Checked,
     _require_finite,
     _require_grid,
     _spectral_phases,
@@ -38,27 +36,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class StateTrajectory:
+class StateTrajectory(_Checked, NamedTuple("StateTrajectory", [
+        ("times", np.ndarray), ("states", np.ndarray), ("dirac_norms", np.ndarray),
+        ("v_norms", np.ndarray | None)])):
     """States on a time grid with their Dirac- and V-norm tracks.
 
-    ``states[k]`` is psi(times[k]); ``v_norms`` is ``None`` when no metric
-    was supplied.
+    ``states[k]`` is psi(times[k]), shape ``(len(times), n)``; ``v_norms`` is
+    ``None`` when no metric was supplied.
     """
 
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), n)
-    dirac_norms: np.ndarray
-    v_norms: np.ndarray | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.times) != self.states.shape[0]:
+    def __new__(cls, times, states, dirac_norms, v_norms):
+        if len(times) != states.shape[0]:
             raise ValueError("times and states lengths disagree")
-        if len(self.times) != len(self.dirac_norms):
+        if len(times) != len(dirac_norms):
             raise ValueError("times and dirac_norms lengths disagree")
-        if self.v_norms is not None and len(self.v_norms) != len(self.times):
+        if v_norms is not None and len(v_norms) != len(times):
             raise ValueError("times and v_norms lengths disagree")
-        _require_grid(self.times)
+        _require_grid(times)
+        return super().__new__(cls, times, states, dirac_norms, v_norms)
 
 
 def evolve(H, psi0, times, V=None) -> StateTrajectory:
@@ -117,8 +114,7 @@ def two_level_hamiltonian(e0: float, gamma: float) -> np.ndarray:
     return np.array([[p.e0 + 1j * p.gamma, 0.0], [0.0, p.e0 - 1j * p.gamma]], dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoLevelResult:
+class TwoLevelResult(NamedTuple):
     """Two-channel run: growth/decay populations and both norm tracks.
 
     The two components are the *transition* channels of a level pair (one

@@ -21,12 +21,12 @@ naming the input:
 
 A product or norm of finite inputs that leaves the double range is formed with
 overflow ignored and refused once, by ``_require_finite``, with
-``OverflowRangeError``.
+``OverflowRangeError``; a Frobenius norm is scaled by ``_frobenius`` where
+numpy's sum of squares overflows, so it is refused only beyond the double range.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +84,21 @@ def _require_finite(value, what: str):
     if not np.all(np.isfinite(value)):
         raise OverflowRangeError(f"{what} is beyond the double range")
     return value
+
+
+def _frobenius(x: np.ndarray, axis=None):
+    """numpy's Frobenius norm of the matrix x, or of each matrix of a stack over
+    ``axis = (-2, -1)``, wherever it is finite; where its sum of squares
+    overflows, ``s ||x / s||_F`` with ``s = max|x|``.  Like every quantity
+    ``_require_finite`` judges, it is formed by its caller with overflow
+    ignored: a norm beyond the double range is inf or NaN."""
+    norm = np.linalg.norm(x, axis=axis)
+    if math.isfinite(norm) if norm.ndim == 0 else np.isfinite(norm).all():
+        return norm
+    with np.errstate(invalid="ignore"):  # x / s is 0 / 0 for a zero matrix of a stack
+        s = np.max(np.abs(x), axis=(-2, -1), keepdims=True)
+        scaled = np.linalg.norm(x / s, axis=axis) * np.squeeze(s, axis=(-2, -1))
+    return np.where(np.isfinite(norm), norm, scaled)
 
 
 def _condition(M: np.ndarray) -> tuple[float, bool]:
@@ -252,8 +267,18 @@ def matrix_to_json(m) -> dict:
     return {"n": n, "entries": entries}
 
 
-@dataclass(frozen=True)
-class DefectCluster:
+class _Checked:
+    """Mixin of a record whose ``__new__`` checks its fields: ``_make``, and so
+    ``_replace``, builds through that constructor, as copying and unpickling do."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class DefectCluster(NamedTuple):
     """An eigenvalue cluster whose geometric multiplicity is deficient."""
 
     value: complex
@@ -262,8 +287,7 @@ class DefectCluster:
     members: tuple[int, ...]  # indices into the sorted eigenvalue array
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Eigenvalues with biorthonormalized right/left eigenvectors.
 
     ``right`` holds right eigenvectors as columns, ``left`` holds left
@@ -295,8 +319,7 @@ class EigenSystem:
         return bool(self.defects)
 
 
-@dataclass(frozen=True, eq=False)
-class IntertwinerSpace:
+class IntertwinerSpace(NamedTuple):
     """Basis of the solution space of ``V H = H^dag V``.
 
     The basis elements are orthonormal under the Frobenius inner product
@@ -520,10 +543,12 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     res -= H.conj().T @ B
     # The Kronecker null space reaches about 1.5 eps ||H||_F; correct only
     # above 4 eps ||H||_F, since near rounding level a correction is noise
-    # (and never where ||H||_F is beyond the double range).
+    # (and never where numpy's ||H||_F overflows, as the residuals' norms can
+    # only where it does).
     with np.errstate(over="ignore"):
         noise = 4 * np.finfo(float).eps * np.linalg.norm(H, "fro")
-    if np.max(np.linalg.norm(res, axis=(1, 2))) > noise:
+        correct = np.max(np.linalg.norm(res, axis=(1, 2))) > noise
+    if correct:
         B -= _null_space_correction(res, H, eigsys.right, paired)
         del res
         Q, _ = np.linalg.qr(B.reshape(k, n * n).T)

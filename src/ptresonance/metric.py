@@ -8,9 +8,6 @@ products and the orthogonality/closure relations of the eigenbasis, and
 certifies pseudo-Hermiticity residuals.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +20,7 @@ from .linalg import (
     _as_vector,
     _condition,
     _conjugate_permutation,
+    _frobenius,
     _radii,
     _require_eigenbasis,
     _require_finite,
@@ -60,8 +58,7 @@ _SEARCH_BLOCK_BYTES = 1 << 18
 _SEARCH_BLOCK_MIN = 16
 
 
-@dataclass(frozen=True, eq=False)
-class MetricOperator:
+class MetricOperator(NamedTuple):
     """An intertwiner V with certification flags.
 
     ``residual`` is ``||VH - H^dag V||_F / (||V||_F ||H||_F)`` against the
@@ -85,8 +82,7 @@ class MetricOperator:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class DualPair:
+class DualPair(NamedTuple):
     """A ket with its metric-dual bra ``<R|V``."""
 
     ket: np.ndarray
@@ -119,11 +115,14 @@ def _is_hermitian(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """``||VH - H^dag V||_F / (||V||_F ||H||_F)``; inf or NaN, without a numpy
-    warning, where a term is beyond the double range (no cap admits it)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = np.maximum(np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(H, "fro"), 1e-300)
-        return np.linalg.norm(V @ H - H.conj().T @ V, axis=(-2, -1)) / denom
+    """``||VH - H^dag V||_F / (||V||_F ||H||_F)``, divided by the two norms in
+    turn where their product overflows; inf or NaN, without a numpy warning,
+    where a term is beyond the double range (no cap admits it)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v_norm, h_norm = _frobenius(V, (-2, -1)), _frobenius(H)
+        residual = _frobenius(V @ H - H.conj().T @ V, (-2, -1))
+        denom = np.maximum(v_norm * h_norm, 1e-300)
+        return np.where(denom < np.inf, residual / denom, residual / v_norm / h_norm)
 
 
 def _fix_sign(V: np.ndarray) -> np.ndarray:
@@ -218,7 +217,7 @@ def build_metric(
     H = as_matrix(H)
     n = H.shape[0]
     with np.errstate(over="ignore"):  # once per call: every residual below divides by it
-        _require_finite(np.linalg.norm(H, "fro"), "metric: ||H||_F")
+        _require_finite(_frobenius(H), "metric: ||H||_F")
     w, L = eigsys.eigenvalues, eigsys.left
     perm = _conjugate_permutation(w, _radii(eigsys.kappa, eigsys.norm))
     unmatched = w[perm < 0]
@@ -327,8 +326,8 @@ def verify_pseudo_hermiticity(H, V) -> PseudoHermiticityResiduals:
     H = as_matrix(H)
     V = _metric_matrix(V, H.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        h_norm = max(float(np.linalg.norm(H, "fro")), 1e-300)
-        sim = float(np.linalg.norm(V @ H @ np.linalg.inv(V) - H.conj().T, "fro")) / h_norm
+        h_norm = max(float(_frobenius(H)), 1e-300)
+        sim = float(_frobenius(V @ H @ np.linalg.inv(V) - H.conj().T)) / h_norm
     inter = float(_intertwiner_residual(V, H))
     _require_finite((h_norm, inter, sim), "||H||_F or a pseudo-Hermiticity residual")
     return PseudoHermiticityResiduals(intertwiner=inter, similarity=sim)

@@ -17,15 +17,13 @@ polynomial ``R(hA) = sum_{k<=4} (hA)^k / k!``, applied in increment form
 ``y <- y + (R(hA) - I) y`` with the 2x2 increment built once per grid span.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _as_vector, _greedy_match, _guard_exponent, _require_grid
+from .linalg import _as_vector, _Checked, _greedy_match, _guard_exponent, _require_grid
 from .response import ResonanceParams
 
 __all__ = [
@@ -123,8 +121,9 @@ def _check_roots(coeffs, expected: np.ndarray):
         raise OverflowRangeError("characteristic-root verification failed")
 
 
-@dataclass(frozen=True, eq=False)
-class SecondOrderIVP:
+class SecondOrderIVP(_Checked, NamedTuple("SecondOrderIVP", [
+        ("c1", complex), ("c0", complex), ("psi0", complex), ("dpsi0", complex),
+        ("times", np.ndarray), ("step", float)])):
     """Monic second-order IVP ``psi'' + c1 psi' + c0 psi = 0`` on a time grid.
 
     ``times`` is a finite, strictly ascending grid with ``times[0] >= 0``
@@ -133,28 +132,22 @@ class SecondOrderIVP:
     that ``times[-1] / step`` exceeds ``MAX_SUBSTEPS`` raises ``ValueError``.
     """
 
-    c1: complex
-    c0: complex
-    psi0: complex
-    dpsi0: complex
-    times: np.ndarray
-    step: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _as_vector((self.c1, self.c0, self.psi0, self.dpsi0), "c1, c0, psi0 and dpsi0")
-        t = _require_grid(self.times)
-        object.__setattr__(self, "times", t)
+    def __new__(cls, c1: complex, c0: complex, psi0: complex, dpsi0: complex, times, step: float):
+        _as_vector((c1, c0, psi0, dpsi0), "c1, c0, psi0 and dpsi0")
+        t = _require_grid(times)
         if t[0] < 0:
             raise ValueError("times must start at or after t = 0")
-        if not (0 < self.step < math.inf):
+        if not (0 < step < math.inf):
             raise ValueError("step must be positive and finite")
         # Python floats: an infinite quotient fails the cap instead of raising.
-        if not float(t[-1]) / float(self.step) <= MAX_SUBSTEPS:
-            raise ValueError(f"step {self.step:g} needs more than {MAX_SUBSTEPS:g} substeps")
+        if not float(t[-1]) / float(step) <= MAX_SUBSTEPS:
+            raise ValueError(f"step {step:g} needs more than {MAX_SUBSTEPS:g} substeps")
+        return super().__new__(cls, c1, c0, psi0, dpsi0, t, step)
 
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(NamedTuple):
     times: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray

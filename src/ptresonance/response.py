@@ -16,15 +16,12 @@ not a normal finite double; every single-pole propagator value ``G``, the
 quadrature's included, is checked by ``G (E - E0 + i Gamma) = 1``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _as_vector, _phases, _require_grid
+from .linalg import _as_vector, _Checked, _phases, _require_grid
 
 __all__ = [
     "ResonanceParams",
@@ -51,18 +48,17 @@ _FORM_CHECK_TOL = 1e-13
 _NORMAL_MIN = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class ResonanceParams:
+class ResonanceParams(_Checked, NamedTuple("ResonanceParams", [("e0", float), ("gamma", float)])):
     """Resonance energy E0 and half-width Gamma (hbar = 1)."""
 
-    e0: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (np.isfinite(self.e0) and np.isfinite(self.gamma)):
+    def __new__(cls, e0: float, gamma: float):
+        if not (np.isfinite(e0) and np.isfinite(gamma)):
             raise ValueError("resonance parameters must be finite")
-        if self.gamma <= 0:
+        if gamma <= 0:
             raise ValueError("gamma must be positive")
+        return super().__new__(cls, e0, gamma)
 
 
 def _offsets(values, name: str, origin: float = 0.0):
@@ -182,8 +178,8 @@ def time_delay(E, p: ResonanceParams, branch: str = "delay"):
     return float(value[0]) if scalar else value
 
 
-@dataclass(frozen=True, eq=False)
-class PropagatorModel:
+class PropagatorModel(_Checked, NamedTuple("PropagatorModel", [("poles", np.ndarray),
+                                                                ("residues", np.ndarray)])):
     """Finite model of simple poles and their residues.
 
     Every pole, one above the real axis too, contributes to the t > 0
@@ -191,18 +187,16 @@ class PropagatorModel:
     around it makes both poles of a balanced pair act together for t > 0.
     """
 
-    poles: np.ndarray
-    residues: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, poles, residues):
         what = "1-D and the same length"
-        poles = _as_vector(self.poles, "poles and residues", what=what)
-        residues = _as_vector(self.residues, "poles and residues", poles.size, what)
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "residues", residues)
+        poles = _as_vector(poles, "poles and residues", what=what)
+        residues = _as_vector(residues, "poles and residues", poles.size, what)
         # compared, not subtracted: poles 1e308 apart have no finite distance
         if len(set(poles.tolist())) != poles.size:
             raise ValueError("poles must be distinct (simple poles only)")
+        return super().__new__(cls, poles, residues)
 
     @property
     def closure(self) -> tuple[str, ...]:

@@ -9,9 +9,6 @@ spectrum into those categories, both within the one backward error
 reports real values only.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +16,10 @@ import numpy as np
 from .linalg import (
     RESIDUAL_CAP,
     _as_vector,
+    _Checked,
     _cluster_eigenvalues,
     _conjugate_permutation,
+    _frobenius,
     _radii,
     _require_finite,
     _require_invertible,
@@ -49,16 +48,15 @@ def gain_loss_dimer(s: float) -> np.ndarray:
     return as_matrix([[1.0 + 1.0j, s], [s, 1.0 - 1.0j]])
 
 
-@dataclass(frozen=True, eq=False)
-class AntilinearSymmetry:
+class AntilinearSymmetry(_Checked, NamedTuple("AntilinearSymmetry", [("P", np.ndarray)])):
     """Antilinear map ``v -> P conj(v)``: invertible linear part P, T = K."""
 
-    P: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        P = as_matrix(self.P)
-        object.__setattr__(self, "P", P)
+    def __new__(cls, P):
+        P = as_matrix(P)
         _require_invertible(P, "linear part P")
+        return super().__new__(cls, P)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the antilinear map to a vector of P's size."""
@@ -86,16 +84,15 @@ def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
     P_inv = np.linalg.inv(sym.P)
     with np.errstate(over="ignore", invalid="ignore"):
         transformed = sym.P @ np.conj(H) @ P_inv
-        h_norm = float(np.linalg.norm(H, "fro"))
-        residual = float(np.linalg.norm(transformed - H, "fro"))
+        h_norm = float(_frobenius(H))
+        residual = float(_frobenius(transformed - H))
     _require_finite((h_norm, residual), "antilinear check: ||H||_F or ||P conj(H) P^-1 - H||_F")
     if h_norm > 0.0:
         residual /= h_norm
     return PTCheck(residual <= RESIDUAL_CAP, residual)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Classification of a spectrum into antilinear-symmetry categories.
 
     ``real_values`` lists ``(value, multiplicity)``, ``conjugate_pairs``

@@ -23,6 +23,7 @@ from ptresonance import (
     pseudounitarity_residual,
     solve_intertwiner,
 )
+from ptresonance import cli
 from ptresonance.cli import build_parser, main
 
 DIAG_PAIR = np.diag([1 + 0.8j, 1 - 0.8j])
@@ -629,6 +630,22 @@ class TestDeterminism:
         assert main(["classify", "--input", matrices["m06"], "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_csv_rows_match_the_per_value_format(self, tmp_path):
+        """One ``%`` per row writes what ``format(float(v), ".17g")`` writes for
+        each value: random bit patterns, signed zeros, subnormals, infinities,
+        NaN and the 1e16-1e21 band where ``g`` switches to exponents."""
+        rng = np.random.default_rng(20)
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320, np.inf,
+                -np.inf, np.nan, 1.7976931348623157e308]
+        band = [sign * (10.0**k + d) for k in range(16, 22) for d in (0, 1) for sign in (1, -1)]
+        values = np.concatenate([rng.integers(0, 2**64, 6930, dtype=np.uint64).view(float),
+                                 edge, band, rng.uniform(1e16, 1e21, 36)])
+        columns = list(values.reshape(7, -1))
+        header = [f"c{k}" for k in range(7)]
+        cli._write_csv(str(tmp_path / "t.csv"), header, columns)
+        rows = [",".join(format(float(v), ".17g") for v in row) for row in zip(*columns)]
+        assert (tmp_path / "t.csv").read_text() == "\n".join([",".join(header)] + rows) + "\n"
+
 
 BAND = [(k, sign) for k in range(8, 17) for sign in (1, -1)]
 
@@ -752,6 +769,22 @@ class TestFiniteOut:
         argv = ["evolve", "--e0", "nan", "--gamma", "0.8", "--psi0", "0,1"]
         assert main(argv + ["--output", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "input error: resonance parameters must be finite\n"
+
+    def test_frobenius_norm_within_the_double_range(self, tmp_path, capsys):
+        # entries whose squares overflow, in an H whose ||H||_F is a double: the
+        # antilinear check and the metric answer, where both exited 5
+        big = write_matrix(tmp_path / "big.json", [[1e200, 1.0], [1.0, -1e200]])
+        wide = write_matrix(tmp_path / "wide.json", [[1e308, 1.0], [1.0, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", "--input", big]) == 0
+            assert json.loads(capsys.readouterr().out)["antilinear_check"]["residual"] == 2.0
+            for H in (big, wide):
+                assert main(["metric", "--input", H]) == 0
+                assert json.loads(capsys.readouterr().out)["hermitian"]
+            # P conj(H) P^-1 - H holds -2e308: that residual is beyond the double range
+            assert main(["classify", "--input", wide]) == 5
+        assert capsys.readouterr().err.startswith("overflow: antilinear check: ")
 
 
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "abc")

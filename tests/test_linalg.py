@@ -666,7 +666,8 @@ class TestOverflowingProducts:
     ``OverflowRangeError`` naming it, without a numpy warning, where each of
     these warned ("overflow encountered in dot/multiply/matmul")."""
 
-    WIDE = np.array([[1e308, 1.0], [1.0, -1e308]])
+    # ||H||_F = 1.84e308: beyond the double range, though eig accepts H
+    WIDE = np.diag([1.3e308, -1.3e308])
 
     def test_frobenius_norm_of_h(self):
         with warnings.catch_warnings():
@@ -677,6 +678,62 @@ class TestOverflowingProducts:
                 verify_pseudo_hermiticity(self.WIDE, PAPER_GAUGE_V)
             with pytest.raises(OverflowRangeError, match=r"metric: \|\|H\|\|_F"):
                 build_metric(eig(self.WIDE), solve_intertwiner(self.WIDE), H=self.WIDE)
+
+    @pytest.mark.parametrize("big", [1e155, 1e200, 1e308])
+    def test_frobenius_norm_within_the_double_range(self, big):
+        """An entry whose square overflows, in an H whose ||H||_F does not:
+        the norm is scaled by max|H| and the three checks return."""
+        H = np.array([[big, 1.0], [1.0, -big]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = build_metric(eig(H), solve_intertwiner(H), H=H)
+            npt.assert_allclose(op.V, np.eye(2), atol=1e-15)
+            assert op.residual <= 1e-15
+            assert verify_pseudo_hermiticity(H, np.eye(2)) == (0.0, 0.0)
+            if big < 1e308:  # P conj(H) P^-1 - H has the entries -2 big and 2 big
+                check = check_pt(H, AntilinearSymmetry(PAULI_X))
+                assert not check.is_symmetric and check.residual == pytest.approx(2.0)
+
+    def test_intertwiner_residual_where_the_norms_product_overflows(self):
+        """||V||_F ||H||_F = 2.4e308 is beyond the double range, though both
+        norms and the residual's norm are doubles: the residual is divided by
+        each norm in turn, and a V that misses by 7e-6 is not reported exact."""
+        H = np.array([[1.0, 1e-5], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = verify_pseudo_hermiticity(1e150 * H, 1.2e158 * np.eye(2))
+        unit = verify_pseudo_hermiticity(H, np.eye(2))
+        assert wide.intertwiner == pytest.approx(unit.intertwiner, rel=1e-12)
+        assert wide.similarity == pytest.approx(unit.similarity, rel=1e-12)
+
+    @pytest.mark.parametrize("s, exponent", [(0.6, 169.4), (0.6, 169.45), (2.0, 169.15)])
+    def test_intertwiner_residual_norms(self, s, exponent):
+        """eig accepts these H, whose intertwiner basis residuals have entries
+        whose squares overflow: numpy's norms of them leaked "overflow
+        encountered in multiply" (or "in reduce")."""
+        H = gain_loss_dimer(s) * 10.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            space = solve_intertwiner(H)
+        assert space.dimension == 2 and all(np.all(np.isfinite(b)) for b in space.basis)
+
+    def test_frobenius_norm_keeps_numpy_bits_where_finite(self):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        assert linalg._frobenius(stack[0]) == np.linalg.norm(stack[0], "fro")
+        npt.assert_array_equal(linalg._frobenius(stack, (-2, -1)),
+                               np.linalg.norm(stack, axis=(-2, -1)))
+        stack[2] *= 1e160  # numpy's sum of squares overflows for this one only
+        stack[3] = 0.0
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            norms = linalg._frobenius(stack, (-2, -1))
+            reference = np.linalg.norm(stack, axis=(-2, -1))
+            assert np.isinf(reference[2])
+            npt.assert_array_equal(np.delete(norms, 2), np.delete(reference, 2))
+            assert norms[2] == pytest.approx(1e160 * np.linalg.norm(stack[2] / 1e160))
+            assert np.isinf(linalg._frobenius(np.full((2, 2), 1e308)))
+            assert np.isnan(linalg._frobenius(np.array([[np.inf, 0.0], [0.0, 1.0]])))
 
     def test_states(self):
         big = [1e308, 1e308]

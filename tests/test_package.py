@@ -1,10 +1,15 @@
-"""The package surface: public names, each listed once in its own module, and
-the README library example."""
+"""The package surface: public names, each listed once in its own module, the
+one record kind, and the README library example."""
 
 import ast
 import collections
+import copy
 import inspect
 import pathlib
+import pickle
+
+import numpy as np
+import pytest
 
 import ptresonance
 from ptresonance import cli, errors, evolution, linalg, metric, odes, response, symmetry
@@ -54,6 +59,77 @@ def test_one_door_per_vector_and_matrix():
             ):
                 readers.append(f"{module.__name__}.{fn.name}")
     assert readers == ["ptresonance.linalg._as_vector", "ptresonance.linalg.as_matrix"]
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples: no module of the package imports ``dataclasses``."""
+    importers = []
+    for module in MODULES + (cli, ptresonance):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                importers.append(module.__name__)
+    assert importers == []
+
+
+RECORDS = [getattr(ptresonance, name) for name in ptresonance.__all__
+           if isinstance(getattr(ptresonance, name), type)
+           and not issubclass(getattr(ptresonance, name), Exception)]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_every_record_is_a_frozen_named_tuple(record):
+    assert issubclass(record, tuple) and record._fields
+    unchecked = tuple.__new__(record, [None] * len(record._fields))
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(unchecked, field, 1.0)
+    with pytest.raises(AttributeError):
+        unchecked.extra = 1.0
+
+
+# (record, working fields, a field, a value it refuses, the refusal's message)
+CHECKED = [
+    (ptresonance.ResonanceParams, {"e0": 1.0, "gamma": 0.8}, "gamma", -1.0,
+     "gamma must be positive"),
+    (ptresonance.PropagatorModel, {"poles": [1.0 - 0.8j], "residues": [1.0]}, "poles",
+     [np.nan], "poles and residues must be finite"),
+    (ptresonance.AntilinearSymmetry, {"P": ptresonance.PAULI_X}, "P", np.zeros((2, 2)),
+     "linear part P is singular"),
+    (ptresonance.SecondOrderIVP, {"c1": 0.0, "c0": 1.0, "psi0": 1.0, "dpsi0": 0.0,
+                                  "times": [0.0, 1.0], "step": 0.01}, "step", -1.0,
+     "step must be positive and finite"),
+    (ptresonance.StateTrajectory, {"times": [0.0, 1.0], "states": np.zeros((2, 2)),
+                                   "dirac_norms": np.ones(2), "v_norms": None}, "times",
+     [1.0, 0.0], "times must be strictly ascending"),
+]
+
+
+@pytest.mark.parametrize("record, fields, field, bad, message", CHECKED,
+                         ids=[case[0].__name__ for case in CHECKED])
+def test_checking_records_check_every_construction_path(record, fields, field, bad, message):
+    """The constructor, ``_make``, ``_replace``, a copy and unpickling all run
+    the record's check; a refused record can be made only by ``tuple.__new__``."""
+    good = record(**fields)
+    values = [bad if name == field else getattr(good, name) for name in record._fields]
+    unchecked = tuple.__new__(record, values)
+    paths = {
+        "constructor": lambda: record(*values),
+        "_make": lambda: record._make(values),
+        "_replace": lambda: good._replace(**{field: bad}),
+        "copy": lambda: copy.copy(unchecked),
+        "deepcopy": lambda: copy.deepcopy(unchecked),
+        "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+    }
+    for path, build in paths.items():
+        with pytest.raises(ValueError, match=message):
+            build()
+    for kept in (record._make(good), good._replace(), copy.copy(good),
+                 pickle.loads(pickle.dumps(good))):
+        assert type(kept) is record
+        assert all(np.array_equal(a, b) if a is not None else b is None
+                   for a, b in zip(kept, good))
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,6 +1,5 @@
 """Tests for propagators, phase shifts, time delay and the inverse transforms."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -800,9 +799,7 @@ _SWEEP_CASES = [
 
 def _numbers(out):
     """Every number in a returned value, flattened into one complex array."""
-    if dataclasses.is_dataclass(out):
-        out = [getattr(out, f.name) for f in dataclasses.fields(out)]
-    elif isinstance(out, dict):
+    if isinstance(out, dict):
         out = list(out.values())
     if isinstance(out, (list, tuple)):
         parts = [_numbers(item) for item in out if not isinstance(item, (str, type(None)))]
