@@ -224,12 +224,7 @@ def cmd_response(args) -> int:
     table = response.energy_response(args.kind, p, energies)
 
     prefix = args.output
-    _write_csv(
-        f"{prefix}_curves.csv",
-        ["E", "re_d", "im_d", "delta_delay", "delta_advance", "dt_delay", "dt_advance"],
-        [table["E"], table["re_d"], table["im_d"], table["delta_delay"],
-         table["delta_advance"], table["dt_delay"], table["dt_advance"]],
-    )
+    _write_csv(f"{prefix}_curves.csv", list(table), list(table.values()))
     _write_csv(f"{prefix}_time.csv", ["t", "re_d", "im_d"], [times, d_time.real, d_time.imag])
     _write_json(f"{prefix}_model.json", model.to_json())
     return EXIT_OK

@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import (
     _as_vector,
     _Checked,
+    _frobenius,
     _require_finite,
     _require_grid,
     _spectral_phases,
@@ -104,7 +105,9 @@ def pseudounitarity_residual(H, V, times) -> PseudoUnitarityResult:
     t = _require_grid(times)
     U = mat_exp_evolution(eig(H), t)  # U[k] = U(t_k)
     UH = np.conj(np.swapaxes(U, 1, 2))
-    residuals = np.linalg.norm(np.linalg.inv(Vm) @ UH @ Vm @ U - np.eye(H.shape[0]), axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _frobenius(np.linalg.inv(Vm) @ UH @ Vm @ U - np.eye(H.shape[0]), (-2, -1))
+    _require_finite(residuals, "pseudounitarity residual")
     return PseudoUnitarityResult(residuals=residuals, maximum=float(np.max(residuals)))
 
 

@@ -21,8 +21,10 @@ naming the input:
 
 A product or norm of finite inputs that leaves the double range is formed with
 overflow ignored and refused once, by ``_require_finite``, with
-``OverflowRangeError``; a Frobenius norm is scaled by ``_frobenius`` where
-numpy's sum of squares overflows, so it is refused only beyond the double range.
+``OverflowRangeError``.  Every Frobenius norm of a residual or a scale is
+``_frobenius``'s, scaled where numpy's sum of squares overflows or underflows,
+so it is refused only beyond the double range and a relative residual does not
+depend on the units of H.
 """
 
 import math
@@ -63,6 +65,12 @@ EXP_CAP = 300.0
 # Condition number above which a matrix is treated as singular.
 _CONDITION_CAP = 1e12
 
+# The smallest normal double.  Where a sum of squares is at least
+# _NORMAL_MIN / eps, no square below it moves the sum by a rounding: the least
+# norm ``_frobenius`` takes from numpy.
+_NORMAL_MIN = np.finfo(float).tiny
+_NORMAL_NORM = math.sqrt(_NORMAL_MIN / np.finfo(float).eps)
+
 
 def _guard_exponent(rates, times, what: str) -> None:
     """Raise ``OverflowRangeError`` when the largest growth exponent, a product
@@ -81,24 +89,34 @@ def _require_finite(value, what: str):
     """Return ``value``, a quantity its caller formed with overflow ignored;
     ``OverflowRangeError`` naming ``what`` when an entry is beyond the double
     range (inf, or the NaN an overflow leaves)."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise OverflowRangeError(f"{what} is beyond the double range")
     return value
 
 
 def _frobenius(x: np.ndarray, axis=None):
-    """numpy's Frobenius norm of the matrix x, or of each matrix of a stack over
-    ``axis = (-2, -1)``, wherever it is finite; where its sum of squares
-    overflows, ``s ||x / s||_F`` with ``s = max|x|``.  Like every quantity
-    ``_require_finite`` judges, it is formed by its caller with overflow
-    ignored: a norm beyond the double range is inf or NaN."""
+    """The package's one Frobenius norm of a residual or a scale: of the matrix
+    x, or of each matrix of a stack over ``axis = (-2, -1)``.
+
+    numpy's norm wherever its sum of squares is a normal double with room to
+    spare, ``||x||_F >= sqrt(tiny / eps)`` and finite, and for a zero matrix;
+    elsewhere ``s ||x / s||_F`` with ``s = max|x|``, so that neither squares
+    that underflow nor squares that overflow move it.  Like every quantity
+    ``_require_finite`` judges, it is formed under its caller's ``errstate``
+    with overflow ignored: a norm beyond the double range is inf or NaN."""
     norm = np.linalg.norm(x, axis=axis)
-    if math.isfinite(norm) if norm.ndim == 0 else np.isfinite(norm).all():
+    if norm.ndim == 0 and (_NORMAL_NORM <= norm < math.inf or not (norm or x.any())):
         return norm
-    with np.errstate(invalid="ignore"):  # x / s is 0 / 0 for a zero matrix of a stack
-        s = np.max(np.abs(x), axis=(-2, -1), keepdims=True)
-        scaled = np.linalg.norm(x / s, axis=axis) * np.squeeze(s, axis=(-2, -1))
-    return np.where(np.isfinite(norm), norm, scaled)
+    keep = (norm >= _NORMAL_NORM) & (norm < np.inf)  # NaN is not kept
+    if keep.all():
+        return norm
+    rescale = ~keep & np.any(x, axis=axis)  # a zero matrix keeps numpy's 0
+    # |x| / s is 0 / 0 for a zero matrix of a stack; a real quotient, since a
+    # complex one by a subnormal s overflows
+    with np.errstate(invalid="ignore"):
+        s = np.max(mag := np.abs(x), axis=(-2, -1), keepdims=True)
+        scaled = np.linalg.norm(mag / s, axis=axis) * np.squeeze(s, axis=(-2, -1))
+    return np.where(rescale, scaled, norm)
 
 
 def _condition(M: np.ndarray) -> tuple[float, bool]:
@@ -428,20 +446,23 @@ def eig(H) -> EigenSystem:
 
     h_norm = float(np.linalg.norm(H, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
-        eig_res = float(np.linalg.norm(H @ R_raw - R_raw * w[np.newaxis, :], "fro"))
-    eig_res = _require_finite(eig_res / h_norm if h_norm > 0.0 else 0.0,
-                              "eigen-equation residual")
+        eig_res = float(_frobenius(H @ R_raw - R_raw * w[np.newaxis, :])) / (h_norm or 1.0)
+    eig_res = _require_finite(eig_res, "eigen-equation residual")
 
     R = _phase_gauge(R_raw / np.linalg.norm(R_raw, axis=0, keepdims=True))
+    # R singular, exactly or so nearly that its inverse overflows: kappa = inf,
+    # and every value clusters
     try:
-        L = np.linalg.inv(R)
-    except np.linalg.LinAlgError:  # exactly singular: kappa = inf, every value clusters
+        L = _require_finite(np.linalg.inv(R), "inverse of the eigenvectors")
+    except (np.linalg.LinAlgError, OverflowRangeError):
         L = None
-    kappa = np.full(n, np.inf) if L is None else np.linalg.norm(L, axis=1)
 
-    # Rank test for geometric multiplicity on each eigenvalue cluster.
+    # Rank test for geometric multiplicity on each eigenvalue cluster.  A kappa
+    # beyond the double range is inf, like a singular R's; a non-finite mean is
+    # refused below.
     floor = RESIDUAL_CAP * h_norm
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.full(n, np.inf) if L is None else np.linalg.norm(L, axis=1)
         clusters = [(m, complex(np.mean(w[m])))
                     for m in _cluster_eigenvalues(w, _radii(kappa, h_norm)) if len(m) > 1]
     defects: list[DefectCluster] = []
@@ -453,15 +474,11 @@ def eig(H) -> EigenSystem:
         if geometric < len(members):
             defects.append(DefectCluster(center, len(members), geometric, tuple(members)))
 
-    # A defective spectrum keeps no eigenvector blocks.
-    residual = eig_res
-    if defects:
+    if defects:  # a defective spectrum keeps no eigenvector blocks
         R = L = None
     else:
-        biorth = float(np.linalg.norm(L @ R - np.eye(n), "fro"))
-        complete = float(np.linalg.norm(R @ L - np.eye(n), "fro"))
-        residual = max(eig_res, biorth, complete)
-    return EigenSystem(eigenvalues=w, right=R, left=L, residual=residual,
+        eig_res = float(max(eig_res, _frobenius(L @ R - np.eye(n)), _frobenius(R @ L - np.eye(n))))
+    return EigenSystem(eigenvalues=w, right=R, left=L, residual=eig_res,
                        defects=tuple(defects), kappa=kappa, norm=h_norm)
 
 
@@ -476,17 +493,21 @@ def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, pa
     solves stay accurate when the eigenvectors are ill-conditioned.
     """
     n = H.shape[0]
+    # H and res scaled up by a power of two (at most 2^1000, a double) to
+    # max|H| ~ 1, which moves no bit of X: the solves return NaN where S's
+    # entries are so small that their squares underflow.
+    scale = 2.0 ** min(1000, max(0, -math.frexp(np.max(np.abs(H)))[1]))
     U, _ = np.linalg.qr(right)
-    S = np.triu(U.conj().T @ H @ U)
+    S = np.triu(U.conj().T @ (H * scale) @ U)
     # Y[c] holds column c of each res[m] until it is overwritten by its solution.
-    Y = np.moveaxis(U.conj().T @ res @ U, 2, 0).copy()
+    Y = np.moveaxis(U.conj().T @ (res * scale) @ U, 2, 0).copy()
     eye, SH = np.eye(n), S.conj().T
     for c in range(n):
         A = S[c, c] * eye - SH
         rhs = Y[c] - np.tensordot(S[:c, c], Y[:c], axes=(0, 0))
         free = paired[:, c]
         A[free, :] = 0.0
-        A[free, free] = 1.0
+        A[free, free] = scale  # so that A is exactly scale times its unscaled form
         rhs[:, free] = 0.0
         Y[c] = np.linalg.solve(A, rhs.T).T
     Y = U @ np.moveaxis(Y, 0, 2)  # rebinding frees the solved Y before the last product
@@ -506,9 +527,14 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     whenever every eigenvalue has a conjugate partner.  When the eigenvectors
     are ill-conditioned, that basis can miss the equation by more than
     rounding; it is then corrected once by triangular solves in Schur
-    coordinates and orthonormalized again.  The cost is O(n^4) for a
+    coordinates and orthonormalized again.  That correction divides rounding
+    noise by the gaps ``lambda_j - conj(lambda_i)`` just beyond the cutoff: on
+    a spectrum the pairing leaves unpaired, the space can hold directions of
+    condition about 1e7, which ``build_metric`` refuses by the pairing
+    verdict but a direct caller gets.  The cost is O(n^4) for a
     spectrum without degeneracies.  A defective spectrum has no complete
-    eigenbasis and raises ``DefectiveMatrixError``.
+    eigenbasis and raises ``DefectiveMatrixError``, and a correction beyond
+    the double range ``OverflowRangeError``.
 
     Parameters
     ----------
@@ -543,16 +569,14 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     res -= H.conj().T @ B
     # The Kronecker null space reaches about 1.5 eps ||H||_F; correct only
     # above 4 eps ||H||_F, since near rounding level a correction is noise
-    # (and never where numpy's ||H||_F overflows, as the residuals' norms can
-    # only where it does).
-    with np.errstate(over="ignore"):
-        noise = 4 * np.finfo(float).eps * np.linalg.norm(H, "fro")
-        correct = np.max(np.linalg.norm(res, axis=(1, 2))) > noise
-    if correct:
-        B -= _null_space_correction(res, H, eigsys.right, paired)
-        del res
-        Q, _ = np.linalg.qr(B.reshape(k, n * n).T)
-        B = Q.T.reshape(k, n, n)
+    # (and never where ||H||_F overflows, as the residuals' norms can only
+    # where it does).  A correction beyond the double range is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.max(_frobenius(res, (-2, -1))) > 4 * np.finfo(float).eps * _frobenius(H):
+            B -= _null_space_correction(res, H, eigsys.right, paired)
+            del res
+            Q, _ = np.linalg.qr(_require_finite(B, "intertwiner correction").reshape(k, n * n).T)
+            B = Q.T.reshape(k, n, n)
     return IntertwinerSpace(basis=tuple(B))
 
 

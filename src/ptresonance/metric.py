@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DefectiveMatrixError, NoMetricError
 from .linalg import (
     RESIDUAL_CAP,
+    _NORMAL_MIN,
     EigenSystem,
     IntertwinerSpace,
     _as_vector,
@@ -116,13 +117,16 @@ def _is_hermitian(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> np.ndarray:
     """``||VH - H^dag V||_F / (||V||_F ||H||_F)``, divided by the two norms in
-    turn where their product overflows; inf or NaN, without a numpy warning,
-    where a term is beyond the double range (no cap admits it)."""
+    turn where their product is not a normal double, and by neither where one
+    is zero (a zero V or H leaves a zero residual); inf or NaN, without a numpy
+    warning, where a term is beyond the double range (no cap admits it)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v_norm, h_norm = _frobenius(V, (-2, -1)), _frobenius(H)
+        # 1 in place of a zero norm
+        v_norm, h_norm = (x + (x == 0.0) for x in (_frobenius(V, (-2, -1)), _frobenius(H)))
         residual = _frobenius(V @ H - H.conj().T @ V, (-2, -1))
-        denom = np.maximum(v_norm * h_norm, 1e-300)
-        return np.where(denom < np.inf, residual / denom, residual / v_norm / h_norm)
+        denom = v_norm * h_norm
+        normal = (denom >= _NORMAL_MIN) & (denom < np.inf)
+        return np.where(normal, residual / denom, residual / v_norm / h_norm)
 
 
 def _fix_sign(V: np.ndarray) -> np.ndarray:
@@ -311,7 +315,7 @@ def closure_check(kets, bras) -> float:
                 f"inner-product matrix is singular (condition estimate {cond:.3g}); "
                 "the kets/bras do not form a complete dual system"
             )
-        residual = float(np.linalg.norm(K @ np.linalg.solve(G, np.eye(n)) @ B - np.eye(n), "fro"))
+        residual = float(_frobenius(K @ np.linalg.solve(G, np.eye(n)) @ B - np.eye(n)))
     return _require_finite(residual, "closure residual")
 
 
@@ -326,8 +330,8 @@ def verify_pseudo_hermiticity(H, V) -> PseudoHermiticityResiduals:
     H = as_matrix(H)
     V = _metric_matrix(V, H.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        h_norm = max(float(_frobenius(H)), 1e-300)
-        sim = float(_frobenius(V @ H @ np.linalg.inv(V) - H.conj().T)) / h_norm
+        h_norm = float(_frobenius(H))
+        sim = float(_frobenius(V @ H @ np.linalg.inv(V) - H.conj().T)) / (h_norm or 1.0)
     inter = float(_intertwiner_residual(V, H))
     _require_finite((h_norm, inter, sim), "||H||_F or a pseudo-Hermiticity residual")
     return PseudoHermiticityResiduals(intertwiner=inter, similarity=sim)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _as_vector, _Checked, _phases, _require_grid
+from .linalg import _NORMAL_MIN, _as_vector, _Checked, _phases, _require_grid
 
 __all__ = [
     "ResonanceParams",
@@ -45,7 +45,6 @@ MODEL_KINDS = ("breit-wigner", "pt-pair")
 LOWER = "lower"
 
 _FORM_CHECK_TOL = 1e-13
-_NORMAL_MIN = np.finfo(float).tiny
 
 
 class ResonanceParams(_Checked, NamedTuple("ResonanceParams", [("e0", float), ("gamma", float)])):

@@ -87,8 +87,7 @@ def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
         h_norm = float(_frobenius(H))
         residual = float(_frobenius(transformed - H))
     _require_finite((h_norm, residual), "antilinear check: ||H||_F or ||P conj(H) P^-1 - H||_F")
-    if h_norm > 0.0:
-        residual /= h_norm
+    residual /= h_norm or 1.0
     return PTCheck(residual <= RESIDUAL_CAP, residual)
 
 
@@ -163,13 +162,13 @@ def _classify(w: np.ndarray, radii: np.ndarray, defective_clusters) -> SpectrumR
     real = perm == np.arange(w.size)
     up = np.flatnonzero(~real & (perm >= 0) & (w.imag > 0))
     down = perm[up]
-    e0, gamma = (w[up].real + w[down].real) / 2.0, (w[up].imag - w[down].imag) / 2.0
+    mid = w[up] / 2.0 + np.conj(w[down]) / 2.0  # E0 + i Gamma, halved first: a sum may overflow
     reals = w[real].real
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused
+        means = [(np.mean(reals[c]), len(c)) for c in _cluster_eigenvalues(reals, radii[real])]
     return SpectrumReport(
-        real_values=tuple(
-            (float(np.mean(reals[c])), len(c)) for c in _cluster_eigenvalues(reals, radii[real])
-        ),
-        conjugate_pairs=tuple(sorted(zip(e0.tolist(), gamma.tolist()))),
+        real_values=tuple((float(v), m) for v, m in _require_finite(means, "real cluster mean")),
+        conjugate_pairs=tuple(sorted(zip(mid.real.tolist(), mid.imag.tolist()))),
         unmatched=tuple(complex(z) for z in w[perm < 0]),
         exceptional=tuple((complex(v), int(m)) for v, m in defective_clusters),
     )

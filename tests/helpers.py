@@ -61,3 +61,13 @@ def kron_intertwiner(H, tol=1e-10):
     _, s, Vh = np.linalg.svd(K)
     null_idx = np.arange(n * n) if s[0] == 0.0 else np.nonzero(s <= tol * s[0])[0]
     return [Vh[i].conj().reshape(n, n) for i in null_idx]
+
+
+def numbers_in(out):
+    """Every number in a returned value, flattened into one complex array."""
+    if isinstance(out, dict):
+        out = list(out.values())
+    if isinstance(out, (list, tuple)):
+        parts = [numbers_in(item) for item in out if not isinstance(item, (str, type(None)))]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    return np.asarray(out, dtype=complex).ravel()

@@ -32,6 +32,9 @@ DIAG_PAIR = np.diag([1 + 0.8j, 1 - 0.8j])
 DEFECTIVE_8 = np.kron(np.diag([0.0, 2.0, 4.0, 6.0]), np.eye(2)) + np.kron(
     np.eye(4), gain_loss_dimer(1.0)
 )
+# The 3x3 nilpotent Jordan block: numpy's eigenvectors of it are exactly
+# singular, so eig takes kappa = inf for every value.
+JORDAN_3 = np.diag([1.0, 1.0], 1)
 
 
 def write_matrix(path, m):
@@ -138,12 +141,14 @@ def _refusal(H) -> str:
 
 @pytest.mark.parametrize(
     "H, clusters",
-    [pytest.param(gain_loss_dimer(1.0), 1, id="dimer"), pytest.param(DEFECTIVE_8, 4, id="n8")],
+    [pytest.param(gain_loss_dimer(1.0), 1, id="dimer"), pytest.param(DEFECTIVE_8, 4, id="n8"),
+     pytest.param(JORDAN_3, 1, id="jordan-3")],
 )
 def test_one_refusal_everywhere(H, clusters, tmp_path, capsys):
     """Every routine that needs a complete eigenbasis refuses a defective
-    spectrum with the same message, naming each defective cluster, and the
-    CLI passes it on unchanged with exit code 3."""
+    spectrum with the same message, naming each defective cluster (of n /
+    clusters values each), and the CLI passes it on unchanged with exit code
+    3, the code classify gives its report."""
     n = H.shape[0]
     times = np.linspace(0.0, 1.0, 5)
     refusals = {
@@ -163,9 +168,10 @@ def test_one_refusal_everywhere(H, clusters, tmp_path, capsys):
     message = messages["mat_exp_evolution"]
     assert messages == dict.fromkeys(refusals, message)
     assert message.startswith("no complete eigenbasis: eigenvalue ")
-    assert message.count("geometric multiplicity 1 < algebraic 2") == clusters
+    assert message.count(f"geometric multiplicity 1 < algebraic {n // clusters}") == clusters
 
     path = write_matrix(tmp_path / "h.json", H)
+    assert main(["classify", "--input", path, "--output", str(tmp_path / "report.json")]) == 3
     psi0 = ",".join(["1"] + ["0"] * (n - 1))
     for argv in (["metric", "--input", path], ["evolve", "--input", path, "--psi0", psi0]):
         assert main(argv) == 3
@@ -700,15 +706,13 @@ class TestFiniteOut:
             ["evolve", "--s", "1e308", "--psi0", "1,0"],
             ["evolve", "--e0", "1e308", "--gamma", "0.8", "--psi0", "0,1"],
             ["evolve", "--e0", "1", "--gamma", "0.8", "--psi0", "1e308,1e308"],
-            ["classify", "--s", "1e308"],
-            ["metric", "--s", "1e308"],
             ["response", "--kind", "pt-pair", "--e0", "1e308", "--gamma", "0.8"],
             ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e-320"],
             ["response", "--kind", "breit-wigner", "--e0", "1", "--gamma", "1e300"],
             ["response", "--kind", "pt-pair", "--e0", "1", "--gamma", "1e308"],
             ["response", "--kind", "pt-pair", "--e0", "0", "--gamma", "1e-160"],
         ],
-        ids=["evolve-s", "evolve-e0", "evolve-psi0", "classify-s", "metric-s", "response-e0",
+        ids=["evolve-s", "evolve-e0", "evolve-psi0", "response-e0",
              "response-gamma", "response-bw-gamma", "response-gamma-large",
              "response-gamma-subnormal"],
     )
@@ -722,6 +726,26 @@ class TestFiniteOut:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("overflow: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["classify", "metric"], ids=["classify-s", "metric-s"])
+    def test_exit_0_at_the_top_of_the_double_range(self, command, tmp_path):
+        """The dimer at s = 1e308 has the real eigenvalues 1 +/- sqrt(s^2 - 1),
+        about +/-1e308, and ||H||_2 = 1e308: its eigen-equation residual,
+        scaled by ``_frobenius``, is a double, so classify reports two real
+        values and metric a V, both exit 0 with finite JSON, where eig's
+        residual overflowed and both exited 5."""
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--s", "1e308", "--output", str(out)]) == 0
+        obj = json.loads(out.read_text(), parse_constant=pytest.fail)
+        if command == "classify":
+            assert obj["real"] == [{"value": -1e308, "multiplicity": 1},
+                                   {"value": 1e308, "multiplicity": 1}]
+            assert obj["pairs"] == obj["unmatched"] == obj["exceptional"] == []
+        else:
+            assert obj["invertible"] and obj["hermitian"]
+            assert obj["residual"] <= metric.RESIDUAL_CAP
 
     def test_growing_mode_beyond_the_double_range_names_the_guard(self, tmp_path, capsys):
         # Im p * t = 1e308 * t overflows: the guard reports the exponent as inf,

@@ -17,6 +17,7 @@ from ptresonance import (
     PAPER_GAUGE_V,
     PAULI_X,
     AntilinearSymmetry,
+    DefectCluster,
     DefectiveMatrixError,
     OverflowRangeError,
     ResonanceParams,
@@ -90,6 +91,17 @@ class TestEig:
         npt.assert_allclose(
             es.eigenvalues, [1.0 - 0.8j, 1.0 + 0.8j], rtol=1e-12, atol=1e-14
         )
+
+    def test_exactly_singular_eigenvectors(self):
+        """numpy's eigenvectors of the 3x3 nilpotent Jordan block are exactly
+        singular: every kappa is inf, so the three zeros form one cluster,
+        which the rank test finds defective, without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            es = eig(np.diag([1.0, 1.0], 1))
+        assert np.all(np.isinf(es.kappa))
+        assert es.defects == (DefectCluster(0j, 3, 1, (0, 1, 2)),)
+        assert es.right is None and es.left is None
 
     def test_dimer_exceptional_point(self):
         """s = 1: rank(H - I) = 1 by direct elimination, so geometric < algebraic."""
@@ -573,12 +585,20 @@ class TestDoubleRangeRefusals:
                 classify_hamiltonian(H)
 
     def test_eigen_residual(self):
-        # the residual norm overflowed to inf after numpy's warning
+        """The residual's entries near 1e308 have squares beyond the double
+        range, but its norm, scaled by ``_frobenius``, is a double: eig,
+        the classification and the intertwiner basis accept ||H||_2 = 1e308,
+        where eig refused it with "eigen-equation residual is beyond the
+        double range"."""
+        H = gain_loss_dimer(1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (eig, classify_hamiltonian, solve_intertwiner):
-                with pytest.raises(OverflowRangeError, match="eigen-equation residual"):
-                    call(gain_loss_dimer(1e308))
+            es = eig(H)
+            report, _ = classify_hamiltonian(H)
+            space = solve_intertwiner(H)
+        assert es.norm == 1e308 and es.residual <= 1e-15 and not es.defective
+        assert report.real_values == ((-1e308, 1), (1e308, 1))
+        assert space.dimension == 2 and all(np.all(np.isfinite(b)) for b in space.basis)
 
     def test_pairing_at_both_ends(self):
         """Eigenvalues +/-1e308 are 2e308 apart: that distance is inf, within
@@ -599,8 +619,9 @@ class TestDoubleRangeRefusals:
                 evolve(np.diag([1e308, 1.0]), [1.0, 1.0], times)
             with pytest.raises(OverflowRangeError, match="phase"):
                 mat_exp_evolution(eig(np.diag([1e308, 1.0])), 5.0)
-            # eig's own residual overflows here: refused there, without a warning
-            with pytest.raises(OverflowRangeError, match="eigen-equation residual"):
+            # eig accepts this H, whose residual norm is scaled; its phases
+            # lambda t of about 5e308 are refused, without a warning
+            with pytest.raises(OverflowRangeError, match="phase"):
                 evolve(gain_loss_dimer(1e308), [1.0, 0.0], times)
 
 

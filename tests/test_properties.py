@@ -13,21 +13,49 @@ Inputs are random PT-symmetric matrices from ``helpers.random_pt_symmetric``
 at unit 2-norm, and drawn spectra ``S diag(w) S^-1`` with values moved to
 within a few pairing cutoffs of their conjugate partner.  Every test is
 derandomized, so a run always draws the same examples.
+
+Two properties span the double range.  Every public callable of ``linalg``,
+``symmetry``, ``metric`` and ``evolution`` returns finite output or refuses
+with one of the package's four exception types, without a numpy warning, on
+inputs of any magnitude from 1e-320 to 1e308; and the verdicts on ``c H`` for
+a power of two c, with their relative residuals, are those on H.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_pt_symmetric
+from helpers import numbers_in, random_pt_symmetric
 from ptresonance import (
+    PAULI_X,
+    AntilinearSymmetry,
     DefectiveMatrixError,
+    EigenSystem,
     NoMetricError,
+    OverflowRangeError,
+    as_matrix,
     build_metric,
+    check_pt,
     classify_hamiltonian,
     classify_spectrum,
+    closure_check,
+    dual_pair,
+    eig,
+    evolve,
+    gain_loss_dimer,
     linalg,
+    mat_exp_evolution,
+    matrix_from_json,
+    matrix_to_json,
+    metric,
+    pseudounitarity_residual,
     solve_intertwiner,
+    two_level_hamiltonian,
+    two_level_scenario,
+    v_inner,
+    verify_pseudo_hermiticity,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -239,3 +267,143 @@ def test_conjugate_permutation_is_the_loop(spectrum):
         np.testing.assert_array_equal(
             linalg._conjugate_permutation(values, r), _loop_conjugate_permutation(values, r)
         )
+
+
+# Finite out at every magnitude, and verdicts that do not depend on the units
+# of H.  Magnitudes are log-uniform over the whole double range, subnormals
+# included.
+MAGNITUDES = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+PHASES = st.floats(0.0, 2 * np.pi).map(lambda a: np.exp(1j * a))
+ALLOWED = (ValueError, OverflowRangeError, DefectiveMatrixError, NoMetricError)
+
+
+@st.composite
+def wide_inputs(draw):
+    """A PT-symmetric H (n = 2-4) at a drawn magnitude, with up to three
+    entries then set to drawn magnitudes and phases; its P at a drawn
+    magnitude; a state, a metric scale and a level pair (E0, Gamma) of drawn
+    magnitudes; and a time grid up to a drawn fraction (to 1.05) of the growth
+    guard ``EXP_CAP / max|Im lambda|``."""
+    n = draw(st.integers(2, 4))
+    H, P = random_pt_symmetric(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    H = H / np.linalg.norm(H, 2) * draw(MAGNITUDES)
+    for _ in range(draw(st.integers(0, 3))):
+        H[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = (
+            draw(MAGNITUDES) * draw(PHASES))
+    psi0 = np.array([draw(MAGNITUDES) * draw(PHASES) for _ in range(n)])
+    with np.errstate(all="ignore"):
+        rate = np.max(np.abs(np.linalg.eigvals(H).imag))
+        stop = draw(st.floats(0.01, 1.05)) * linalg.EXP_CAP / rate
+    times = np.linspace(0.0, min(stop, 1e300), draw(st.integers(2, 11)))
+    P = P / np.max(np.abs(P)) * draw(MAGNITUDES)
+    return H, P, psi0, times, [draw(MAGNITUDES) for _ in range(3)]
+
+
+def _finite_or_refused(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` with every numpy warning an error: its output, which
+    must be all-finite, or None where it raises one of the allowed types."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(*args, **kwargs)
+        except ALLOWED:
+            return None
+    # an EigenSystem's kappa is inf by design for a value whose right vector is singular
+    parts = [x._replace(kappa=()) if isinstance(x, EigenSystem) else x
+             for x in (out if type(out) is tuple else [out])]
+    assert np.all(np.isfinite(numbers_in(parts))), call.__name__
+    return out
+
+
+@settings(PROPERTY, max_examples=500)
+@given(wide_inputs())
+def test_finite_out_at_every_magnitude(inputs):
+    """Every public callable of ``linalg``, ``symmetry``, ``metric`` and
+    ``evolution`` returns all-finite output or raises ``ValueError``,
+    ``OverflowRangeError``, ``DefectiveMatrixError`` or ``NoMetricError``, and
+    never a numpy warning."""
+    H, P, psi0, times, (v_scale, e0, gamma) = inputs
+    run = _finite_or_refused
+    run(matrix_from_json, run(matrix_to_json, run(as_matrix, H)))
+    run(gain_loss_dimer, e0)
+    run(classify_spectrum, np.concatenate([psi0, np.conj(psi0)]))
+    run(classify_hamiltonian, H)
+    sym = run(AntilinearSymmetry, P)
+    if sym is not None:
+        run(check_pt, H, sym)
+    eigsys, space = run(eig, H), run(solve_intertwiner, H)
+    V = np.eye(H.shape[0])
+    if eigsys is not None:
+        run(mat_exp_evolution, eigsys, times)
+        ops = [run(build_metric, eigsys, space or linalg.IntertwinerSpace(()), policy, H=H)
+               for policy in metric.POLICIES]
+        V = next((op.V for op in ops if op is not None), V)
+        if eigsys.right is not None:
+            run(closure_check, v_scale * eigsys.right.T, eigsys.left)
+    V = v_scale * V
+    run(v_inner, psi0, psi0[::-1], V)
+    run(dual_pair, psi0, V)
+    run(verify_pseudo_hermiticity, H, V)
+    run(evolve, H, psi0, times, V)
+    run(pseudounitarity_residual, H, V, times)
+    run(two_level_hamiltonian, e0, gamma)
+    run(two_level_scenario, e0, gamma, psi0[:2], times)
+
+
+@st.composite
+def unit_inputs(draw):
+    """A ``helpers.random_pt_symmetric`` H (n = 2-6) with its P, or a
+    complex Gaussian 2x2 H with ``sigma_x``, and a power of two ``c = 2^k``,
+    k in [-1000, 1000]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        H, P = random_pt_symmetric(rng, draw(st.integers(2, 6)))
+    else:
+        H, P = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)), PAULI_X
+    return H, P, 2.0 ** draw(st.integers(-1000, 1000))
+
+
+def _verdicts(H, P):
+    """Each decision on H as ``(verdict, relative residuals)``: the name of the
+    exception it raises, or OverflowRangeError where it is refused."""
+
+    def decide(call, read):
+        try:
+            return read(call())
+        except OverflowRangeError:
+            return OverflowRangeError
+        except (ValueError, DefectiveMatrixError, NoMetricError) as exc:
+            return type(exc).__name__, ()
+
+    out = {
+        "eig": decide(lambda: eig(H), lambda e: (e.defective, (e.residual,))),
+        "check_pt": decide(lambda: check_pt(H, AntilinearSymmetry(P)),
+                           lambda c: (c.is_symmetric, (c.residual,))),
+        "classify": decide(lambda: categories(H), lambda c: (c, ())),
+    }
+    for policy in metric.POLICIES:
+        out[policy] = decide(
+            lambda: build_metric(eig(H), solve_intertwiner(H), policy, H=H),
+            lambda op: ("metric", (op.residual,)))
+    return out
+
+
+@settings(PROPERTY, max_examples=300)
+@given(unit_inputs())
+def test_verdicts_do_not_depend_on_the_units_of_h(inputs):
+    """``eig`` accepts ``c H``, whose 2-norm is a double with room to spare.
+    Wherever nothing is refused, the antilinear check's verdict, the
+    classification's categories and each metric policy's outcome (a V, or the
+    exception it raises) are those at c = 1, and the relative residuals agree
+    to 1e-12.  V itself is not compared."""
+    H, P, c = inputs
+    base = _verdicts(H, P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = _verdicts(c * H, P)
+    assert scaled["eig"] is not OverflowRangeError
+    for name, outcome in scaled.items():
+        if outcome is not OverflowRangeError:
+            assert outcome[0] == base[name][0], name
+            np.testing.assert_allclose(outcome[1], base[name][1], rtol=1e-12, atol=1e-12,
+                                       err_msg=name)

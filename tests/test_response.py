@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import numbers_in
 import ptresonance as ptr
 from ptresonance import (
     DefectiveMatrixError,
@@ -797,16 +798,6 @@ _SWEEP_CASES = [
 ]
 
 
-def _numbers(out):
-    """Every number in a returned value, flattened into one complex array."""
-    if isinstance(out, dict):
-        out = list(out.values())
-    if isinstance(out, (list, tuple)):
-        parts = [_numbers(item) for item in out if not isinstance(item, (str, type(None)))]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-    return np.asarray(out, dtype=complex).ravel()
-
-
 class TestFiniteOutSweep:
     """Each public callable of ``ptresonance``, with 0, -1, nan, +/-inf, 1e308
     or 1e-320 put into one numeric argument, returns all-finite output or
@@ -820,7 +811,7 @@ class TestFiniteOutSweep:
     @pytest.mark.parametrize("name", _SWEEP_CALLS)
     def test_working_call(self, name):
         function, kwargs = _SWEEP_CALLS[name]
-        assert np.all(np.isfinite(_numbers(function(**kwargs))))
+        assert np.all(np.isfinite(numbers_in(function(**kwargs))))
 
     @pytest.mark.parametrize("name, arg, value", _SWEEP_CASES,
                              ids=[f"{n}-{a}-{v!r}" for n, a, v in _SWEEP_CASES])
@@ -838,4 +829,4 @@ class TestFiniteOutSweep:
                 out = function(**kwargs)
             except (ValueError, OverflowRangeError, DefectiveMatrixError, NoMetricError):
                 return
-        assert np.all(np.isfinite(_numbers(out)))
+        assert np.all(np.isfinite(numbers_in(out)))
