@@ -193,7 +193,8 @@ def build_metric(
     ``paper-gauge``
         The exact ``[[0, -1], [1, 0]]``, for a 2x2 H that it intertwines within
         the residual cap, as the search's candidates must: ``[[a, i beta],
-        [i gamma, conj(a)]]`` with real beta and gamma; else ``ValueError``.
+        [i gamma, conj(a)]]`` with real beta and gamma; else ``ValueError``,
+        or ``OverflowRangeError`` where its residual is beyond the double range.
     ``first-basis``
         First intertwiner basis element, normalized: for a non-defective
         spectrum, the sum over a conjugate matching (see ``solve_intertwiner``).
@@ -228,7 +229,10 @@ def build_metric(
     cap = RESIDUAL_CAP + (0.0 if len(unmatched) else _intertwiner_residual(L.conj().T @ L[perm], H))
 
     if policy == "paper-gauge":
-        if n != 2 or _intertwiner_residual(PAPER_GAUGE_V, H) > cap:
+        # refused, not compared: a NaN residual is not above the cap
+        if n != 2 or _require_finite(
+            _intertwiner_residual(PAPER_GAUGE_V, H), "paper-gauge residual"
+        ) > cap:
             raise ValueError("paper-gauge needs a 2x2 H that [[0, -1], [1, 0]] intertwines")
         return _certify(PAPER_GAUGE_V.copy(), H, policy, unmatched)
 

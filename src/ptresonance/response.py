@@ -45,6 +45,9 @@ MODEL_KINDS = ("breit-wigner", "pt-pair")
 LOWER = "lower"
 
 _FORM_CHECK_TOL = 1e-13
+# Real and imaginary parts within this bound give a modulus below
+# _FORM_CHECK_TOL: 1.4143 exceeds sqrt(2) by far more than the modulus rounds.
+_PART_TOL = _FORM_CHECK_TOL / 1.4143
 
 
 class ResonanceParams(_Checked, NamedTuple("ResonanceParams", [("e0", float), ("gamma", float)])):
@@ -76,11 +79,12 @@ def _offsets(values, name: str, origin: float = 0.0):
 def _require_normal_range(d: np.ndarray, gamma: float, what: str) -> None:
     """The one range rule of ``d^2 + Gamma^2``: ``OverflowRangeError`` unless it
     is a normal finite double (subnormal, it has lost digits) at every offset
-    d, decided exactly by the nearest and the farthest |d|."""
+    d, decided exactly by the nearest and the farthest |d|, in Python floats,
+    which overflow to inf without a numpy warning for a numpy Gamma too."""
     if d.size == 0:
         return
     offsets = np.abs(d)
-    near, far = float(offsets.min()), float(offsets.max())
+    near, far, gamma = float(offsets.min()), float(offsets.max()), float(gamma)
     if not (near * near + gamma * gamma >= _NORMAL_MIN and far * far + gamma * gamma < np.inf):
         raise OverflowRangeError(f"{what}: (E - E0)^2 + Gamma^2 leaves the normal double range")
 
@@ -91,26 +95,30 @@ def _branch_sign(branch: str) -> float:
     return 1.0 if branch == "delay" else -1.0
 
 
-def _checked_inverse(d: np.ndarray, gamma: float) -> np.ndarray:
-    """``1/(d + i Gamma)`` on an array of finite offsets ``d = E - E0``, each
-    value checked by its defining identity, ``|value (d + i Gamma) - 1|`` at
-    most 1e-13.
+def _checked_inverse(z: np.ndarray, out=None, residual=None) -> np.ndarray:
+    """``1/z`` for an array ``z = d + i Gamma`` of finite offsets ``d = E - E0``
+    whose ``d^2 + Gamma^2`` the caller has put through
+    ``_require_normal_range``, each value checked by its defining identity,
+    ``|value z - 1|`` at most 1e-13.  The value and the residual are written
+    to ``out`` and ``residual`` when given (``residual`` may be z itself).
 
     In exact arithmetic the identity's residual is the relative difference to
     the rationalized form ``(d - i Gamma) / den``, ``den = d^2 + Gamma^2``;
-    it costs one product and no square root or division.  It fails closed
-    with ``OverflowRangeError`` by ``_require_normal_range`` or a residual
-    above 1e-13 or NaN.
+    it costs one product and no square root or division.  Since
+    ``|r| <= sqrt(2) max(|Re r|, |Im r|)``, a residual whose real and
+    imaginary parts all lie within ``1e-13 / 1.4143`` passes without its
+    modulus; otherwise the modulus decides.  A residual above 1e-13 or NaN
+    raises ``OverflowRangeError``.
     """
-    _require_normal_range(d, gamma, "propagator check")
-    z = d + 1j * gamma
-    value = 1.0 / z
-    z *= value
-    z -= 1.0
-    if not np.max(np.abs(z), initial=0.0) <= _FORM_CHECK_TOL:
-        raise OverflowRangeError(
-            "propagator check: G (E - E0 + i Gamma) differs from 1 beyond machine precision"
-        )
+    value = np.divide(1.0, z, out=out)
+    r = np.multiply(z, value, out=residual)
+    r -= 1.0
+    parts = r.view(float)
+    if not (parts.max(initial=0.0) <= _PART_TOL and parts.min(initial=0.0) >= -_PART_TOL):
+        if not np.max(np.abs(r), initial=0.0) <= _FORM_CHECK_TOL:
+            raise OverflowRangeError(
+                "propagator check: G (E - E0 + i Gamma) differs from 1 beyond machine precision"
+            )
     return value
 
 
@@ -119,11 +127,13 @@ def bw_propagator(E, p: ResonanceParams):
 
     Every value is checked by ``G (E - E0 + i Gamma) = 1`` to 1e-13 and, like
     one whose ``(E - E0)^2 + Gamma^2`` is not a normal finite double, refused
-    with ``OverflowRangeError`` (see ``_checked_inverse``).  Non-finite E
-    raises ``ValueError``.
+    with ``OverflowRangeError`` (see ``_require_normal_range`` and
+    ``_checked_inverse``).  Non-finite E raises ``ValueError``.
     """
     d, scalar = _offsets(E, "E", p.e0)
-    value = _checked_inverse(d, p.gamma)
+    _require_normal_range(d, p.gamma, "propagator check")
+    z = d + 1j * p.gamma
+    value = _checked_inverse(z, residual=z)
     return complex(value[0]) if scalar else value
 
 
@@ -287,14 +297,22 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     (nodes, panels) array and reduced as ``(node weights @ f) @ phases``.
     Its nodes are finite offsets by construction, so they go straight to the
     propagator's check, ``_checked_inverse``, without ``bw_propagator``'s
-    validation.  A phase ``E t`` or a tail estimate beyond the double range
-    raises ``OverflowRangeError``.
+    validation, and the propagator's work allocates nothing per block: each
+    block writes its nodes into the real part of one complex work array whose
+    imaginary part is set to Gamma once per call, and its values and
+    residuals into two arrays also made once per call, with the same bits as
+    fresh arrays.  The range rule ``_require_normal_range`` is applied once per
+    call, to the first and the last panel: rounding is monotone, so they hold
+    the nearest and the farthest node, and the verdict and message are those
+    of the rule applied to every block, given before any block is evaluated.
+    A phase ``E t`` or a tail estimate beyond the double range raises
+    ``OverflowRangeError``.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if not (np.isfinite(L) and L > 0):
         raise ValueError("truncation half-width L must be finite and positive")
-    if not isinstance(N, (int, np.integer)) or N <= 0:
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N <= 0:
         raise ValueError("panel count N must be a positive integer")
     tail = 1.0 / (np.pi * L)
     if not np.isfinite(tail):
@@ -308,15 +326,27 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     # Centres of the panels on x >= 0 are h q, q = q0 + 2m ascending with
     # q0 = 0 or 1; for odd N, q[0] = 0 is the centre panel.
     q = np.arange((N + 1) % 2, N, 2, dtype=float)
-    steps = np.exp(-2j * h * t * np.arange(min(q.size, _PANEL_BLOCK)))
+    offsets = h * nodes[:, None]
+    # Rounding is monotone, so the nearest |offset| lies in the first panel and
+    # the farthest in the last: one range rule for every block.
+    _require_normal_range(offsets + h * q[[0, -1]], p.gamma, "propagator check")
+    size = min(q.size, _PANEL_BLOCK)
+    steps = np.exp(-2j * h * t * np.arange(size))
+    z = np.empty(_GL_POINTS * size, dtype=complex)
+    z.imag = p.gamma
+    f, residual = np.empty_like(z), np.empty_like(z)
+    centres = np.empty(size)
     total = 0.0j
     for start in range(0, q.size, _PANEL_BLOCK):
-        centres = h * q[start : start + _PANEL_BLOCK]
-        f = _checked_inverse(h * nodes[:, None] + centres, p.gamma)
-        phases = np.exp(-1j * h * t * q[start]) * steps[: centres.size]
+        m = min(q.size - start, _PANEL_BLOCK)
+        zb, fb, rb = (w[: _GL_POINTS * m].reshape(_GL_POINTS, m) for w in (z, f, residual))
+        np.multiply(h, q[start : start + m], out=centres[:m])
+        np.add(offsets, centres[:m], out=zb.real)
+        _checked_inverse(zb, fb, rb)
+        phases = np.exp(-1j * h * t * q[start]) * steps[:m]
         if start == 0 and N % 2:
             phases[0] *= 0.5  # the centre panel is its own mirror image
-        total += (node_weights @ f) @ phases
+        total += (node_weights @ fb) @ phases
     value = complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total.imag)
     return QuadratureResult(value=value, tail_estimate=tail)
 
@@ -329,7 +359,7 @@ def default_energy_grid(p: ResonanceParams, halfwidth: float = 20.0, points: int
     ``linalg._require_grid`` accepts the grid (a Gamma too small to resolve at
     E0 repeats values); ``OverflowRangeError`` if the peak 1/Gamma overflows.
     """
-    if not isinstance(points, (int, np.integer)) or points <= 0:
+    if not isinstance(points, (int, np.integer)) or isinstance(points, bool) or points <= 0:
         raise ValueError("point count must be a positive integer")
     if not (halfwidth > 0 and np.isfinite(2 * halfwidth)):
         raise ValueError("halfwidth must be positive, with a finite span 2 * halfwidth")

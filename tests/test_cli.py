@@ -747,6 +747,19 @@ class TestFiniteOut:
             assert obj["invertible"] and obj["hermitian"]
             assert obj["residual"] <= metric.RESIDUAL_CAP
 
+    def test_paper_gauge_at_the_top_names_its_residual(self, tmp_path, capsys):
+        # [[0, -1], [1, 0]] H - H^dag [[0, -1], [1, 0]] has entries +/-2e308 at
+        # s = 1e308: the gauge's own residual is NaN and refused by name, not
+        # let through by a comparison that a NaN fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["metric", "--s", "1e308", "--policy", "paper-gauge"]
+            assert main(argv + ["--output", str(tmp_path / "out.json")]) == 5
+        assert capsys.readouterr().err == (
+            "overflow: paper-gauge residual is beyond the double range\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_growing_mode_beyond_the_double_range_names_the_guard(self, tmp_path, capsys):
         # Im p * t = 1e308 * t overflows: the guard reports the exponent as inf,
         # where numpy's bare "overflow encountered in multiply" came first

@@ -13,6 +13,7 @@ from ptresonance import (
     DefectiveMatrixError,
     IntertwinerSpace,
     NoMetricError,
+    OverflowRangeError,
     build_metric,
     classify_hamiltonian,
     closure_check,
@@ -573,6 +574,13 @@ class TestPaperGauge:
         assert solve_intertwiner(H).dimension >= 1  # refused by the gauge rule itself
         with pytest.raises(ValueError, match="paper-gauge needs a 2x2 H that"):
             _metric_for(H, policy="paper-gauge")
+
+
+    def test_residual_beyond_the_double_range_is_refused(self):
+        """At s = 1e308 the gauge's residual is NaN (entries +/-2e308), which
+        ``> cap`` would let through to the certificate."""
+        with pytest.raises(OverflowRangeError, match="paper-gauge residual"):
+            _metric_for(gain_loss_dimer(1e308), policy="paper-gauge")
 
 
 def _similar_near_pair(factor):

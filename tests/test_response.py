@@ -177,9 +177,10 @@ class TestFormCheckVerdicts:
         offsets from E0, so the reference reads them with E0 = 0."""
         seen = []
 
-        def spy(d, g):
-            seen.append(d.copy())
-            return _checked_inverse(d, g)
+        def spy(z, *work):
+            assert np.all(z.imag == gamma)
+            seen.append(z.real.copy())  # the work array is reused by the next block
+            return _checked_inverse(z, *work)
 
         monkeypatch.setattr("ptresonance.response._checked_inverse", spy)
         quadrature_ift(ResonanceParams(e0, gamma), 0.5, 1e4 * gamma, 200000)
@@ -495,6 +496,13 @@ class TestQuadrature:
             with pytest.raises(ValueError, match="half-width L"):
                 quadrature_ift(P, 1.0, L=L, N=10)
 
+    def test_bool_counts_refused(self):
+        """A bool is an int to Python, but not a count, as for the JSON door's n."""
+        with pytest.raises(ValueError, match="panel count N"):
+            quadrature_ift(P, 1.0, L=40.0, N=True)
+        with pytest.raises(ValueError, match="point count"):
+            default_energy_grid(P, points=True)
+
 
 def _unfolded_quadrature(p, t, L, N):
     """The composite rule summed over all 6N nodes in absolute energy.
@@ -511,6 +519,78 @@ def _unfolded_quadrature(p, t, L, N):
     w = np.broadcast_to(half * weights[None, :], (N, 6)).reshape(-1)
     terms = w * np.exp(-1j * E * t) * bw_propagator(E, p)
     return complex(np.sum(terms) / (2.0 * np.pi)), float(np.sum(np.abs(terms)) / (2.0 * np.pi))
+
+
+def _allocating_quadrature(p, t, L, N):
+    """``quadrature_ift``'s folded sum with fresh arrays in every block and the
+    range rule on every block."""
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    h = L / N
+    node_weights = h * weights * np.exp(-1j * h * t * nodes)
+    q = np.arange((N + 1) % 2, N, 2, dtype=float)
+    steps = np.exp(-2j * h * t * np.arange(min(q.size, _PANEL_BLOCK)))
+    total = 0.0j
+    for start in range(0, q.size, _PANEL_BLOCK):
+        centres = h * q[start : start + _PANEL_BLOCK]
+        d = h * nodes[:, None] + centres
+        response._require_normal_range(d, p.gamma, "propagator check")
+        f = 1.0 / (d + 1j * p.gamma)
+        phases = np.exp(-1j * h * t * q[start]) * steps[: centres.size]
+        if start == 0 and N % 2:
+            phases[0] *= 0.5
+        total += (node_weights @ f) @ phases
+    return complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total.imag)
+
+
+def _outcome(call):
+    """The message of the OverflowRangeError ``call()`` raises, or None."""
+    try:
+        call()
+    except OverflowRangeError as exc:
+        return str(exc)
+    return None
+
+
+class TestRangeRulePerCall:
+    """``quadrature_ift`` applies the range rule once, to its first and last
+    panel, and refuses exactly where the rule applied to every block did, with
+    the same message, before any block runs."""
+
+    EDGE, TOP = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
+
+    # odd and even N, one block and three
+    @pytest.mark.parametrize("N", [1, 2, 7, 8, 4 * _PANEL_BLOCK + 2, 4 * _PANEL_BLOCK + 3])
+    @pytest.mark.parametrize("band", ["subnormal", "overflow"])
+    def test_refuses_where_the_per_block_rule_did(self, band, N):
+        count = 401 if N < _PANEL_BLOCK else 41
+        if band == "subnormal":
+            # panel half-widths that put the nearest node below, near and above EDGE
+            cases = [(g, N * h * self.EDGE) for g in self.EDGE * np.logspace(-4, 1, count)
+                     for h in (0.5, 4.0, 20.0)]
+        else:
+            cases = [(g, L * self.TOP) for g in self.TOP * np.logspace(-1, 0.02, count)
+                     for L in (0.1, 0.5, 1.0)]
+        outcomes = []
+        for gamma, L in cases:
+            p = ResonanceParams(0.0, gamma)
+            reference = _outcome(lambda: _allocating_quadrature(p, 0.5, L, N))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _outcome(lambda: quadrature_ift(p, 0.5, L, N)) == reference
+            outcomes.append(reference)
+        assert None in outcomes
+        assert "propagator check: (E - E0)^2 + Gamma^2 leaves the normal double range" in outcomes
+
+    def test_refused_before_any_block_runs(self, monkeypatch):
+        """The first of three blocks lies within the range and a later one
+        beyond it; the call is refused before the first block is evaluated."""
+        blocks = []
+        monkeypatch.setattr("ptresonance.response._checked_inverse",
+                            lambda z, *work: blocks.append(z.size) or _checked_inverse(z, *work))
+        with pytest.raises(OverflowRangeError, match="normal double range"):
+            quadrature_ift(ResonanceParams(0.0, 0.5 * self.TOP), 0.5, self.TOP,
+                           4 * _PANEL_BLOCK + 3)
+        assert blocks == []
 
 
 class TestQuadratureFold:
@@ -543,6 +623,15 @@ class TestQuadratureFold:
         expected, size = _unfolded_quadrature(P, t, L, N)
         assert abs(quadrature_ift(P, t, L, N).value - expected) <= 1e-13 * size
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 4095, 4096, 4097, 8195])
+    @pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 2.0])
+    def test_same_bits_as_the_allocating_loop(self, N, t):
+        """The work arrays change where a block is written, not what it computes."""
+        for p, L in ((P, 50.0 * P.gamma), (ResonanceParams(-2.0, 0.3), 1e4 * 0.3)):
+            expected = np.array([_allocating_quadrature(p, t, L, N)])
+            npt.assert_array_equal(np.array([quadrature_ift(p, t, L, N).value]).view(np.uint64),
+                                   expected.view(np.uint64))
+
     def test_tail_estimate_unchanged(self):
         for L in (0.5, 40.0, 8000.0):
             assert quadrature_ift(P, 1.0, L, 7).tail_estimate == 1.0 / (np.pi * L)
@@ -552,9 +641,9 @@ class TestQuadratureFold:
         in three blocks of at most B panels, each checked by the kernel."""
         seen = []
 
-        def counting(d, gamma):
-            seen.append(np.size(d))
-            return _checked_inverse(d, gamma)
+        def counting(z, *work):
+            seen.append(np.size(z))
+            return _checked_inverse(z, *work)
 
         monkeypatch.setattr("ptresonance.response._checked_inverse", counting)
         quadrature_ift(P, 0.5, 40.0, 4 * _PANEL_BLOCK + 3)
@@ -632,6 +721,8 @@ class TestOneDoorOneRule:
             (pt_propagator, 1.0, ResonanceParams(0.0, 1e308)),
             (pt_propagator, 1.0, ResonanceParams(1.0, 1e-200)),
             (time_delay, 0.0, ResonanceParams(1e308, 1e308)),
+            (bw_propagator, 0.0, ResonanceParams(0.0, np.float64(1e160))),
+            (time_delay, 0.0, ResonanceParams(0.0, np.float64(1e160))),
             (bw_propagator, *FAR),
             (pt_propagator, *FAR),
             (time_delay, *FAR),
