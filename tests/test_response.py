@@ -721,11 +721,11 @@ class TestOneDoorOneRule:
             (pt_propagator, 1.0, ResonanceParams(0.0, 1e308)),
             (pt_propagator, 1.0, ResonanceParams(1.0, 1e-200)),
             (time_delay, 0.0, ResonanceParams(1e308, 1e308)),
-            (bw_propagator, 0.0, ResonanceParams(0.0, np.float64(1e160))),
-            (time_delay, 0.0, ResonanceParams(0.0, np.float64(1e160))),
             (bw_propagator, *FAR),
             (pt_propagator, *FAR),
             (time_delay, *FAR),
+            (bw_propagator, 0.0, ResonanceParams(0.0, np.float64(1e160))),
+            (time_delay, 0.0, ResonanceParams(0.0, np.float64(1e160))),
         ],
     )
     def test_refused_by_the_range_rule(self, function, E, p):
