@@ -21,10 +21,14 @@ naming the input:
 
 A product or norm of finite inputs that leaves the double range is formed with
 overflow ignored and refused once, by ``_require_finite``, with
-``OverflowRangeError``.  Every Frobenius norm of a residual or a scale is
-``_frobenius``'s, scaled where numpy's sum of squares overflows or underflows,
-so it is refused only beyond the double range and a relative residual does not
-depend on the units of H.
+``OverflowRangeError``.  A relative residual that is homogeneous in its inputs
+(the intertwiner, similarity, antilinear, closure and eigen-equation
+residuals) is formed from inputs put at unit scale by ``_unit``, a power of two
+that moves no bit where the inputs were in range, so none of its products can
+overflow or underflow.  Every Frobenius norm of a residual or a scale is
+``_frobenius``'s, scaled where numpy's sum of squares overflows or underflows:
+the residuals that are not homogeneous, ``V^-1 U^dag V U - I`` and ``L R - I``,
+read it without unit-scaled inputs.
 """
 
 import math
@@ -117,6 +121,35 @@ def _frobenius(x: np.ndarray, axis=None):
         s = np.max(mag := np.abs(x), axis=(-2, -1), keepdims=True)
         scaled = np.linalg.norm(mag / s, axis=axis) * np.squeeze(s, axis=(-2, -1))
     return np.where(rescale, scaled, norm)
+
+
+def _parts(y) -> np.ndarray:
+    """The float view of y: its real and imaginary parts for a complex y."""
+    y = np.asarray(y, order="C")
+    return y.view(float) if y.dtype.kind == "c" else y
+
+
+def _unit(x: np.ndarray, *more):
+    """x, an array of floats or complex numbers, times the power of two that
+    puts its largest real or imaginary part in [0.5, 1), or that of each
+    matrix for a stack (``x.ndim > 2``); a zero x is left as it is.  With
+    ``more``, the tuple of x and each of them times that power.
+
+    The package's one rule for the inputs of a residual that does not change
+    when they are rescaled.  ``np.ldexp`` on the float view is exact for every
+    double, bar the parts it pushes below the normal range, which lie 2^-1022
+    below the largest.  So each product, sum and norm formed from scaled
+    inputs is the one formed from the inputs times a power of two, bit for bit
+    where they were in range, and none can overflow or underflow.
+    """
+    stack = x.ndim > 2
+    parts = _parts(x)
+    top = np.maximum.reduce(np.abs(parts), (-2, -1) if stack else None, keepdims=stack, initial=0)
+    e = np.frexp(top)[1] if stack else math.frexp(top)[1]
+    unit = np.ldexp(parts, -e).view(x.dtype)
+    if not more:
+        return unit
+    return (unit, *(np.ldexp(_parts(y), -e).view(np.result_type(y)) for y in more))
 
 
 def _condition(M: np.ndarray) -> tuple[float, bool]:
@@ -445,8 +478,11 @@ def eig(H) -> EigenSystem:
     R_raw = R_raw[:, order]
 
     h_norm = float(np.linalg.norm(H, 2))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
-        eig_res = float(_frobenius(H @ R_raw - R_raw * w[np.newaxis, :])) / (h_norm or 1.0)
+    # H, its values and its norm at unit scale; LAPACK can return an infinite
+    # eigenvalue of a finite H near the top of the range, whose residual is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        Hu, wu, hu_norm = _unit(H, w, h_norm)
+        eig_res = float(_frobenius(Hu @ R_raw - R_raw * wu)) / (float(hu_norm) or 1.0)
     eig_res = _require_finite(eig_res, "eigen-equation residual")
 
     R = _phase_gauge(R_raw / np.linalg.norm(R_raw, axis=0, keepdims=True))
@@ -482,32 +518,29 @@ def eig(H) -> EigenSystem:
                        defects=tuple(defects), kappa=kappa, norm=h_norm)
 
 
-def _null_space_correction(res: np.ndarray, H: np.ndarray, right: np.ndarray, paired) -> np.ndarray:
+def _null_space_correction(res, H, right, paired, pin: float) -> np.ndarray:
     """The X with ``X H - H^dag X = res[m]`` for each m, found in Schur coordinates.
 
     With ``H = U S U^dag`` (U from a QR of the eigenvectors ``right``, S upper
     triangular up to rounding) and ``Y = U^dag X U``, column c of Y solves a
     lower-triangular system with diagonal ``S[c, c] - conj(S[i, i])``.  The
     entries at the paired positions, where that diagonal vanishes, are held
-    at zero.  Unlike a solve in eigenvector coordinates, the triangular
-    solves stay accurate when the eigenvectors are ill-conditioned.
+    at zero by a row of ``pin`` on the diagonal.  Unlike a solve in
+    eigenvector coordinates, the triangular solves stay accurate when the
+    eigenvectors are ill-conditioned.  H and res come at unit scale.
     """
     n = H.shape[0]
-    # H and res scaled up by a power of two (at most 2^1000, a double) to
-    # max|H| ~ 1, which moves no bit of X: the solves return NaN where S's
-    # entries are so small that their squares underflow.
-    scale = 2.0 ** min(1000, max(0, -math.frexp(np.max(np.abs(H)))[1]))
     U, _ = np.linalg.qr(right)
-    S = np.triu(U.conj().T @ (H * scale) @ U)
+    S = np.triu(U.conj().T @ H @ U)
     # Y[c] holds column c of each res[m] until it is overwritten by its solution.
-    Y = np.moveaxis(U.conj().T @ (res * scale) @ U, 2, 0).copy()
+    Y = np.moveaxis(U.conj().T @ res @ U, 2, 0).copy()
     eye, SH = np.eye(n), S.conj().T
     for c in range(n):
         A = S[c, c] * eye - SH
         rhs = Y[c] - np.tensordot(S[:c, c], Y[:c], axes=(0, 0))
         free = paired[:, c]
         A[free, :] = 0.0
-        A[free, free] = scale  # so that A is exactly scale times its unscaled form
+        A[free, free] = pin
         rhs[:, free] = 0.0
         Y[c] = np.linalg.solve(A, rhs.T).T
     Y = U @ np.moveaxis(Y, 0, 2)  # rebinding frees the solved Y before the last product
@@ -565,15 +598,18 @@ def solve_intertwiner(H) -> IntertwinerSpace:
     Q, _ = np.linalg.qr(outer.reshape(k, n * n).T)
     del outer
     B = Q.T.reshape(k, n, n)
-    res = B @ H
-    res -= H.conj().T @ B
     # The Kronecker null space reaches about 1.5 eps ||H||_F; correct only
-    # above 4 eps ||H||_F, since near rounding level a correction is noise
-    # (and never where ||H||_F overflows, as the residuals' norms can only
-    # where it does).  A correction beyond the double range is refused.
+    # above 4 eps ||H||_F, since near rounding level a correction is noise.
+    # The correction pins its held entries at 1 in the units of H (at most
+    # 2^1000, a double): its solves pivot on that value, so the bases keep the
+    # bits they had before H was put at unit scale.  A correction beyond the
+    # double range is refused.
     with np.errstate(over="ignore", invalid="ignore"):
+        H, pin = _unit(H, 1.0)
+        res = B @ H
+        res -= H.conj().T @ B
         if np.max(_frobenius(res, (-2, -1))) > 4 * np.finfo(float).eps * _frobenius(H):
-            B -= _null_space_correction(res, H, eigsys.right, paired)
+            B -= _null_space_correction(res, H, eigsys.right, paired, min(pin, 2.0**1000))
             del res
             Q, _ = np.linalg.qr(_require_finite(B, "intertwiner correction").reshape(k, n * n).T)
             B = Q.T.reshape(k, n, n)

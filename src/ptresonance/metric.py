@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DefectiveMatrixError, NoMetricError
 from .linalg import (
     RESIDUAL_CAP,
-    _NORMAL_MIN,
     EigenSystem,
     IntertwinerSpace,
     _as_vector,
@@ -26,6 +25,7 @@ from .linalg import (
     _require_eigenbasis,
     _require_finite,
     _require_invertible,
+    _unit,
     as_matrix,
     matrix_to_json,
 )
@@ -109,24 +109,22 @@ def _metric_matrix(V, n: int) -> np.ndarray:
     return V
 
 
-# Both checks take one matrix or a stack of them (the last two axes).
+# Both checks take one matrix V or a stack of them (the last two axes); a zero
+# norm divides as 1.
 def _is_hermitian(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    scale = np.maximum(np.linalg.norm(V, axis=(-2, -1)), 1e-300)
-    return np.linalg.norm(V - np.conj(np.swapaxes(V, -2, -1)), axis=(-2, -1)) / scale <= tol
+    V = _unit(V)
+    scale = np.linalg.norm(V, axis=(-2, -1))
+    skew = np.linalg.norm(V - np.conj(np.swapaxes(V, -2, -1)), axis=(-2, -1))
+    return skew / (scale + (scale == 0.0)) <= tol
 
 
 def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """``||VH - H^dag V||_F / (||V||_F ||H||_F)``, divided by the two norms in
-    turn where their product is not a normal double, and by neither where one
-    is zero (a zero V or H leaves a zero residual); inf or NaN, without a numpy
-    warning, where a term is beyond the double range (no cap admits it)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # 1 in place of a zero norm
-        v_norm, h_norm = (x + (x == 0.0) for x in (_frobenius(V, (-2, -1)), _frobenius(H)))
-        residual = _frobenius(V @ H - H.conj().T @ V, (-2, -1))
-        denom = v_norm * h_norm
-        normal = (denom >= _NORMAL_MIN) & (denom < np.inf)
-        return np.where(normal, residual / denom, residual / v_norm / h_norm)
+    """``||VH - H^dag V||_F / (||V||_F ||H||_F)`` for V and H at unit scale, as
+    its callers give them: H put there once per ``build_metric`` call, and V a
+    metric of unit 2-norm, a search candidate (a combination of orthonormal
+    generators) or one put there by ``linalg._unit``.  Zero for a zero V or H."""
+    v_norm, h_norm = (x + (x == 0.0) for x in (_frobenius(V, (-2, -1)), _frobenius(H)))
+    return _frobenius(V @ H - H.conj().T @ V, (-2, -1)) / (v_norm * h_norm)
 
 
 def _fix_sign(V: np.ndarray) -> np.ndarray:
@@ -160,7 +158,7 @@ def _certify(V: np.ndarray, H: np.ndarray, policy: str, unmatched) -> MetricOper
         hermitian=bool(_is_hermitian(V)),
         invertible=invertible,
         condition_estimate=cond,
-        residual=float(_require_finite(_intertwiner_residual(V, H), "intertwiner residual")),
+        residual=float(_intertwiner_residual(V, H)),
     )
 
 
@@ -193,8 +191,7 @@ def build_metric(
     ``paper-gauge``
         The exact ``[[0, -1], [1, 0]]``, for a 2x2 H that it intertwines within
         the residual cap, as the search's candidates must: ``[[a, i beta],
-        [i gamma, conj(a)]]`` with real beta and gamma; else ``ValueError``,
-        or ``OverflowRangeError`` where its residual is beyond the double range.
+        [i gamma, conj(a)]]`` with real beta and gamma; else ``ValueError``.
     ``first-basis``
         First intertwiner basis element, normalized: for a non-defective
         spectrum, the sum over a conjugate matching (see ``solve_intertwiner``).
@@ -210,8 +207,8 @@ def build_metric(
     invertibility verdict, raises ``NoMetricError`` with it as
     ``best_candidate``, and so does any V of a spectrum with unmatched
     values, which ``classify`` reports broken; a defective ``eigsys`` raises
-    ``DefectiveMatrixError``, and an ``||H||_F`` beyond the double range
-    ``OverflowRangeError``.
+    ``DefectiveMatrixError``.  Every residual reads H at unit scale
+    (``linalg._unit``), so none depends on the units of H.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -219,20 +216,16 @@ def build_metric(
     if space.dimension < 1:
         raise NoMetricError("empty intertwiner space: no solution of V H = H^dag V")
 
-    H = as_matrix(H)
+    H = _unit(as_matrix(H))  # once per call, for every residual below
     n = H.shape[0]
-    with np.errstate(over="ignore"):  # once per call: every residual below divides by it
-        _require_finite(_frobenius(H), "metric: ||H||_F")
     w, L = eigsys.eigenvalues, eigsys.left
     perm = _conjugate_permutation(w, _radii(eigsys.kappa, eigsys.norm))
     unmatched = w[perm < 0]
-    cap = RESIDUAL_CAP + (0.0 if len(unmatched) else _intertwiner_residual(L.conj().T @ L[perm], H))
+    cap = RESIDUAL_CAP + (0.0 if len(unmatched) else
+                          _intertwiner_residual(_unit(L.conj().T @ L[perm]), H))
 
     if policy == "paper-gauge":
-        # refused, not compared: a NaN residual is not above the cap
-        if n != 2 or _require_finite(
-            _intertwiner_residual(PAPER_GAUGE_V, H), "paper-gauge residual"
-        ) > cap:
+        if n != 2 or _intertwiner_residual(PAPER_GAUGE_V, H) > cap:
             raise ValueError("paper-gauge needs a 2x2 H that [[0, -1], [1, 0]] intertwines")
         return _certify(PAPER_GAUGE_V.copy(), H, policy, unmatched)
 
@@ -302,23 +295,26 @@ def closure_check(kets, bras) -> float:
     resolution of the identity, which reduces to the signed two-term sum for
     a conjugate-pair system where G is a signed permutation.  The bras carry
     the metric (``<ket|V``, see ``dual_pair``); n kets and bras of length n.
-    A G that is singular by the package's one invertibility verdict (condition
-    number above ``linalg._CONDITION_CAP``) raises ``DefectiveMatrixError``, and
-    a G or residual beyond the double range ``OverflowRangeError``.
+    The kets and the bras are each put at unit scale (``linalg._unit``), which
+    leaves the relation unchanged.  A G that is singular by the package's one
+    invertibility verdict (condition number above ``linalg._CONDITION_CAP``)
+    raises ``DefectiveMatrixError``, and a residual beyond the double range
+    ``OverflowRangeError``: a well-conditioned G of subnormal entries can
+    still overflow its inverse.
     """
-    K = np.column_stack([_as_vector(k, "kets and bras", what="vectors") for k in kets])
-    B = np.vstack([_as_vector(b, "kets and bras", what="vectors") for b in bras])
+    K = _unit(np.column_stack([_as_vector(k, "kets and bras", what="vectors") for k in kets]))
+    B = _unit(np.vstack([_as_vector(b, "kets and bras", what="vectors") for b in bras]))
     n = K.shape[0]
     if K.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"need {n} kets and {n} bras of length {n}, got {K.shape}/{B.shape}")
+    G = B @ K
+    cond, invertible = _condition(G)
+    if not invertible:
+        raise DefectiveMatrixError(
+            f"inner-product matrix is singular (condition estimate {cond:.3g}); "
+            "the kets/bras do not form a complete dual system"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
-        G = _require_finite(B @ K, "inner-product matrix")
-        cond, invertible = _condition(G)
-        if not invertible:
-            raise DefectiveMatrixError(
-                f"inner-product matrix is singular (condition estimate {cond:.3g}); "
-                "the kets/bras do not form a complete dual system"
-            )
         residual = float(_frobenius(K @ np.linalg.solve(G, np.eye(n)) @ B - np.eye(n)))
     return _require_finite(residual, "closure residual")
 
@@ -329,13 +325,11 @@ class PseudoHermiticityResiduals(NamedTuple):
 
 
 def verify_pseudo_hermiticity(H, V) -> PseudoHermiticityResiduals:
-    """Both normalized residuals of the pseudo-Hermiticity condition;
-    ``OverflowRangeError`` where one, or ``||H||_F``, is beyond the double range."""
+    """Both normalized residuals of the pseudo-Hermiticity condition, from H
+    and V at unit scale (``linalg._unit``): neither changes when H or V is
+    rescaled, and both are finite."""
     H = as_matrix(H)
-    V = _metric_matrix(V, H.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_norm = float(_frobenius(H))
-        sim = float(_frobenius(V @ H @ np.linalg.inv(V) - H.conj().T)) / (h_norm or 1.0)
+    V, H = _unit(_metric_matrix(V, H.shape[0])), _unit(H)
+    sim = float(_frobenius(V @ H @ np.linalg.inv(V) - H.conj().T)) / (float(_frobenius(H)) or 1.0)
     inter = float(_intertwiner_residual(V, H))
-    _require_finite((h_norm, inter, sim), "||H||_F or a pseudo-Hermiticity residual")
     return PseudoHermiticityResiduals(intertwiner=inter, similarity=sim)

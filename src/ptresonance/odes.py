@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import OverflowRangeError
 from .linalg import _as_vector, _Checked, _greedy_match, _guard_exponent, _require_grid
-from .response import ResonanceParams
+from .response import ResonanceParams, _require_normal_range
 
 __all__ = [
     "SecondOrderIVP",
@@ -72,28 +72,18 @@ def characteristic_roots(coefficients) -> np.ndarray:
     return np.array([r1, r2])
 
 
-def _squared_scale(p: ResonanceParams) -> float:
-    """``E0^2 + Gamma^2``; ``OverflowRangeError`` when it overflows (a
-    discriminant beyond the double range is ``characteristic_roots``'s to
-    refuse)."""
-    try:
-        value = p.e0**2 + p.gamma**2
-    except OverflowError:  # float ** raises where float * gives inf
-        value = math.inf
-    if not math.isfinite(value):
-        raise OverflowRangeError(f"coefficients leave the double range at E0 = {p.e0:g}, "
-                                 f"Gamma = {p.gamma:g}")
-    return value
-
-
 def pt_wave_equation(p: ResonanceParams):
     """Monic coefficients ``(1, 2 i E0, -(E0^2 + Gamma^2))``.
 
     The characteristic roots are verified to equal ``-i (E0 +/- i Gamma)``,
     i.e. the solutions are ``exp(-i E0 t +/- Gamma t)``: the time-domain
-    factorization of the balanced pole pair ``E0 +/- i Gamma``.
+    factorization of the balanced pole pair ``E0 +/- i Gamma``.  Like the
+    damped oscillator's, ``E0^2 + Gamma^2`` must pass the range rule of
+    ``(E - E0)^2 + Gamma^2`` at E = 0, ``response._require_normal_range``: a
+    value that is not a normal finite double raises ``OverflowRangeError``.
     """
-    coeffs = (1.0, 2j * p.e0, -_squared_scale(p))
+    _require_normal_range(np.asarray(p.e0), p.gamma, "coefficients leave the double range")
+    coeffs = (1.0, 2j * p.e0, -(p.e0 * p.e0 + p.gamma * p.gamma))
     _check_roots(coeffs, np.array([-1j * (p.e0 + 1j * p.gamma), -1j * (p.e0 - 1j * p.gamma)]))
     return coeffs
 
@@ -106,14 +96,15 @@ def damped_oscillator_equation(p: ResonanceParams):
     equation therefore factorizes over ``{E0 - i Gamma, -E0 - i Gamma}`` (the
     second root flips the sign of E0, not of the damping).
     """
-    coeffs = (1.0, 2.0 * p.gamma, _squared_scale(p))
+    _require_normal_range(np.asarray(p.e0), p.gamma, "coefficients leave the double range")
+    coeffs = (1.0, 2.0 * p.gamma, p.e0 * p.e0 + p.gamma * p.gamma)
     _check_roots(coeffs, np.array([-p.gamma - 1j * p.e0, -p.gamma + 1j * p.e0]))
     return coeffs
 
 
 def _check_roots(coeffs, expected: np.ndarray):
     roots = characteristic_roots(coeffs)
-    scale = max(1.0, float(np.max(np.abs(expected))))
+    scale = float(np.max(np.abs(expected)))
     # rounding the coefficients themselves shifts near-coalescent roots by
     # O(sqrt(eps)); well-separated roots sit at the 1e-10 level
     tol = (1e-10 + 4.0 * np.sqrt(np.finfo(float).eps)) * scale

@@ -323,27 +323,29 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     h = L / N
     node_weights = h * weights * np.exp(-1j * h * t * nodes)
-    # Centres of the panels on x >= 0 are h q, q = q0 + 2m ascending with
-    # q0 = 0 or 1; for odd N, q[0] = 0 is the centre panel.
-    q = np.arange((N + 1) % 2, N, 2, dtype=float)
+    # Centres of the panels on x >= 0 are h q, q = q0 + 2m ascending from q0 =
+    # 0 or 1 to N - 1; for odd N, q = 0 is the centre panel.  A block writes
+    # its q, exact integers, into the centres buffer before multiplying by h.
+    q0, count = (N + 1) % 2, (N + 1) // 2
     offsets = h * nodes[:, None]
     # Rounding is monotone, so the nearest |offset| lies in the first panel and
     # the farthest in the last: one range rule for every block.
-    _require_normal_range(offsets + h * q[[0, -1]], p.gamma, "propagator check")
-    size = min(q.size, _PANEL_BLOCK)
-    steps = np.exp(-2j * h * t * np.arange(size))
+    _require_normal_range(offsets + h * np.array([q0, N - 1.0]), p.gamma, "propagator check")
+    size = min(count, _PANEL_BLOCK)
+    twice = np.arange(0.0, 2 * size, 2.0)  # 2m for the m < size panels of a block
+    steps = np.exp(-1j * h * t * twice)
     z = np.empty(_GL_POINTS * size, dtype=complex)
     z.imag = p.gamma
     f, residual = np.empty_like(z), np.empty_like(z)
     centres = np.empty(size)
     total = 0.0j
-    for start in range(0, q.size, _PANEL_BLOCK):
-        m = min(q.size - start, _PANEL_BLOCK)
+    for start in range(0, count, _PANEL_BLOCK):
+        m = min(count - start, _PANEL_BLOCK)
         zb, fb, rb = (w[: _GL_POINTS * m].reshape(_GL_POINTS, m) for w in (z, f, residual))
-        np.multiply(h, q[start : start + m], out=centres[:m])
+        np.multiply(np.add(twice[:m], q0 + 2 * start, out=centres[:m]), h, out=centres[:m])
         np.add(offsets, centres[:m], out=zb.real)
         _checked_inverse(zb, fb, rb)
-        phases = np.exp(-1j * h * t * q[start]) * steps[:m]
+        phases = np.exp(-1j * h * t * (q0 + 2 * start)) * steps[:m]
         if start == 0 and N % 2:
             phases[0] *= 0.5  # the centre panel is its own mirror image
         total += (node_weights @ fb) @ phases

@@ -23,6 +23,7 @@ from .linalg import (
     _radii,
     _require_finite,
     _require_invertible,
+    _unit,
     as_matrix,
     eig,
 )
@@ -72,8 +73,8 @@ def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
     """Check invariance of H under the antilinear map.
 
     Returns whether ``||P conj(H) P^-1 - H|| <= RESIDUAL_CAP * ||H||`` (Frobenius
-    norms) together with the relative residual; ``OverflowRangeError`` where a
-    norm is beyond the double range.
+    norms) together with the relative residual, formed from H and P at unit
+    scale (``linalg._unit``): it does not change when either is rescaled.
     """
     H = as_matrix(H)
     if H.shape != sym.P.shape:
@@ -81,13 +82,9 @@ def check_pt(H, sym: AntilinearSymmetry) -> PTCheck:
             f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, "
             f"P is {sym.P.shape[0]}x{sym.P.shape[0]}"
         )
-    P_inv = np.linalg.inv(sym.P)
-    with np.errstate(over="ignore", invalid="ignore"):
-        transformed = sym.P @ np.conj(H) @ P_inv
-        h_norm = float(_frobenius(H))
-        residual = float(_frobenius(transformed - H))
-    _require_finite((h_norm, residual), "antilinear check: ||H||_F or ||P conj(H) P^-1 - H||_F")
-    residual /= h_norm or 1.0
+    H, P = _unit(H), _unit(sym.P)
+    residual = float(_frobenius(P @ np.conj(H) @ np.linalg.inv(P) - H))
+    residual /= float(_frobenius(H)) or 1.0
     return PTCheck(residual <= RESIDUAL_CAP, residual)
 
 

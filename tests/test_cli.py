@@ -612,6 +612,21 @@ class TestOde:
         assert captured.err.count("\n") == 1 and captured.err.startswith(prefix)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("equation", ["pt-wave", "damped-oscillator"])
+    @pytest.mark.parametrize("e0, gamma", [("1e-200", "1e-200"), ("1e308", "0.8")])
+    def test_coefficients_out_of_the_normal_range(self, equation, e0, gamma, tmp_path, capsys):
+        """E0^2 + Gamma^2 goes through the range rule of (E - E0)^2 + Gamma^2 at
+        E = 0: at 1e-200 it rounded to 0 and the run exited 0."""
+        argv = ["ode", "--equation", equation, "--e0", e0, "--gamma", gamma]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 5
+        assert capsys.readouterr().err == (
+            "overflow: coefficients leave the double range: "
+            "(E - E0)^2 + Gamma^2 leaves the normal double range\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     def test_response_byte_identical(self, tmp_path):
@@ -749,14 +764,14 @@ class TestFiniteOut:
 
     def test_paper_gauge_at_the_top_names_its_residual(self, tmp_path, capsys):
         # [[0, -1], [1, 0]] H - H^dag [[0, -1], [1, 0]] has entries +/-2e308 at
-        # s = 1e308: the gauge's own residual is NaN and refused by name, not
-        # let through by a comparison that a NaN fails
+        # s = 1e308, but the residual is formed from H at unit scale: the gauge
+        # is refused as it is for the dimer at s = 0.6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             argv = ["metric", "--s", "1e308", "--policy", "paper-gauge"]
-            assert main(argv + ["--output", str(tmp_path / "out.json")]) == 5
+            assert main(argv + ["--output", str(tmp_path / "out.json")]) == 1
         assert capsys.readouterr().err == (
-            "overflow: paper-gauge residual is beyond the double range\n"
+            "input error: paper-gauge needs a 2x2 H that [[0, -1], [1, 0]] intertwines\n"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -814,14 +829,14 @@ class TestFiniteOut:
         wide = write_matrix(tmp_path / "wide.json", [[1e308, 1.0], [1.0, -1e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["classify", "--input", big]) == 0
-            assert json.loads(capsys.readouterr().out)["antilinear_check"]["residual"] == 2.0
             for H in (big, wide):
                 assert main(["metric", "--input", H]) == 0
                 assert json.loads(capsys.readouterr().out)["hermitian"]
-            # P conj(H) P^-1 - H holds -2e308: that residual is beyond the double range
-            assert main(["classify", "--input", wide]) == 5
-        assert capsys.readouterr().err.startswith("overflow: antilinear check: ")
+                # P conj(H) P^-1 - H holds -2e308 for wide, but the check reads H
+                # at unit scale
+                assert main(["classify", "--input", H]) == 0
+                assert json.loads(capsys.readouterr().out)["antilinear_check"]["residual"] == 2.0
+        assert capsys.readouterr().err == ""
 
 
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "abc")

@@ -10,11 +10,13 @@ from helpers import random_complex_matrix, random_pt_symmetric
 from ptresonance import linalg, metric
 from ptresonance import (
     PAPER_GAUGE_V,
+    AntilinearSymmetry,
     DefectiveMatrixError,
     IntertwinerSpace,
     NoMetricError,
     OverflowRangeError,
     build_metric,
+    check_pt,
     classify_hamiltonian,
     closure_check,
     dual_pair,
@@ -577,10 +579,13 @@ class TestPaperGauge:
 
 
     def test_residual_beyond_the_double_range_is_refused(self):
-        """At s = 1e308 the gauge's residual is NaN (entries +/-2e308), which
-        ``> cap`` would let through to the certificate."""
-        with pytest.raises(OverflowRangeError, match="paper-gauge residual"):
-            _metric_for(gain_loss_dimer(1e308), policy="paper-gauge")
+        """At s = 1e308 the gauge's residual has entries +/-2e308 unscaled; from
+        H at unit scale it is the finite value that refuses the gauge, as at
+        s = 0.6."""
+        H = gain_loss_dimer(1e308)
+        with pytest.raises(ValueError, match="paper-gauge needs a 2x2 H that"):
+            _metric_for(H, policy="paper-gauge")
+        assert metric._intertwiner_residual(PAPER_GAUGE_V, linalg._unit(H)) == 1.414213562373095
 
 
 def _similar_near_pair(factor):
@@ -681,3 +686,81 @@ class TestMetricDoor:
             dual_pair(np.ones((1, 2)), np.eye(2))
         with pytest.raises(ValueError, match="vectors of one length"):
             v_inner(np.ones((1, 2)), np.ones((1, 2)), np.eye(2))
+
+
+# The relative residuals as they were formed before their inputs were put at
+# unit scale by ``linalg._unit``: from the inputs as given, with the intertwiner
+# residual divided by the two norms in turn where their product is not a normal
+# double.  The reference of the bits those residuals keep in range.
+def _reference_intertwiner(V, H):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v_norm, h_norm = (x + (x == 0.0) for x in (linalg._frobenius(V, (-2, -1)),
+                                                   linalg._frobenius(H)))
+        residual = linalg._frobenius(V @ H - H.conj().T @ V, (-2, -1))
+        denom = v_norm * h_norm
+        normal = (denom >= np.finfo(float).tiny) & (denom < np.inf)
+        return np.where(normal, residual / denom, residual / v_norm / h_norm)
+
+
+def _reference_similarity(H, V):
+    h_norm = float(linalg._frobenius(H))
+    return float(linalg._frobenius(V @ H @ np.linalg.inv(V) - H.conj().T)) / (h_norm or 1.0)
+
+
+def _reference_antilinear(H, P):
+    residual = float(linalg._frobenius(P @ np.conj(H) @ np.linalg.inv(P) - H))
+    return residual / (float(linalg._frobenius(H)) or 1.0)
+
+
+def _reference_eigen_residual(H, eigsys):
+    w, R_raw = np.linalg.eig(H)
+    order = np.lexsort((w.imag, w.real))
+    w, R_raw = w[order], R_raw[:, order]
+    h_norm = float(np.linalg.norm(H, 2))
+    residual = float(linalg._frobenius(H @ R_raw - R_raw * w[np.newaxis, :])) / (h_norm or 1.0)
+    R, L, n = eigsys.right, eigsys.left, H.shape[0]
+    return float(max(residual, linalg._frobenius(L @ R - np.eye(n)),
+                     linalg._frobenius(R @ L - np.eye(n))))
+
+
+def _reference_closure(K, B):
+    n = K.shape[0]
+    return float(linalg._frobenius(K @ np.linalg.solve(B @ K, np.eye(n)) @ B - np.eye(n)))
+
+
+def _same_bits(a, b):
+    return np.array_equal(*(np.asarray(x, dtype=float).view(np.uint64) for x in (a, b)))
+
+
+class TestUnitScaleKeepsBits:
+    """A power of two moves no bit of a product, sum or norm in range, so the
+    residuals formed from unit-scaled inputs are the reference formulas' bit
+    for bit, for H at c and V, P, the kets and the bras at d."""
+
+    SCALES = [2.0**-200, 0.5, 1.0, 8.0, 2.0**200]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_same_bits_as_the_reference_formulas(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            H, P = random_pt_symmetric(rng, n)
+            H = H / np.linalg.norm(H, 2)
+            unit = eig(H)
+            perm = linalg._conjugate_permutation(unit.eigenvalues,
+                                                 linalg._radii(unit.kappa, unit.norm))
+            metrics = [np.eye(n), unit.left.conj().T @ unit.left[perm], _metric_for(H).V]
+            for c in self.SCALES:
+                eigsys = eig(c * H)
+                assert _same_bits(eigsys.residual, _reference_eigen_residual(c * H, eigsys))
+                op = build_metric(eigsys, solve_intertwiner(c * H), H=c * H)
+                assert _same_bits(op.residual, _reference_intertwiner(op.V, c * H))
+                for d in self.SCALES:
+                    sym = AntilinearSymmetry(d * P)  # P as a complex matrix
+                    assert _same_bits(check_pt(c * H, sym).residual,
+                                      _reference_antilinear(c * H, sym.P))
+                    for V in metrics:
+                        got = verify_pseudo_hermiticity(c * H, d * V)
+                        assert _same_bits(got.intertwiner, _reference_intertwiner(d * V, c * H))
+                        assert _same_bits(got.similarity, _reference_similarity(c * H, d * V))
+                    K, B = d * unit.right, d * unit.left
+                    assert _same_bits(closure_check(K.T, B), _reference_closure(K, B))

@@ -84,15 +84,53 @@ class TestCoefficients:
             with pytest.raises(OverflowRangeError, match="coefficients leave the double range"):
                 equation(ResonanceParams(e0, gamma))
 
-    @pytest.mark.parametrize("make_ivp", [pt_wave_ivp, damped_oscillator_ivp])
-    def test_subnormal_parameters_integrate(self, make_ivp):
-        """With E0^2 + Gamma^2 rounded to 0, the second root is 0 itself, not
-        c0 divided by a subnormal first root."""
-        p = ResonanceParams(1e-320, 1e-320)
+    # The coefficients and initial data that pt_wave_ivp and
+    # damped_oscillator_ivp gave at E0 = Gamma = 1e-320, whose E0^2 + Gamma^2
+    # the range rule now refuses.
+    @pytest.mark.parametrize(
+        "c1, c0, psi0, dpsi0",
+        [(2e-320j, -0.0, 0.0, 2e-320j), (2e-320, 0.0, 1.0, -1e-320 - 1e-320j)],
+        ids=["pt_wave_ivp", "damped_oscillator_ivp"],
+    )
+    def test_subnormal_parameters_integrate(self, c1, c0, psi0, dpsi0):
+        """With c0 = 0, the second root is 0 itself, not c0 divided by a
+        subnormal first root."""
+        ivp = SecondOrderIVP(c1=c1, c0=c0, psi0=psi0, dpsi0=dpsi0,
+                             times=np.linspace(0.0, 1.0, 3), step=1e-2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            series = integrate(make_ivp(p, np.linspace(0.0, 1.0, 3), 1e-2))
+            series = integrate(ivp)
         assert np.all(np.isfinite(series.psi)) and np.all(np.isfinite(series.dpsi))
+
+    @pytest.mark.parametrize("make_ivp", [pt_wave_ivp, damped_oscillator_ivp])
+    @pytest.mark.parametrize("equation", [pt_wave_equation, damped_oscillator_equation])
+    @pytest.mark.parametrize("e0, gamma", [(1e-200, 1e-200), (1e-320, 1e-320), (0.0, 1e-155),
+                                           (-1e-155, 1e-160)])
+    def test_subnormal_coefficient_is_a_range_error(self, e0, gamma, equation, make_ivp):
+        """``E0^2 + Gamma^2`` below the normal range goes through the range rule
+        of ``(E - E0)^2 + Gamma^2`` at E = 0.  At 1e-200 it rounded to 0, and
+        the roots [-1e-200i, 0] passed a root check whose tolerance was
+        floored at 6e-8 absolute."""
+        p = ResonanceParams(e0, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: equation(p), lambda: make_ivp(p, [0.0, 1.0], 1e-2)):
+                with pytest.raises(OverflowRangeError, match="coefficients leave the double range: "
+                                   r"\(E - E0\)\^2 \+ Gamma\^2 leaves the normal double range"):
+                    build()
+
+    @pytest.mark.parametrize("equation", [pt_wave_equation, damped_oscillator_equation])
+    @pytest.mark.parametrize("scale", [1.5e-154, 1e-100, 1e-10])
+    def test_small_parameters_pass_the_relative_root_check(self, equation, scale):
+        """Down to the bottom of the normal range the root check, now relative
+        to max|root| with no floor, accepts the roots of E0, Gamma = 0.6, 0.8
+        times ``scale``; they match E0 and Gamma to 1e-9 relative."""
+        p = ResonanceParams(0.6 * scale, 0.8 * scale)
+        roots = characteristic_roots(equation(p)) / scale
+        expected = [-0.8 - 0.6j, 0.8 - 0.6j] if equation is pt_wave_equation else [
+            -0.8 - 0.6j, -0.8 + 0.6j]
+        order = sorted(roots, key=lambda z: (round(z.imag, 6), round(z.real, 6)))
+        npt.assert_allclose(order, sorted(expected, key=lambda z: (z.imag, z.real)), atol=1e-9)
 
 
 class TestIntegrate:

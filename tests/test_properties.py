@@ -365,19 +365,30 @@ def test_finite_out_at_every_magnitude(inputs):
 @st.composite
 def unit_inputs(draw):
     """A ``helpers.random_pt_symmetric`` H (n = 2-6) with its P, or a
-    complex Gaussian 2x2 H with ``sigma_x``, and a power of two ``c = 2^k``,
-    k in [-1000, 1000]."""
+    complex Gaussian 2x2 H with ``sigma_x``; a state of two complex Gaussian
+    components; and two independent powers of two, ``c = 2^k`` for H and
+    ``d = 2^j`` for everything else, k and j in [-1000, 1000]."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         H, P = random_pt_symmetric(rng, draw(st.integers(2, 6)))
     else:
         H, P = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)), PAULI_X
-    return H, P, 2.0 ** draw(st.integers(-1000, 1000))
+    psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return H, P, psi, 2.0 ** draw(st.integers(-1000, 1000)), 2.0 ** draw(st.integers(-1000, 1000))
 
 
-def _verdicts(H, P):
-    """Each decision on H as ``(verdict, relative residuals)``: the name of the
-    exception it raises, or OverflowRangeError where it is refused."""
+# Decisions whose every input is rescaled and that refuse nothing a rescaling
+# can cause: the outcome at (c, d), a refusal included, is the one at (1, 1).
+SCALE_FREE = ("check_pt", "pseudo-hermiticity I", "pseudo-hermiticity V", "closure")
+
+
+def _verdicts(H, P, psi, c=1.0, d=1.0):
+    """Each decision on ``c H`` as ``(verdict, relative residuals)``: the name
+    of the exception it raises, or OverflowRangeError where it is refused.
+    ``d`` scales P, the metrics given to ``verify_pseudo_hermiticity`` (the
+    identity, and the first metric the policies build for H), the kets and
+    bras of H's eigenbasis given to ``closure_check`` and the state of
+    ``two_level_scenario`` at the paper's E0 = 1, Gamma = 0.8."""
 
     def decide(call, read):
         try:
@@ -387,15 +398,31 @@ def _verdicts(H, P):
         except (ValueError, DefectiveMatrixError, NoMetricError) as exc:
             return type(exc).__name__, ()
 
+    n = H.shape[0]
+    base = eig(H)
+    with np.errstate(over="ignore"):
+        kets, bras = (None, None) if base.left is None else (d * base.right.T, d * base.left)
+    ops = [decide(lambda: build_metric(base, solve_intertwiner(H), policy, H=H), lambda op: op.V)
+           for policy in metric.POLICIES]
+    V = next((op for op in ops if isinstance(op, np.ndarray)), np.eye(n))
     out = {
-        "eig": decide(lambda: eig(H), lambda e: (e.defective, (e.residual,))),
-        "check_pt": decide(lambda: check_pt(H, AntilinearSymmetry(P)),
-                           lambda c: (c.is_symmetric, (c.residual,))),
-        "classify": decide(lambda: categories(H), lambda c: (c, ())),
+        "eig": decide(lambda: eig(c * H), lambda e: (e.defective, (e.residual,))),
+        "check_pt": decide(lambda: check_pt(c * H, AntilinearSymmetry(d * P)),
+                           lambda r: (r.is_symmetric, (r.residual,))),
+        "classify": decide(lambda: categories(c * H), lambda r: (r, ())),
+        "pseudo-hermiticity I": decide(lambda: verify_pseudo_hermiticity(c * H, d * np.eye(n)),
+                                       lambda r: ("residuals", r)),
+        "pseudo-hermiticity V": decide(lambda: verify_pseudo_hermiticity(c * H, d * V),
+                                       lambda r: ("residuals", r)),
+        # None where H has no eigenbasis or d L leaves the double range
+        "closure": decide(lambda: closure_check(kets, bras), lambda r: ("closure", (r,)))
+        if bras is not None and np.isfinite(bras).all() else None,
+        "scenario": decide(lambda: two_level_scenario(1.0, 0.8, d * psi, np.linspace(0, 1, 5)),
+                           lambda r: ((r.dirac_conserved, r.v_conserved), ())),
     }
     for policy in metric.POLICIES:
         out[policy] = decide(
-            lambda: build_metric(eig(H), solve_intertwiner(H), policy, H=H),
+            lambda: build_metric(eig(c * H), solve_intertwiner(c * H), policy, H=c * H),
             lambda op: ("metric", (op.residual,)))
     return out
 
@@ -406,27 +433,49 @@ def _verdicts(H, P):
 # (c = 2^-520, 2.91e-157: check_pt's residual, off by 1.4e-11).
 _GAUSSIAN_H = (lambda rng: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))(
     np.random.default_rng(0))
+_STATE = np.array([0.6, 0.8j])
+# The paper's dimer at s = 0.6 with P = [[0, 2], [0.5, 0]] (check_pt's residual
+# 0.854), and the diagonal pair whose eigenbasis is the standard basis.
+_DIMER, _SKEW_P = gain_loss_dimer(0.6), np.array([[0.0, 2.0], [0.5, 0.0]])
+_DIAGONAL_PAIR = np.diag([1 + 0.8j, 1 - 0.8j])
 
 
 @settings(PROPERTY, max_examples=300)
 @given(unit_inputs())
-@example((_GAUSSIAN_H, PAULI_X, 2.0**563))
-@example((_GAUSSIAN_H, PAULI_X, 2.0**-538))
-@example((_GAUSSIAN_H, PAULI_X, 2.0**-520))
+@example((_GAUSSIAN_H, PAULI_X, _STATE, 2.0**563, 1.0))
+@example((_GAUSSIAN_H, PAULI_X, _STATE, 2.0**-538, 1.0))
+@example((_GAUSSIAN_H, PAULI_X, _STATE, 2.0**-520, 1.0))
+# V = I with the dimer at 1e-200: the intertwiner residual was 0.0 (0.92)
+@example((_DIMER, PAULI_X, _STATE, 2.0**-664, 2.0**-664))
+# the standard basis at 1.4e-160 (closure refused) and 1e-200 ("incomplete")
+@example((_DIAGONAL_PAIR, PAULI_X, _STATE, 1.0, 2.0**-531))
+@example((_DIAGONAL_PAIR, PAULI_X, _STATE, 1.0, 2.0**-664))
+# H and P both at 1e-200 (residual 1.0) and at 2e300 (refused)
+@example((_DIMER, _SKEW_P, _STATE, 2.0**-664, 2.0**-664))
+@example((_DIMER, _SKEW_P, _STATE, 2.0**997, 2.0**997))
+# a state at 1.8e-158: its Dirac norm, which grows 5-fold, was "conserved"
+@example((_GAUSSIAN_H, PAULI_X, _STATE, 1.0, 2.0**-525))
 def test_verdicts_do_not_depend_on_the_units_of_h(inputs):
     """``eig`` accepts ``c H``, whose 2-norm is a double with room to spare.
-    Wherever nothing is refused, the antilinear check's verdict, the
-    classification's categories and each metric policy's outcome (a V, or the
-    exception it raises) are those at c = 1, and the relative residuals agree
-    to 1e-12.  V itself is not compared."""
-    H, P, c = inputs
-    base = _verdicts(H, P)
+    The antilinear check, both pseudo-Hermiticity residuals and the closure
+    relation, whose inputs are all rescaled, give the outcome they give at
+    c = d = 1, a refusal included.  Wherever nothing is refused, the
+    classification's categories, each metric policy's outcome (a V, or the
+    exception it raises) and the scenario's two verdicts are those at
+    c = d = 1 too, and every relative residual agrees to 1e-12.  V itself is
+    not compared."""
+    H, P, psi, c, d = inputs
+    base = _verdicts(H, P, psi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = _verdicts(c * H, P)
+        scaled = _verdicts(H, P, psi, c, d)
     assert scaled["eig"] is not OverflowRangeError
     for name, outcome in scaled.items():
-        if outcome is not OverflowRangeError:
+        if outcome is None:
+            continue
+        if name in SCALE_FREE or outcome is not OverflowRangeError:
+            assert (outcome is OverflowRangeError) == (base[name] is OverflowRangeError), name
+        if outcome is not OverflowRangeError and base[name] is not OverflowRangeError:
             assert outcome[0] == base[name][0], name
             np.testing.assert_allclose(outcome[1], base[name][1], rtol=1e-12, atol=1e-12,
                                        err_msg=name)
