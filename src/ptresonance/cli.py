@@ -48,10 +48,11 @@ def _write_json(path: str | None, obj) -> None:
 
 
 def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    """One row per line, each value as ``%.17g`` of its Python float, so it
-    reads back to the same double; one ``%`` formats a whole row."""
+    """One row per line of the float columns, each value as ``%.17g`` of its
+    Python float, so it reads back to the same double; one ``%`` formats a
+    whole row."""
     row = ",".join(["%.17g"] * len(columns))
-    values = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    values = zip(*(c.tolist() for c in columns))
     _write_text(path, "\n".join([",".join(header)] + [row % v for v in values]) + "\n")
 
 

@@ -7,9 +7,16 @@ eigensystem, and the spectral time-evolution operator ``U(t) = exp(-i H t)``.
 Every routine that needs a complete eigenbasis refuses a defective spectrum
 through one guard, ``_require_eigenbasis``.
 
-All routines work on plain ``numpy`` arrays of complex numbers.  Each input
-kind of the package enters by one door, and each door raises ``ValueError``
-naming the input:
+All routines work on plain ``numpy`` arrays of complex numbers.  Three rules
+say what an input is, each raising ``ValueError`` naming it:
+
+* a number by ``_numbers`` (``_number`` for a single one): ints or floats,
+  complex numbers too where the input is complex, never a bool, text, None or
+  another object, and finite;
+* a count by ``_count``: a positive integer, not a bool;
+* a named choice (a policy, a branch, a model kind) by ``_require_choice``.
+
+Each input kind of the package enters by one door built on them:
 
 * a matrix (H, P, V) by ``as_matrix``: square, non-empty, finite;
 * a vector (a state, a ket or bra, a pole or residue list, a polynomial's
@@ -32,6 +39,7 @@ read it without unit-scaled inputs.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -233,14 +241,56 @@ def _conjugate_permutation(w: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _numbers(data, name: str, dtype=float, what: str = "finite") -> np.ndarray:
+    """The one number rule: ``data`` as an array of ``dtype``, float or complex.
+
+    Raises ``ValueError`` naming ``name`` unless numpy reads ``data`` as ints
+    or floats, or as complex numbers where ``dtype`` is complex: a bool, text,
+    None, an int beyond 64 bits or any other object is refused, as is a
+    complex number where a real one is due.  An entry that is NaN or infinite
+    in double precision is refused too, saying ``name`` must be ``what``.
+    """
+    arr, real = np.asarray(data), dtype is float
+    if arr.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValueError(f"{name} must be {'real ' if real else ''}numbers, got {arr.dtype.name}")
+    with np.errstate(over="ignore"):  # a long double beyond the double range is inf
+        arr = arr.astype(dtype, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be {what}")
+    return arr
+
+
+def _number(x, name: str, what: str = "finite", dtype=float):
+    """One number by the number rule, as a Python float (or complex)."""
+    x = _numbers(x, name, dtype, what)
+    if x.ndim:
+        raise ValueError(f"{name} must be a single number, got shape {x.shape}")
+    return x.item()
+
+
+def _count(n, name: str) -> int:
+    """The one count rule: ``n`` as an int, refused with ``ValueError`` naming
+    ``name`` unless it is a positive Python or numpy integer (not a bool) that
+    numpy can index with."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 < n <= sys.maxsize:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _require_choice(value, choices: tuple[str, ...], what: str) -> str:
+    """The one rule for a named choice: ``value`` if it is one of the strings
+    ``choices``, else ``ValueError`` naming ``what``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+    return value
+
+
 def _require_grid(values, name: str = "times") -> np.ndarray:
     """Validate and return ``values`` as a grid: 1-D, non-empty, finite and
     strictly ascending.  Raises ``ValueError`` naming ``name`` otherwise."""
-    grid = np.asarray(values, dtype=float)
+    grid = _numbers(values, name)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D grid")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"{name} must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError(f"{name} must be strictly ascending")
     return grid
@@ -249,25 +299,22 @@ def _require_grid(values, name: str = "times") -> np.ndarray:
 def _as_vector(data, name: str, n: int | None = None, what: str = "a vector") -> np.ndarray:
     """The one door for a vector: ``data`` as a finite 1-D complex array, of
     length n when given; else ``ValueError`` saying ``name`` must be ``what``."""
-    v = np.asarray(data, dtype=complex)
+    v = _numbers(data, name, complex)
     if v.ndim != 1 or (n is not None and v.size != n):
         expected = "" if n is None else f", expected ({n},)"
         raise ValueError(f"{name} must be {what}, got shape {v.shape}{expected}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
     return v
 
 
 def as_matrix(data) -> np.ndarray:
     """Validate and return ``data`` as a square complex matrix.
 
-    Raises ``ValueError`` for non-square shapes or non-finite entries.
+    Raises ``ValueError`` for input that is not numbers, non-square shapes or
+    non-finite entries.
     """
-    m = np.asarray(data, dtype=complex)
+    m = _numbers(data, "matrix entries", complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
@@ -284,9 +331,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError("matrix JSON: missing field 'n'")
     if "entries" not in obj:
         raise ValueError("matrix JSON: missing field 'entries'")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise ValueError(f"matrix JSON: field 'n' must be a positive integer, got {n!r}")
+    n = _count(obj["n"], "matrix JSON: field 'n'")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise ValueError(f"matrix JSON: field 'entries' must be a list of {n} rows")
@@ -300,13 +345,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
                 raise ValueError(f"{where} must be a [re, im] pair")
             if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in pair):
                 raise ValueError(f"{where} must hold two numbers")
-            try:
-                z = complex(*pair)
-            except OverflowError:  # an integer beyond the double range
-                z = complex(np.inf)
-            if not np.isfinite(z):
-                raise ValueError(f"{where} is not finite in double precision")
-            m[i, j] = z
+            m[i, j] = complex(*_numbers(pair, where).tolist())
     return m
 
 
@@ -453,8 +492,8 @@ def eig(H) -> EigenSystem:
     and a cluster of m values is defective when ``H - mean(cluster) I`` has
     fewer than m singular values at most ``RESIDUAL_CAP * ||H||_2``.  For a
     defective spectrum the eigenvector blocks are omitted (the spectral
-    formula is invalid there).  A residual or a cluster mean beyond the
-    double range raises ``OverflowRangeError``.
+    formula is invalid there).  A residual, ``||H||_2`` or a cluster mean
+    beyond the double range raises ``OverflowRangeError``.
 
     Parameters
     ----------
@@ -484,6 +523,8 @@ def eig(H) -> EigenSystem:
         Hu, wu, hu_norm = _unit(H, w, h_norm)
         eig_res = float(_frobenius(Hu @ R_raw - R_raw * wu)) / (float(hu_norm) or 1.0)
     eig_res = _require_finite(eig_res, "eigen-equation residual")
+    # a 2-norm beyond the double range would make every radius inf
+    _require_finite(h_norm, "2-norm of H")
 
     R = _phase_gauge(R_raw / np.linalg.norm(R_raw, axis=0, keepdims=True))
     # R singular, exactly or so nearly that its inverse overflows: kappa = inf,
@@ -503,8 +544,7 @@ def eig(H) -> EigenSystem:
                     for m in _cluster_eigenvalues(w, _radii(kappa, h_norm)) if len(m) > 1]
     defects: list[DefectCluster] = []
     for members, center in clusters:
-        if not np.isfinite(center):
-            raise OverflowRangeError(f"eigenvalue cluster centre {center:.3g} out of double range")
+        _require_finite(center, "eigenvalue cluster centre")
         sv = np.linalg.svd(H - center * np.eye(n), compute_uv=False)
         geometric = int(np.sum(sv <= floor))
         if geometric < len(members):
@@ -641,6 +681,5 @@ def mat_exp_evolution(eigsys: EigenSystem, t) -> np.ndarray:
     ``OverflowRangeError`` for a growing mode past ``exp(300)`` or a phase
     ``lambda t`` beyond the double range.
     """
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
-    return (eigsys.right * np.expand_dims(_spectral_phases(eigsys, t), -2)) @ eigsys.left
+    phases = _spectral_phases(eigsys, _numbers(t, "t"))
+    return (eigsys.right * np.expand_dims(phases, -2)) @ eigsys.left

@@ -21,7 +21,9 @@ from .linalg import (
     _condition,
     _conjugate_permutation,
     _frobenius,
+    _numbers,
     _radii,
+    _require_choice,
     _require_eigenbasis,
     _require_finite,
     _require_invertible,
@@ -210,8 +212,7 @@ def build_metric(
     ``DefectiveMatrixError``.  Every residual reads H at unit scale
     (``linalg._unit``), so none depends on the units of H.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    _require_choice(policy, POLICIES, "policy")
     _require_eigenbasis(eigsys)
     if space.dimension < 1:
         raise NoMetricError("empty intertwiner space: no solution of V H = H^dag V")
@@ -302,11 +303,11 @@ def closure_check(kets, bras) -> float:
     ``OverflowRangeError``: a well-conditioned G of subnormal entries can
     still overflow its inverse.
     """
-    K = _unit(np.column_stack([_as_vector(k, "kets and bras", what="vectors") for k in kets]))
-    B = _unit(np.vstack([_as_vector(b, "kets and bras", what="vectors") for b in bras]))
-    n = K.shape[0]
+    K, B = (_numbers(x, "kets and bras", complex) for x in (kets, bras))
+    n = K.shape[-1] if K.ndim else 0  # the length of a ket
     if K.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"need {n} kets and {n} bras of length {n}, got {K.shape}/{B.shape}")
+    K, B = _unit(K.T), _unit(B)
     G = B @ K
     cond, invertible = _condition(G)
     if not invertible:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _as_vector, _Checked, _greedy_match, _guard_exponent, _require_grid
+from .linalg import _as_vector, _Checked, _greedy_match, _guard_exponent, _number, _require_grid
 from .response import ResonanceParams, _require_normal_range
 
 __all__ = [
@@ -117,23 +117,27 @@ class SecondOrderIVP(_Checked, NamedTuple("SecondOrderIVP", [
         ("times", np.ndarray), ("step", float)])):
     """Monic second-order IVP ``psi'' + c1 psi' + c0 psi = 0`` on a time grid.
 
-    ``times`` is a finite, strictly ascending grid with ``times[0] >= 0``
-    (the initial data live at t = 0) and ``step`` is the RK4 step,
-    subdivided evenly so every grid point is hit exactly.  A step so small
-    that ``times[-1] / step`` exceeds ``MAX_SUBSTEPS`` raises ``ValueError``.
+    ``c1``, ``c0``, ``psi0`` and ``dpsi0`` are numbers, kept as Python
+    complex.  ``times`` is a finite, strictly ascending grid with ``times[0]
+    >= 0`` (the initial data live at t = 0) and ``step`` is the RK4 step, a
+    positive real number kept as a Python float, subdivided evenly so every
+    grid point is hit exactly.  A step so small that ``times[-1] / step``
+    exceeds ``MAX_SUBSTEPS`` raises ``ValueError``.
     """
 
     __slots__ = ()
 
     def __new__(cls, c1: complex, c0: complex, psi0: complex, dpsi0: complex, times, step: float):
-        _as_vector((c1, c0, psi0, dpsi0), "c1, c0, psi0 and dpsi0")
+        c1, c0, psi0, dpsi0 = (_number(x, "c1, c0, psi0 and dpsi0", dtype=complex)
+                               for x in (c1, c0, psi0, dpsi0))
         t = _require_grid(times)
         if t[0] < 0:
             raise ValueError("times must start at or after t = 0")
-        if not (0 < step < math.inf):
+        step = _number(step, "step", "positive and finite")
+        if not step > 0:
             raise ValueError("step must be positive and finite")
         # Python floats: an infinite quotient fails the cap instead of raising.
-        if not float(t[-1]) / float(step) <= MAX_SUBSTEPS:
+        if not float(t[-1]) / step <= MAX_SUBSTEPS:
             raise ValueError(f"step {step:g} needs more than {MAX_SUBSTEPS:g} substeps")
         return super().__new__(cls, c1, c0, psi0, dpsi0, t, step)
 

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _NORMAL_MIN, _as_vector, _Checked, _phases, _require_grid
+from .linalg import (_NORMAL_MIN, _as_vector, _Checked, _count, _number, _numbers, _phases,
+                     _require_choice, _require_finite, _require_grid)
 
 __all__ = [
     "ResonanceParams",
@@ -51,13 +52,13 @@ _PART_TOL = _FORM_CHECK_TOL / 1.4143
 
 
 class ResonanceParams(_Checked, NamedTuple("ResonanceParams", [("e0", float), ("gamma", float)])):
-    """Resonance energy E0 and half-width Gamma (hbar = 1)."""
+    """Resonance energy E0 and half-width Gamma (hbar = 1), each a real number
+    by the number rule, kept as a Python float."""
 
     __slots__ = ()
 
     def __new__(cls, e0: float, gamma: float):
-        if not (np.isfinite(e0) and np.isfinite(gamma)):
-            raise ValueError("resonance parameters must be finite")
+        e0, gamma = (_number(x, "resonance parameters") for x in (e0, gamma))
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         return super().__new__(cls, e0, gamma)
@@ -66,12 +67,11 @@ class ResonanceParams(_Checked, NamedTuple("ResonanceParams", [("e0", float), ("
 def _offsets(values, name: str, origin: float = 0.0):
     """The one door for an energy or a time: ``values - origin`` as a 1-D
     float array (``d = E - E0`` for an energy), and whether it was a scalar.
-    Raises ``ValueError`` naming ``name`` when an entry is NaN or infinite; an
-    offset beyond the double range is infinite, without a numpy warning.
+    Raises ``ValueError`` naming ``name`` unless the entries are finite real
+    numbers (``linalg._numbers``); an offset beyond the double range is
+    infinite, without a numpy warning.
     """
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    arr = _numbers(values, name)
     with np.errstate(over="ignore"):
         return np.atleast_1d(arr) - origin, arr.ndim == 0
 
@@ -80,19 +80,17 @@ def _require_normal_range(d: np.ndarray, gamma: float, what: str) -> None:
     """The one range rule of ``d^2 + Gamma^2``: ``OverflowRangeError`` unless it
     is a normal finite double (subnormal, it has lost digits) at every offset
     d, decided exactly by the nearest and the farthest |d|, in Python floats,
-    which overflow to inf without a numpy warning for a numpy Gamma too."""
+    which overflow to inf without a numpy warning."""
     if d.size == 0:
         return
     offsets = np.abs(d)
-    near, far, gamma = float(offsets.min()), float(offsets.max()), float(gamma)
+    near, far = float(offsets.min()), float(offsets.max())
     if not (near * near + gamma * gamma >= _NORMAL_MIN and far * far + gamma * gamma < np.inf):
         raise OverflowRangeError(f"{what}: (E - E0)^2 + Gamma^2 leaves the normal double range")
 
 
 def _branch_sign(branch: str) -> float:
-    if branch not in BRANCHES:
-        raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-    return 1.0 if branch == "delay" else -1.0
+    return 1.0 if _require_choice(branch, BRANCHES, "branch") == "delay" else -1.0
 
 
 def _checked_inverse(z: np.ndarray, out=None, residual=None) -> np.ndarray:
@@ -219,11 +217,6 @@ class PropagatorModel(_Checked, NamedTuple("PropagatorModel", [("poles", np.ndar
         }
 
 
-def _require_kind(kind: str) -> None:
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-
-
 def build_model(kind: str, p: ResonanceParams) -> PropagatorModel:
     """Pole/residue model of the named propagator.
 
@@ -231,8 +224,7 @@ def build_model(kind: str, p: ResonanceParams) -> PropagatorModel:
     ``pt-pair``: poles ``E0 - i Gamma`` (residue +1) and ``E0 + i Gamma``
     (residue -1), acting together for t > 0 (see ``PropagatorModel``).
     """
-    _require_kind(kind)
-    if kind == "breit-wigner":
+    if _require_choice(kind, MODEL_KINDS, "model kind") == "breit-wigner":
         return PropagatorModel(
             poles=np.array([p.e0 - 1j * p.gamma]), residues=np.array([1.0 + 0.0j])
         )
@@ -308,18 +300,12 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     A phase ``E t`` or a tail estimate beyond the double range raises
     ``OverflowRangeError``.
     """
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    if not (np.isfinite(L) and L > 0):
-        raise ValueError("truncation half-width L must be finite and positive")
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N <= 0:
-        raise ValueError("panel count N must be a positive integer")
-    tail = 1.0 / (np.pi * L)
-    if not np.isfinite(tail):
-        raise OverflowRangeError(f"the tail estimate 1/(pi L) leaves the double range, L = {L:g}")
+    t, L, N = _number(t, "t"), _number(L, "truncation half-width L"), _count(N, "panel count N")
+    if not L > 0:
+        raise ValueError("truncation half-width L must be positive")
+    tail = _require_finite(1.0 / (np.pi * L), "the tail estimate 1/(pi L)")
     # every phase below, E0 t and the node and panel-step phases, is at most this
-    if not np.isfinite((abs(p.e0) + 2.0 * L) * t):
-        raise OverflowRangeError("phase E t is beyond the double range")
+    _require_finite((abs(p.e0) + 2.0 * L) * t, "phase E t")
     nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     h = L / N
     node_weights = h * weights * np.exp(-1j * h * t * nodes)
@@ -356,17 +342,16 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
 def default_energy_grid(p: ResonanceParams, halfwidth: float = 20.0, points: int = 2001):
     """Grid of ``points`` energies spanning ``E0 +/- halfwidth * Gamma``.
 
-    ``ValueError`` unless points is a positive integer, halfwidth and span
-    are positive and finite and
+    ``ValueError`` unless points is a count (``linalg._count``), halfwidth is a
+    positive real number with a finite span and
     ``linalg._require_grid`` accepts the grid (a Gamma too small to resolve at
     E0 repeats values); ``OverflowRangeError`` if the peak 1/Gamma overflows.
     """
-    if not isinstance(points, (int, np.integer)) or isinstance(points, bool) or points <= 0:
-        raise ValueError("point count must be a positive integer")
-    if not (halfwidth > 0 and np.isfinite(2 * halfwidth)):
+    points = _count(points, "point count")
+    halfwidth = _number(halfwidth, "halfwidth", "positive, with a finite span 2 * halfwidth")
+    if not (halfwidth > 0 and 2 * halfwidth < np.inf):
         raise ValueError("halfwidth must be positive, with a finite span 2 * halfwidth")
-    if not np.isfinite(1.0 / float(p.gamma)):
-        raise OverflowRangeError(f"the peak 1/Gamma leaves the double range, Gamma = {p.gamma:g}")
+    _require_finite(1.0 / p.gamma, "the peak 1/Gamma")
     name = f"energy grid E0 +/- {halfwidth:g} Gamma"
     lo, hi = p.e0 - halfwidth * p.gamma, p.e0 + halfwidth * p.gamma
     if not np.isfinite(hi - lo):
@@ -381,10 +366,9 @@ def energy_response(kind: str, p: ResonanceParams, energies) -> dict:
     The propagator is ``G = bw_propagator(E, p)``, or ``G - conj(G)`` for
     the pair: bit for bit the residue sum over ``build_model``'s poles.
     """
-    _require_kind(kind)
-    E = np.asarray(energies, dtype=float)
+    E = _numbers(energies, "E")
     d = bw_propagator(E, p)
-    if kind == "pt-pair":
+    if _require_choice(kind, MODEL_KINDS, "model kind") == "pt-pair":
         d = d - np.conj(d)
     return {
         "E": E,

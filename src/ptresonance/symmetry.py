@@ -20,6 +20,7 @@ from .linalg import (
     _cluster_eigenvalues,
     _conjugate_permutation,
     _frobenius,
+    _number,
     _radii,
     _require_finite,
     _require_invertible,
@@ -46,6 +47,7 @@ def gain_loss_dimer(s: float) -> np.ndarray:
     complex-conjugate pair for ``s < 1``, with the transition at ``s = 1``
     where the matrix becomes defective.
     """
+    s = _number(s, "coupling s")
     return as_matrix([[1.0 + 1.0j, s], [s, 1.0 - 1.0j]])
 
 
@@ -146,7 +148,7 @@ def classify_spectrum(eigenvalues, defective_clusters=()) -> SpectrumReport:
     every value has condition number 1 and ``||diag(w)||_2 = max|lambda|``.
     ``defective_clusters`` (value, multiplicity) fill ``exceptional``.
     """
-    w = _as_vector(list(eigenvalues), "eigenvalues")
+    w = _as_vector(eigenvalues, "eigenvalues")
     return _classify(w, _radii(np.ones(w.shape), float(np.max(np.abs(w), initial=0.0))),
                      defective_clusters)
 

@@ -838,6 +838,18 @@ class TestFiniteOut:
                 assert json.loads(capsys.readouterr().out)["antilinear_check"]["residual"] == 2.0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("argv", [["classify"], ["metric"], ["evolve", "--psi0", "1,0"]],
+                             ids=["classify", "metric", "evolve"])
+    def test_two_norm_beyond_the_double_range(self, argv, tmp_path, capsys):
+        # ||H||_2 of this finite H is about 1.94e308: every radius was inf, and
+        # classify reported +/-1.2e308 as one real value 0.0 of multiplicity 2
+        wide = write_matrix(tmp_path / "wide.json", [[1.2e308, 1.2e308], [0.0, -1.2e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--input", wide, "--output", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err == "overflow: 2-norm of H is beyond the double range\n"
+        assert not (tmp_path / "out").exists()
+
 
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "abc")
 

@@ -593,6 +593,21 @@ class TestDoubleRangeRefusals:
             with pytest.raises(OverflowRangeError, match="eigen-equation residual"):
                 eig(np.full((2, 2), 1e308))
 
+    def test_two_norm(self):
+        """||H||_2 of these finite H passes the largest double, so every radius
+        would be inf: eig refuses it, after the eigen-equation residual, where
+        it took the 2x2's values +/-1.2e308 for one real value and the 3x3, a
+        Jordan block, for a non-defective H."""
+        wide_3 = np.triu(np.full((3, 3), 1e308))
+        wide_3[2, 2] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for H in ([[1.2e308, 1.2e308], [0.0, -1.2e308]], wide_3):
+                with pytest.raises(OverflowRangeError, match="^2-norm of H is beyond"):
+                    eig(H)
+                with pytest.raises(OverflowRangeError, match="^2-norm of H is beyond"):
+                    classify_hamiltonian(H)
+
     def test_eigen_residual(self):
         """The residual's entries near 1e308 have squares beyond the double
         range, but its norm, scaled by ``_frobenius``, is a double: eig,
@@ -683,7 +698,7 @@ class TestOneDoorPerInputKind:
 
     @pytest.mark.parametrize("s", [np.nan, np.inf])
     def test_dimer_coupling(self, s):
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+        with pytest.raises(ValueError, match="coupling s must be finite"):
             gain_loss_dimer(s)
 
     def test_step_finite(self):

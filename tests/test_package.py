@@ -46,19 +46,60 @@ def test_one_exception_type_per_exit_code():
     assert caught == ["ValueError", "DefectiveMatrixError", "NoMetricError", "FloatingPointError"]
 
 
-def test_one_door_per_vector_and_matrix():
-    """Input becomes a complex array in two functions only: ``as_matrix`` and
-    the vector door ``linalg._as_vector``; every other entry calls them."""
-    readers = []
+def _functions_calling(predicate):
+    """``module.function`` for every function of the package and ``cli`` with a
+    call for which ``predicate(call)`` holds, in source order."""
+    found = []
     for module in MODULES + (cli,):
         for fn in ast.walk(ast.parse(inspect.getsource(module))):
             if isinstance(fn, ast.FunctionDef) and any(
-                isinstance(call, ast.Call) and ast.unparse(call.func) == "np.asarray"
-                and any(ast.unparse(k.value) == "complex" for k in call.keywords)
-                for call in ast.walk(fn)
+                isinstance(call, ast.Call) and predicate(call) for call in ast.walk(fn)
             ):
-                readers.append(f"{module.__name__}.{fn.name}")
-    assert readers == ["ptresonance.linalg._as_vector", "ptresonance.linalg.as_matrix"]
+                found.append(f"{module.__name__}.{fn.name}")
+    return found
+
+
+def test_one_door_per_vector_and_matrix():
+    """Input becomes a float or complex array in one function only, the number
+    rule ``linalg._numbers``: no other function calls ``np.asarray`` with a
+    dtype or ``astype``.  The matrix door ``as_matrix``, the vector door
+    ``linalg._as_vector``, the grid rule, the offset door, the JSON matrix
+    door's entries and the scalar rule ``_number`` are built on it, and every
+    other door on them."""
+    def converts(call):
+        func = ast.unparse(call.func)
+        return func.endswith(".astype") or (
+            func == "np.asarray" and any(k.arg == "dtype" for k in call.keywords))
+
+    assert _functions_calling(converts) == ["ptresonance.linalg._numbers"]
+    readers = _functions_calling(lambda call: ast.unparse(call.func) == "_numbers")
+    assert readers == [
+        "ptresonance.linalg._number",
+        "ptresonance.linalg._require_grid",
+        "ptresonance.linalg._as_vector",
+        "ptresonance.linalg.as_matrix",
+        "ptresonance.linalg.matrix_from_json",
+        "ptresonance.linalg.mat_exp_evolution",
+        "ptresonance.metric.closure_check",
+        "ptresonance.response._offsets",
+        "ptresonance.response.energy_response",
+    ]
+
+
+def test_one_rule_per_count_and_choice():
+    """A bool is refused as a count by ``linalg._count`` alone (and, entry by
+    entry, by the JSON matrix door), and a choice is refused as unknown by
+    ``linalg._require_choice`` alone."""
+    bool_checks = _functions_calling(lambda call: ast.unparse(call.func) == "isinstance"
+                                     and "bool" in ast.unparse(call.args[1]))
+    assert bool_checks == ["ptresonance.linalg._count", "ptresonance.linalg.matrix_from_json"]
+    unknown = []
+    for module in MODULES + (cli,):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, ast.FunctionDef) and "unknown {" in ast.unparse(fn):
+                unknown.append(f"{module.__name__}.{fn.name}")
+    assert unknown == ["ptresonance.linalg._require_choice"]
+    assert not hasattr(response, "_require_kind")
 
 
 def test_no_module_imports_dataclasses():

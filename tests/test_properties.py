@@ -324,11 +324,22 @@ def _finite_or_refused(call, *args, **kwargs):
 # overflows.
 _NEARLY_REAL_H, _NEARLY_REAL_P = random_pt_symmetric(np.random.default_rng(0), 2)
 
+# Finite matrices whose 2-norm passes the largest double: eig refuses them,
+# where every radius was inf, so that the 2x2 had one real value 0.0 of
+# multiplicity 2 and the 3x3, a Jordan block, no defect.
+_WIDE_2 = np.array([[1.2e308, 1.2e308], [0.0, -1.2e308]])
+_WIDE_3 = np.triu(np.full((3, 3), 1e308))
+_WIDE_3[2, 2] = -1e308
+
 
 @settings(PROPERTY, max_examples=500)
 @given(wide_inputs())
 @example((_NEARLY_REAL_H / np.linalg.norm(_NEARLY_REAL_H, 2), _NEARLY_REAL_P,
           np.array([0.6, 0.8j]), np.linspace(0.0, 4.6e18, 11), [1.0, 1.0, 0.8]))
+@example((_WIDE_2, np.array(PAULI_X), np.array([0.6, 0.8j]), np.linspace(0.0, 1.0, 5),
+          [1.0, 1.0, 0.8]))
+@example((_WIDE_3, np.eye(3), np.array([0.6, 0.8j, 1.0]), np.linspace(0.0, 1.0, 5),
+          [1.0, 1.0, 0.8]))
 def test_finite_out_at_every_magnitude(inputs):
     """Every public callable of ``linalg``, ``symmetry``, ``metric`` and
     ``evolution`` returns all-finite output or raises ``ValueError``,
