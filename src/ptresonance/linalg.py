@@ -11,8 +11,8 @@ All routines work on plain ``numpy`` arrays of complex numbers.  Three rules
 say what an input is, each raising ``ValueError`` naming it:
 
 * a number by ``_numbers`` (``_number`` for a single one): ints or floats,
-  complex numbers too where the input is complex, never a bool, text, None or
-  another object, and finite;
+  complex numbers too where the input is complex, never a bool (not even one
+  inside a list), text, None or another object, in a regular array, and finite;
 * a count by ``_count``: a positive integer, not a bool;
 * a named choice (a policy, a branch, a model kind) by ``_require_choice``.
 
@@ -32,10 +32,11 @@ overflow ignored and refused once, by ``_require_finite``, with
 (the intertwiner, similarity, antilinear, closure and eigen-equation
 residuals) is formed from inputs put at unit scale by ``_unit``, a power of two
 that moves no bit where the inputs were in range, so none of its products can
-overflow or underflow.  Every Frobenius norm of a residual or a scale is
+overflow or underflow.  Every Frobenius norm of the package is
 ``_frobenius``'s, scaled where numpy's sum of squares overflows or underflows:
 the residuals that are not homogeneous, ``V^-1 U^dag V U - I`` and ``L R - I``,
-read it without unit-scaled inputs.
+read it without unit-scaled inputs.  Every other norm is a 2-norm or a vector
+norm along one axis.
 """
 
 import math
@@ -241,18 +242,36 @@ def _conjugate_permutation(w: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _holds_bool(seq) -> bool:
+    """Whether a bool, an ``np.bool_`` or a bool array lies anywhere in the
+    nested lists and tuples ``seq``, where numpy reads it as a number."""
+    kinds = set(map(type, seq))
+    if not any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):
+        return bool in kinds or np.bool_ in kinds
+    return any(_holds_bool(x) if isinstance(x, (list, tuple)) else
+               type(x) is bool or getattr(x, "dtype", None) == bool for x in seq)
+
+
 def _numbers(data, name: str, dtype=float, what: str = "finite") -> np.ndarray:
     """The one number rule: ``data`` as an array of ``dtype``, float or complex.
 
     Raises ``ValueError`` naming ``name`` unless numpy reads ``data`` as ints
-    or floats, or as complex numbers where ``dtype`` is complex: a bool, text,
-    None, an int beyond 64 bits or any other object is refused, as is a
-    complex number where a real one is due.  An entry that is NaN or infinite
-    in double precision is refused too, saying ``name`` must be ``what``.
+    or floats, or as complex numbers where ``dtype`` is complex: a bool (also
+    one inside a list or tuple), text, None, an int beyond 64 bits or any
+    other object is refused, as are a ragged list and a complex number where a
+    real one is due.  An entry that is NaN or infinite in double precision is
+    refused too, saying ``name`` must be ``what``.
     """
-    arr, real = np.asarray(data), dtype is float
-    if arr.dtype.kind not in ("iuf" if real else "iufc"):
-        raise ValueError(f"{name} must be {'real ' if real else ''}numbers, got {arr.dtype.name}")
+    kinds = "iuf" if dtype is float else "iufc"
+    try:
+        arr = np.asarray(data)
+    except ValueError:  # numpy's message for a ragged list names no input
+        raise ValueError(f"{name} must be numbers in a regular array") from None
+    if arr.dtype.kind not in kinds or isinstance(data, (list, tuple)) and _holds_bool(data):
+        got = arr.dtype.name if arr.dtype.kind not in kinds else "bool"
+        if got == "object":  # what numpy makes of each of these
+            got += " (None, an int beyond 64 bits or another Python object)"
+        raise ValueError(f"{name} must be {'real ' if dtype is float else ''}numbers, got {got}")
     with np.errstate(over="ignore"):  # a long double beyond the double range is inf
         arr = arr.astype(dtype, copy=False)
     if not np.isfinite(arr).all():
@@ -327,10 +346,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON: top-level value must be an object")
-    if "n" not in obj:
-        raise ValueError("matrix JSON: missing field 'n'")
-    if "entries" not in obj:
-        raise ValueError("matrix JSON: missing field 'entries'")
+    for field in ("n", "entries"):
+        if field not in obj:
+            raise ValueError(f"matrix JSON: missing field '{field}'")
     n = _count(obj["n"], "matrix JSON: field 'n'")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n:
@@ -341,20 +359,17 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             raise ValueError(f"matrix JSON: entries[{i}] must be a list of {n} entries")
         for j, pair in enumerate(row):
             where = f"matrix JSON: entries[{i}][{j}]"
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            pair = _numbers(pair, where)
+            if pair.shape != (2,):
                 raise ValueError(f"{where} must be a [re, im] pair")
-            if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in pair):
-                raise ValueError(f"{where} must hold two numbers")
-            m[i, j] = complex(*_numbers(pair, where).tolist())
+            m[i, j] = complex(*pair.tolist())
     return m
 
 
 def matrix_to_json(m) -> dict:
     """Serialize a square complex matrix to the interchange format."""
     m = as_matrix(m)
-    n = m.shape[0]
-    entries = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(n)] for i in range(n)]
-    return {"n": n, "entries": entries}
+    return {"n": m.shape[0], "entries": np.stack((m.real, m.imag), axis=-1).tolist()}
 
 
 class _Checked:

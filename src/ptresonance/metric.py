@@ -76,13 +76,7 @@ class MetricOperator(NamedTuple):
     residual: float
 
     def to_json(self) -> dict:
-        return {
-            "V": matrix_to_json(self.V),
-            "hermitian": self.hermitian,
-            "invertible": self.invertible,
-            "condition_estimate": self.condition_estimate,
-            "residual": self.residual,
-        }
+        return {**self._asdict(), "V": matrix_to_json(self.V)}
 
 
 class DualPair(NamedTuple):
@@ -115,8 +109,8 @@ def _metric_matrix(V, n: int) -> np.ndarray:
 # norm divides as 1.
 def _is_hermitian(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     V = _unit(V)
-    scale = np.linalg.norm(V, axis=(-2, -1))
-    skew = np.linalg.norm(V - np.conj(np.swapaxes(V, -2, -1)), axis=(-2, -1))
+    scale = _frobenius(V, (-2, -1))
+    skew = _frobenius(V - np.conj(np.swapaxes(V, -2, -1)), (-2, -1))
     return skew / (scale + (scale == 0.0)) <= tol
 
 
@@ -132,7 +126,7 @@ def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> np.ndarray:
 def _fix_sign(V: np.ndarray) -> np.ndarray:
     """Deterministic overall sign: trace positive, else first sizable entry."""
     tr = np.trace(V).real
-    if abs(tr) > 1e-10 * np.linalg.norm(V, "fro"):
+    if abs(tr) > 1e-10 * _frobenius(V):
         return V if tr > 0 else -V
     flat = V.reshape(-1)
     idx = int(np.argmax(np.abs(flat) > 1e-10 * np.max(np.abs(flat))))
@@ -205,8 +199,9 @@ def build_metric(
     The result is normalized to unit spectral norm with a deterministic sign
     and certified (Hermiticity, condition number, intertwiner residual)
     against ``H``, a required keyword: the Hamiltonian of ``eigsys`` and
-    ``space``.  Under every policy a V above ``linalg._CONDITION_CAP``, the one
-    invertibility verdict, raises ``NoMetricError`` with it as
+    ``space``, whose sizes must agree (else ``ValueError``).  Under every
+    policy a V above ``linalg._CONDITION_CAP``, the one invertibility
+    verdict, raises ``NoMetricError`` with it as
     ``best_candidate``, and so does any V of a spectrum with unmatched
     values, which ``classify`` reports broken; a defective ``eigsys`` raises
     ``DefectiveMatrixError``.  Every residual reads H at unit scale
@@ -219,6 +214,9 @@ def build_metric(
 
     H = _unit(as_matrix(H))  # once per call, for every residual below
     n = H.shape[0]
+    sizes = (n, eigsys.n, len(space.basis[0]))
+    if len(set(sizes)) > 1:
+        raise ValueError("H, eigsys and space must be of one size, got n = %d, %d and %d" % sizes)
     w, L = eigsys.eigenvalues, eigsys.left
     perm = _conjugate_permutation(w, _radii(eigsys.kappa, eigsys.norm))
     unmatched = w[perm < 0]

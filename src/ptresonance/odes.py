@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OverflowRangeError
-from .linalg import _as_vector, _Checked, _greedy_match, _guard_exponent, _number, _require_grid
+from .linalg import (_as_vector, _Checked, _greedy_match, _guard_exponent, _number,
+                     _require_finite, _require_grid)
 from .response import ResonanceParams, _require_normal_range
 
 __all__ = [
@@ -59,14 +60,10 @@ def characteristic_roots(coefficients) -> np.ndarray:
     if c2 == 0:
         raise ValueError("the leading coefficient c2 must be nonzero")
     c1, c0 = c1 / c2, c0 / c2
-    discriminant = c1 * c1 - 4.0 * c0  # NaN, too, where c1 or c0 is not finite
-    if not np.isfinite(discriminant):
-        raise OverflowRangeError("coefficients leave the double range: "
-                                 "(c1/c2)^2 - 4 c0/c2 is not finite")
-    disc = np.sqrt(discriminant)
-    cand_plus = (-c1 + disc) / 2.0
-    cand_minus = (-c1 - disc) / 2.0
-    r1 = cand_plus if abs(cand_plus) >= abs(cand_minus) else cand_minus
+    # the discriminant is NaN, too, where c1 or c0 is not finite
+    disc = np.sqrt(_require_finite(c1 * c1 - 4.0 * c0, "coefficients leave the double range: "
+                                   "their discriminant (c1/c2)^2 - 4 c0/c2"))
+    r1 = max((-c1 + disc) / 2.0, (-c1 - disc) / 2.0, key=abs)  # the first on a tie
     # c0 = 0 when either root is 0; dividing by a subnormal r1 would overflow
     r2 = c0 / r1 if c0 != 0 else 0.0j
     return np.array([r1, r2])
@@ -199,17 +196,14 @@ def integrate(ivp: SecondOrderIVP) -> TimeSeries:
         )
     _guard_exponent(roots.real, float(ivp.times[-1]), "growing-mode exponent")
 
-    y = (complex(ivp.psi0), complex(ivp.dpsi0))
+    y = (ivp.psi0, ivp.dpsi0)  # the record keeps its numbers as Python complex
     t_prev = 0.0
-    psi = np.empty(ivp.times.size, dtype=complex)
-    dpsi = np.empty(ivp.times.size, dtype=complex)
-    c1, c0 = complex(ivp.c1), complex(ivp.c0)
+    psi, dpsi = np.empty((2, ivp.times.size), dtype=complex)
     for k, tk in enumerate(ivp.times.tolist()):
-        y = _rk4_span(c1, c0, y, t_prev, tk, ivp.step)
+        y = _rk4_span(ivp.c1, ivp.c0, y, t_prev, tk, ivp.step)
         psi[k], dpsi[k] = y
         t_prev = tk
-    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))):
-        raise OverflowRangeError("integration produced non-finite values")
+    _require_finite((psi, dpsi), "integration produced non-finite values: psi or psi'")
     return TimeSeries(times=ivp.times.copy(), psi=psi, dpsi=dpsi)
 
 

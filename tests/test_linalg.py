@@ -551,6 +551,17 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match=r"entries\[0\]\[0\]"):
             matrix_from_json({"n": 1, "entries": [[[True, False]]]})
 
+    @pytest.mark.parametrize("pair", [[[1.0], [2.0]], [1.0, [2.0]], ["1", 2.0], [None, 0.0], 5.0,
+                                      None, {"re": 1.0}, [[True, 0.0]]],
+                             ids=["nested", "ragged", "text", "none", "number", "null", "object",
+                                  "nested-bool"])
+    def test_entry_goes_through_the_number_rule(self, pair):
+        """An entry that is not a pair of real numbers is refused by the number
+        rule, or by its shape as not a pair, naming the entry: a nested pair
+        never reaches ``complex()``."""
+        with pytest.raises(ValueError, match=r"^matrix JSON: entries\[0\]\[0\] must be "):
+            matrix_from_json({"n": 1, "entries": [[pair]]})
+
     def test_rejects_non_object_and_row_count(self):
         with pytest.raises(ValueError, match="top-level value must be an object"):
             matrix_from_json([[[1.0, 0.0]]])

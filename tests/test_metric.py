@@ -103,6 +103,18 @@ class TestBuildMetric:
         op = build_metric(eigsys, space, policy="paper-gauge", H=DIAG_PAIR)
         assert np.array_equal(op.V, np.array([[0, -1], [1, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("policy", metric.POLICIES)
+    def test_sizes_must_agree(self, policy):
+        """H, ``eigsys`` and ``space`` of different sizes are refused by name,
+        not by numpy's matmul or broadcast message."""
+        H2, H3 = gain_loss_dimer(0.6), np.diag([1.0, 2.0, 3.0]).astype(complex)
+        cases = [(eig(H2), solve_intertwiner(H2), H3, "3, 2 and 2"),
+                 (eig(H3), solve_intertwiner(H2), H3, "3, 3 and 2")]
+        for eigsys, space, H, sizes in cases:
+            with pytest.raises(ValueError, match=r"H, eigsys and space must be of one size, "
+                                                 rf"got n = {sizes}$"):
+                build_metric(eigsys, space, policy, H=H)
+
     def test_random_symmetric_constructions(self):
         rng = np.random.default_rng(59)
         for n in (2, 3, 4, 6):

@@ -7,6 +7,7 @@ import copy
 import inspect
 import pathlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -87,12 +88,11 @@ def test_one_door_per_vector_and_matrix():
 
 
 def test_one_rule_per_count_and_choice():
-    """A bool is refused as a count by ``linalg._count`` alone (and, entry by
-    entry, by the JSON matrix door), and a choice is refused as unknown by
-    ``linalg._require_choice`` alone."""
+    """A bool is refused as a count by ``linalg._count`` alone, and a choice
+    is refused as unknown by ``linalg._require_choice`` alone."""
     bool_checks = _functions_calling(lambda call: ast.unparse(call.func) == "isinstance"
                                      and "bool" in ast.unparse(call.args[1]))
-    assert bool_checks == ["ptresonance.linalg._count", "ptresonance.linalg.matrix_from_json"]
+    assert bool_checks == ["ptresonance.linalg._count"]
     unknown = []
     for module in MODULES + (cli,):
         for fn in ast.walk(ast.parse(inspect.getsource(module))):
@@ -100,6 +100,62 @@ def test_one_rule_per_count_and_choice():
                 unknown.append(f"{module.__name__}.{fn.name}")
     assert unknown == ["ptresonance.linalg._require_choice"]
     assert not hasattr(response, "_require_kind")
+
+
+def _functions_with(predicate):
+    """``module.function`` for every function of the package and ``cli`` with a
+    node for which ``predicate(node)`` holds, in source order."""
+    found = []
+    for module in MODULES + (cli,):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, ast.FunctionDef) and any(map(predicate, ast.walk(fn))):
+                found.append(f"{module.__name__}.{fn.name}")
+    return found
+
+
+def test_one_rule_tells_a_bool_from_a_number():
+    """A bool is told apart from a number only by the count rule and by the
+    number rule, through its walk of nested lists ``_holds_bool``: no door
+    checks the entries of its input by hand (the JSON matrix door did)."""
+    def tells_bool(node):
+        checks = isinstance(node, ast.Compare) or (
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance")
+        return checks and re.search(r"\bbool_?\b", ast.unparse(node)) is not None
+
+    assert _functions_with(tells_bool) == ["ptresonance.linalg._holds_bool",
+                                           "ptresonance.linalg._count"]
+    walkers = _functions_calling(lambda call: ast.unparse(call.func) == "_holds_bool")
+    assert walkers == ["ptresonance.linalg._holds_bool", "ptresonance.linalg._numbers"]
+
+
+def test_one_finiteness_refusal():
+    """``np.isfinite`` is read by the number rule, by the one refusal of a
+    quantity beyond the double range, ``linalg._require_finite``, and by the
+    two span rules of an energy or time grid, which refuse a span with exit 1;
+    ``odes`` refuses its discriminant and its trajectory through
+    ``_require_finite``."""
+    assert _functions_calling(lambda call: ast.unparse(call.func) == "np.isfinite") == [
+        "ptresonance.linalg._require_finite",
+        "ptresonance.linalg._numbers",
+        "ptresonance.response.default_energy_grid",
+        "ptresonance.cli._linspace",
+    ]
+
+
+def test_one_frobenius_norm():
+    """Outside ``linalg._frobenius``, every ``np.linalg.norm`` is a 2-norm
+    (``ord=2``) or a vector norm along one integer axis."""
+    def other_norm(call):
+        if ast.unparse(call.func) != "np.linalg.norm":
+            return False
+        ord_ = call.args[1:2] or [k.value for k in call.keywords if k.arg == "ord"]
+        axis = [k.value for k in call.keywords if k.arg == "axis"]
+        two = [ast.unparse(x) for x in ord_] == ["2"]
+        one_axis = not ord_ and len(axis) == 1 and isinstance(axis[0], ast.Constant) \
+            and isinstance(axis[0].value, int)
+        return not (two or one_axis)
+
+    assert _functions_calling(other_norm) == ["ptresonance.linalg._frobenius"]
 
 
 def test_no_module_imports_dataclasses():

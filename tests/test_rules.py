@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ptresonance as ptr
-from ptresonance import ResonanceParams
+from ptresonance import ResonanceParams, linalg
 
 P = ResonanceParams(1.0, 0.8)
 H = ptr.gain_loss_dimer(0.6)
@@ -242,12 +242,45 @@ MOTIVATION = [
     pytest.param(lambda: ptr.quadrature_ift(P, None, 40, 100), "t", id="none-time"),
     pytest.param(lambda: ptr.quadrature_ift(P, "1", 40, 100), "t", id="text-time"),
     pytest.param(lambda: ptr.bw_propagator(10**400, P), "E", id="huge-int-energy"),
+    # a bool among numbers, which numpy reads as a number, and a ragged list,
+    # which numpy refused with a message that named no input
+    pytest.param(lambda: ptr.as_matrix([[True, 0], [0, 1]]), MATRIX, id="bool-in-matrix-list"),
+    pytest.param(lambda: linalg._as_vector([np.True_, 2.0], "v"), "v",
+                 id="numpy-bool-in-vector-list"),
+    pytest.param(lambda: ptr.as_matrix([np.array([True, False]), [0.5, 1.0]]), MATRIX,
+                 id="bool-array-in-matrix-list"),
+    pytest.param(lambda: ptr.bw_propagator([0.5, True], P), "E", id="bool-in-energy-list"),
+    pytest.param(lambda: ptr.evolve(H, STATE, [0, True, 2]), "times", id="bool-in-time-list"),
+    pytest.param(lambda: ptr.as_matrix([[1, 2], [3]]), MATRIX, id="ragged-matrix"),
+    pytest.param(lambda: linalg._require_grid([[0, 1], [2]]), "times", id="ragged-grid"),
 ]
 
 
 @pytest.mark.parametrize("call, name", MOTIVATION)
 def test_formerly_accepted_or_mistyped(call, name):
     _refused(call, name)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: ResonanceParams([1, 2], 1), "resonance parameters", id="level-pair"),
+    pytest.param(lambda: ptr.quadrature_ift(P, [1.0], 10, 10), "t", id="quadrature-time"),
+    pytest.param(lambda: _ivp(c1=[1]), "c1, c0, psi0 and dpsi0", id="ivp-coefficient"),
+])
+def test_single_number_refuses_an_array(call, name):
+    _refused(call, f"{name} must be a single number, got shape (")
+
+
+def test_refusal_names_the_cause():
+    """A bool among numbers is named as a bool, a ragged list as one, and an
+    object as what numpy reads as one: an int beyond 64 bits among them."""
+    cases = [(lambda: ptr.evolve(H, STATE, [0, True, 2]), "times must be real numbers, got bool"),
+             (lambda: ptr.as_matrix([[1, 2], [3]]),
+              "matrix entries must be numbers in a regular array"),
+             (lambda: ptr.bw_propagator(10**20, P), "E must be real numbers, got object (None, "
+              "an int beyond 64 bits or another Python object)")]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @pytest.mark.parametrize("number", [np.float64, np.int64, np.float32, np.array],
