@@ -121,11 +121,12 @@ def two_level_hamiltonian(e0: float, gamma: float) -> np.ndarray:
 class TwoLevelResult(NamedTuple):
     """Two-channel run: growth/decay populations and both norm tracks.
 
-    The two components are the *transition* channels of a level pair (one
-    pumps the upper level, one depletes it), not the populations of the
-    ground and excited levels themselves; ``channels`` carries that
-    labeling.  ``dirac_conserved`` is False for any nonzero state while
-    ``v_conserved`` holds, which is the point of the scenario.
+    The two components are the *transition* channels of a level pair: the
+    first is excitation (growing, transition energy E0 + i Gamma), which
+    pumps the upper level, and the second decay (damped, E0 - i Gamma), which
+    depletes it; they are not the populations of the ground and excited
+    levels themselves.  ``dirac_conserved`` is False for any nonzero state
+    while ``v_conserved`` holds, which is the point of the scenario.
     """
 
     trajectory: StateTrajectory
@@ -134,8 +135,6 @@ class TwoLevelResult(NamedTuple):
     v_norms: np.ndarray
     dirac_conserved: bool
     v_conserved: bool
-    channels: tuple[str, str]
-    note: str
 
 
 def two_level_scenario(e0: float, gamma: float, psi0, times) -> TwoLevelResult:
@@ -166,11 +165,4 @@ def two_level_scenario(e0: float, gamma: float, psi0, times) -> TwoLevelResult:
         v_norms=traj.v_norms,
         dirac_conserved=dirac_conserved,
         v_conserved=v_conserved,
-        channels=("excitation (growing, transition energy E0 + i Gamma)",
-                  "decay (damped, transition energy E0 - i Gamma)"),
-        note=(
-            "components are transition channels of the level pair, not the "
-            "ground/excited level populations; the Dirac population sum is "
-            "not conserved while the metric inner product is"
-        ),
     )

@@ -252,6 +252,12 @@ def _holds_bool(seq) -> bool:
                type(x) is bool or getattr(x, "dtype", None) == bool for x in seq)
 
 
+# What a refusal says it got, by numpy's dtype kind; an object array is what
+# numpy makes of None, an int beyond 64 bits or another Python object.
+_INPUT_KINDS = {"b": "bool", "c": "complex", "U": "text", "S": "bytes",
+                "O": "object (None, an int beyond 64 bits or another Python object)"}
+
+
 def _numbers(data, name: str, dtype=float, what: str = "finite") -> np.ndarray:
     """The one number rule: ``data`` as an array of ``dtype``, float or complex.
 
@@ -259,7 +265,7 @@ def _numbers(data, name: str, dtype=float, what: str = "finite") -> np.ndarray:
     or floats, or as complex numbers where ``dtype`` is complex: a bool (also
     one inside a list or tuple), text, None, an int beyond 64 bits or any
     other object is refused, as are a ragged list and a complex number where a
-    real one is due.  An entry that is NaN or infinite in double precision is
+    real one is due, each by its kind (``_INPUT_KINDS``).  An entry that is NaN or infinite in double precision is
     refused too, saying ``name`` must be ``what``.
     """
     kinds = "iuf" if dtype is float else "iufc"
@@ -268,9 +274,8 @@ def _numbers(data, name: str, dtype=float, what: str = "finite") -> np.ndarray:
     except ValueError:  # numpy's message for a ragged list names no input
         raise ValueError(f"{name} must be numbers in a regular array") from None
     if arr.dtype.kind not in kinds or isinstance(data, (list, tuple)) and _holds_bool(data):
-        got = arr.dtype.name if arr.dtype.kind not in kinds else "bool"
-        if got == "object":  # what numpy makes of each of these
-            got += " (None, an int beyond 64 bits or another Python object)"
+        kind = arr.dtype.kind if arr.dtype.kind not in kinds else "b"
+        got = _INPUT_KINDS.get(kind, arr.dtype.name)
         raise ValueError(f"{name} must be {'real ' if dtype is float else ''}numbers, got {got}")
     with np.errstate(over="ignore"):  # a long double beyond the double range is inf
         arr = arr.astype(dtype, copy=False)
@@ -353,6 +358,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise ValueError(f"matrix JSON: field 'entries' must be a list of {n} rows")
+    try:  # the number rule once, on the whole list
+        parts = _numbers(entries, "matrix JSON: entries")
+    except ValueError:
+        parts = np.empty(0)
+    if parts.shape == (n, n, 2) and all(isinstance(row, list) for row in entries):
+        return parts.view(complex).reshape(n, n)  # the bits of complex(re, im)
+    # entry by entry, so that a refusal names the row or the entry
     m = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:

@@ -22,9 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OverflowRangeError
-from .linalg import (_as_vector, _Checked, _greedy_match, _guard_exponent, _number,
-                     _require_finite, _require_grid)
+from .linalg import (_as_vector, _Checked, _guard_exponent, _number, _require_finite,
+                     _require_grid)
 from .response import ResonanceParams, _require_normal_range
 
 __all__ = [
@@ -70,43 +69,32 @@ def characteristic_roots(coefficients) -> np.ndarray:
 
 
 def pt_wave_equation(p: ResonanceParams):
-    """Monic coefficients ``(1, 2 i E0, -(E0^2 + Gamma^2))``.
+    """Monic coefficients ``(1, 2 i E0, -(E0^2 + Gamma^2))``, whose
+    characteristic roots ``-i (E0 +/- i Gamma)`` give the solutions
+    ``exp(-i E0 t +/- Gamma t)``: the time-domain factorization of the
+    balanced pole pair ``E0 +/- i Gamma``.
 
-    The characteristic roots are verified to equal ``-i (E0 +/- i Gamma)``,
-    i.e. the solutions are ``exp(-i E0 t +/- Gamma t)``: the time-domain
-    factorization of the balanced pole pair ``E0 +/- i Gamma``.  Like the
-    damped oscillator's, ``E0^2 + Gamma^2`` must pass the range rule of
-    ``(E - E0)^2 + Gamma^2`` at E = 0, ``response._require_normal_range``: a
-    value that is not a normal finite double raises ``OverflowRangeError``.
+    ``OverflowRangeError`` where ``E0^2 + Gamma^2`` is not a normal finite
+    double (``response._require_normal_range`` at E = 0) or the discriminant
+    leaves the double range (``characteristic_roots``).
     """
     _require_normal_range(np.asarray(p.e0), p.gamma, "coefficients leave the double range")
     coeffs = (1.0, 2j * p.e0, -(p.e0 * p.e0 + p.gamma * p.gamma))
-    _check_roots(coeffs, np.array([-1j * (p.e0 + 1j * p.gamma), -1j * (p.e0 - 1j * p.gamma)]))
+    characteristic_roots(coeffs)  # refuses a discriminant beyond the double range
     return coeffs
 
 
 def damped_oscillator_equation(p: ResonanceParams):
-    """Monic coefficients ``(1, 2 Gamma, E0^2 + Gamma^2)``.
-
-    Both solutions ``exp(-+ i E0 t - Gamma t)`` decay, and the roots are
-    verified to equal ``-Gamma -+ i E0``.  In energy space, ``E = i r``, the
-    equation therefore factorizes over ``{E0 - i Gamma, -E0 - i Gamma}`` (the
-    second root flips the sign of E0, not of the damping).
+    """Monic coefficients ``(1, 2 Gamma, E0^2 + Gamma^2)``, whose
+    characteristic roots ``-Gamma -+ i E0`` give the decaying solutions
+    ``exp(-+ i E0 t - Gamma t)``.  In energy space, ``E = i r``, the equation
+    factorizes over ``{E0 - i Gamma, -E0 - i Gamma}`` (the second root flips
+    the sign of E0, not of the damping).  Refuses as ``pt_wave_equation``.
     """
     _require_normal_range(np.asarray(p.e0), p.gamma, "coefficients leave the double range")
     coeffs = (1.0, 2.0 * p.gamma, p.e0 * p.e0 + p.gamma * p.gamma)
-    _check_roots(coeffs, np.array([-p.gamma - 1j * p.e0, -p.gamma + 1j * p.e0]))
+    characteristic_roots(coeffs)  # refuses a discriminant beyond the double range
     return coeffs
-
-
-def _check_roots(coeffs, expected: np.ndarray):
-    roots = characteristic_roots(coeffs)
-    scale = float(np.max(np.abs(expected)))
-    # rounding the coefficients themselves shifts near-coalescent roots by
-    # O(sqrt(eps)); well-separated roots sit at the 1e-10 level
-    tol = (1e-10 + 4.0 * np.sqrt(np.finfo(float).eps)) * scale
-    if np.any(_greedy_match(roots, expected, tol) < 0):
-        raise OverflowRangeError("characteristic-root verification failed")
 
 
 class SecondOrderIVP(_Checked, NamedTuple("SecondOrderIVP", [

@@ -12,8 +12,7 @@ form has a growing mode and is residue-only.  The propagators, phase shifts,
 time delays and transforms raise ``ValueError`` on a NaN or infinite energy
 or time.  An energy enters as ``E - E0`` by one door, ``_offsets``, and one
 rule, ``_require_normal_range``, refuses a ``(E - E0)^2 + Gamma^2`` that is
-not a normal finite double; every single-pole propagator value ``G``, the
-quadrature's included, is checked by ``G (E - E0 + i Gamma) = 1``.
+not a normal finite double; it is the only guard of a propagator value.
 """
 
 from typing import NamedTuple
@@ -44,11 +43,6 @@ MODEL_KINDS = ("breit-wigner", "pt-pair")
 
 # Contour flag of every pole: it contributes to the t > 0 closure.
 LOWER = "lower"
-
-_FORM_CHECK_TOL = 1e-13
-# Real and imaginary parts within this bound give a modulus below
-# _FORM_CHECK_TOL: 1.4143 exceeds sqrt(2) by far more than the modulus rounds.
-_PART_TOL = _FORM_CHECK_TOL / 1.4143
 
 
 class ResonanceParams(_Checked, NamedTuple("ResonanceParams", [("e0", float), ("gamma", float)])):
@@ -93,65 +87,37 @@ def _branch_sign(branch: str) -> float:
     return 1.0 if _require_choice(branch, BRANCHES, "branch") == "delay" else -1.0
 
 
-def _checked_inverse(z: np.ndarray, out=None, residual=None) -> np.ndarray:
-    """``1/z`` for an array ``z = d + i Gamma`` of finite offsets ``d = E - E0``
-    whose ``d^2 + Gamma^2`` the caller has put through
-    ``_require_normal_range``, each value checked by its defining identity,
-    ``|value z - 1|`` at most 1e-13.  The value and the residual are written
-    to ``out`` and ``residual`` when given (``residual`` may be z itself).
-
-    In exact arithmetic the identity's residual is the relative difference to
-    the rationalized form ``(d - i Gamma) / den``, ``den = d^2 + Gamma^2``;
-    it costs one product and no square root or division.  Since
-    ``|r| <= sqrt(2) max(|Re r|, |Im r|)``, a residual whose real and
-    imaginary parts all lie within ``1e-13 / 1.4143`` passes without its
-    modulus; otherwise the modulus decides.  A residual above 1e-13 or NaN
-    raises ``OverflowRangeError``.
-    """
-    value = np.divide(1.0, z, out=out)
-    r = np.multiply(z, value, out=residual)
-    r -= 1.0
-    parts = r.view(float)
-    if not (parts.max(initial=0.0) <= _PART_TOL and parts.min(initial=0.0) >= -_PART_TOL):
-        if not np.max(np.abs(r), initial=0.0) <= _FORM_CHECK_TOL:
-            raise OverflowRangeError(
-                "propagator check: G (E - E0 + i Gamma) differs from 1 beyond machine precision"
-            )
-    return value
+def _reciprocal(z: np.ndarray, out=None) -> np.ndarray:
+    """``1/z``, written to ``out`` when given: every propagator value is formed
+    here, from ``z = d + i Gamma`` whose ``d^2 + Gamma^2`` has passed
+    ``_require_normal_range``."""
+    return np.divide(1.0, z, out=out)
 
 
 def bw_propagator(E, p: ResonanceParams):
     """Single-pole resonance propagator ``1/(E - E0 + i Gamma)``.
 
-    Every value is checked by ``G (E - E0 + i Gamma) = 1`` to 1e-13 and, like
-    one whose ``(E - E0)^2 + Gamma^2`` is not a normal finite double, refused
-    with ``OverflowRangeError`` (see ``_require_normal_range`` and
-    ``_checked_inverse``).  Non-finite E raises ``ValueError``.
+    ``OverflowRangeError`` where ``(E - E0)^2 + Gamma^2`` is not a normal
+    finite double (``_require_normal_range``); ``ValueError`` for a non-finite
+    E.
     """
     d, scalar = _offsets(E, "E", p.e0)
     _require_normal_range(d, p.gamma, "propagator check")
-    z = d + 1j * p.gamma
-    value = _checked_inverse(z, residual=z)
+    value = _reciprocal(d + 1j * p.gamma)
     return complex(value[0]) if scalar else value
 
 
 def pt_propagator(E, p: ResonanceParams):
-    """Balanced two-pole propagator, ``-2 i Gamma / ((E - E0)^2 + Gamma^2)``.
-
-    Computed both as the two-pole sum
-    ``1/(E - (E0 - i Gamma)) - 1/(E - (E0 + i Gamma))`` and as the closed
-    form, both after ``_require_normal_range``, and must agree to 1e-13
-    relative, or in absolute terms below the smallest normal double, where
-    the closed form has underflowed (as ``time_delay`` does there).  The value
-    is purely imaginary with negative imaginary part.
+    """Balanced two-pole propagator
+    ``1/(E - (E0 - i Gamma)) - 1/(E - (E0 + i Gamma))``, returned in its closed
+    form ``-2 i Gamma / ((E - E0)^2 + Gamma^2)``: purely imaginary, with
+    negative imaginary part, and 0 or subnormal far out where the closed form
+    underflows.  ``OverflowRangeError`` and ``ValueError`` as for
+    ``bw_propagator``.
     """
     d, scalar = _offsets(E, "E", p.e0)
     _require_normal_range(d, p.gamma, "two-pole propagator")
-    two_pole = 1.0 / (d + 1j * p.gamma) - 1.0 / (d - 1j * p.gamma)
     closed = -2j * p.gamma / (d * d + p.gamma * p.gamma)
-    gap = np.abs(two_pole - closed)  # compared without dividing: closed may be 0
-    if not np.all((gap <= _FORM_CHECK_TOL * np.abs(closed)) | (gap < _NORMAL_MIN)):
-        raise OverflowRangeError("two-pole and closed propagator forms disagree")
     return complex(closed[0]) if scalar else closed
 
 
@@ -267,38 +233,21 @@ _PANEL_BLOCK = 2048
 
 
 def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> QuadratureResult:
-    """Direct quadrature of the single-pole inverse Fourier integral.
+    """Direct quadrature of the single-pole inverse Fourier integral, the
+    independent cross-check of ``inverse_ft`` for ``breit-wigner``.
 
-    Composite Gauss-Legendre over ``[E0 - L, E0 + L]`` with N panels applied
-    to ``(1/2 pi) integral exp(-i E t) / (E - E0 + i Gamma) dE``.  Only the
-    single-pole (absolutely integrable) form is supported; the balanced pair
-    has a growing mode and no convergent real-axis integral.  The returned
-    tail estimate ``1/(pi L)`` bounds the truncated |E - E0| > L
-    contribution up to oscillation.
+    Composite N-panel, 6-point Gauss-Legendre rule over ``[E0 - L, E0 + L]``
+    for ``(1/2 pi) integral exp(-i E t) / (E - E0 + i Gamma) dE``; the balanced
+    pair has a growing mode and no convergent real-axis integral.  The tail
+    estimate ``1/(pi L)`` bounds the truncated |E - E0| > L contribution up to
+    oscillation.  Only the ``E - E0 >= 0`` half of the symmetric rule is
+    evaluated, by ``g(-x) = -conj(g(x))``, in blocks of panels whose phases come
+    from one step table per call.
 
-    The rule is evaluated in the offset ``x = E - E0``, folded and
-    phase-factored.  The nodes are symmetric under ``x -> -x`` and the
-    integrand ``g(x) = exp(-i x t) / (x + i Gamma)`` obeys
-    ``g(-x) = -conj(g(x))``, so only the ``x >= 0`` half is evaluated and the
-    sum is ``exp(-i E0 t) (i/pi) Im S``, with the centre panel of odd N
-    counted half in S.  The node phase ``exp(-i (c + h x_j) t)`` of a panel
-    with centre c and half-width h is ``exp(-i c t) exp(-i h x_j t)``, and
-    with ``c = h (q0 + 2m)`` the panel phases of a block are one exponential
-    times a step table ``exp(-2i h t m)`` built once per call: 2104
-    exponentials at N = 200000 instead of 6N.  A block is evaluated as a
-    (nodes, panels) array and reduced as ``(node weights @ f) @ phases``.
-    Its nodes are finite offsets by construction, so they go straight to the
-    propagator's check, ``_checked_inverse``, without ``bw_propagator``'s
-    validation, and the propagator's work allocates nothing per block: each
-    block writes its nodes into the real part of one complex work array whose
-    imaginary part is set to Gamma once per call, and its values and
-    residuals into two arrays also made once per call, with the same bits as
-    fresh arrays.  The range rule ``_require_normal_range`` is applied once per
-    call, to the first and the last panel: rounding is monotone, so they hold
-    the nearest and the farthest node, and the verdict and message are those
-    of the rule applied to every block, given before any block is evaluated.
-    A phase ``E t`` or a tail estimate beyond the double range raises
-    ``OverflowRangeError``.
+    ``ValueError`` unless t and L > 0 are numbers and N a count;
+    ``OverflowRangeError`` where a node's ``(E - E0)^2 + Gamma^2`` leaves the
+    normal double range (decided once per call, before any block runs), or a
+    phase ``E t`` or the tail estimate leaves the double range.
     """
     t, L, N = _number(t, "t"), _number(L, "truncation half-width L"), _count(N, "panel count N")
     if not L > 0:
@@ -320,21 +269,23 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     size = min(count, _PANEL_BLOCK)
     twice = np.arange(0.0, 2 * size, 2.0)  # 2m for the m < size panels of a block
     steps = np.exp(-1j * h * t * twice)
+    # work arrays made once per call: the nodes go into the real part of z
     z = np.empty(_GL_POINTS * size, dtype=complex)
     z.imag = p.gamma
-    f, residual = np.empty_like(z), np.empty_like(z)
+    f = np.empty_like(z)
     centres = np.empty(size)
     total = 0.0j
     for start in range(0, count, _PANEL_BLOCK):
         m = min(count - start, _PANEL_BLOCK)
-        zb, fb, rb = (w[: _GL_POINTS * m].reshape(_GL_POINTS, m) for w in (z, f, residual))
+        zb, fb = (w[: _GL_POINTS * m].reshape(_GL_POINTS, m) for w in (z, f))
         np.multiply(np.add(twice[:m], q0 + 2 * start, out=centres[:m]), h, out=centres[:m])
         np.add(offsets, centres[:m], out=zb.real)
-        _checked_inverse(zb, fb, rb)
+        _reciprocal(zb, fb)
         phases = np.exp(-1j * h * t * (q0 + 2 * start)) * steps[:m]
         if start == 0 and N % 2:
             phases[0] *= 0.5  # the centre panel is its own mirror image
         total += (node_weights @ fb) @ phases
+    # the mirror half adds -conj(total), and 2 pi is the transform's normalization
     value = complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total.imag)
     return QuadratureResult(value=value, tail_estimate=tail)
 

@@ -76,9 +76,10 @@ class TestCoefficients:
         ids=["e0-squared", "gamma-squared", "negative-e0", "discriminant", "sum"],
     )
     def test_coefficient_overflow_is_a_range_error(self, equation, e0, gamma):
-        """``E0^2 + Gamma^2`` beyond the double range, or a discriminant
-        ``c1^2 - 4 c0`` beyond it, is the package's overflow error, not
-        Python's ``OverflowError`` or a failed root check."""
+        """``E0^2 + Gamma^2`` beyond the double range, refused by the range
+        rule, or a discriminant ``c1^2 - 4 c0`` beyond it, refused by
+        ``characteristic_roots``, is the package's overflow error, not
+        Python's ``OverflowError``."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowRangeError, match="coefficients leave the double range"):
@@ -122,9 +123,9 @@ class TestCoefficients:
     @pytest.mark.parametrize("equation", [pt_wave_equation, damped_oscillator_equation])
     @pytest.mark.parametrize("scale", [1.5e-154, 1e-100, 1e-10])
     def test_small_parameters_pass_the_relative_root_check(self, equation, scale):
-        """Down to the bottom of the normal range the root check, now relative
-        to max|root| with no floor, accepts the roots of E0, Gamma = 0.6, 0.8
-        times ``scale``; they match E0 and Gamma to 1e-9 relative."""
+        """Down to the bottom of the normal range the equations accept E0,
+        Gamma = 0.6, 0.8 times ``scale``, and their roots match E0 and Gamma
+        to 1e-9 relative."""
         p = ResonanceParams(0.6 * scale, 0.8 * scale)
         roots = characteristic_roots(equation(p)) / scale
         expected = [-0.8 - 0.6j, 0.8 - 0.6j] if equation is pt_wave_equation else [
@@ -149,8 +150,8 @@ class TestIntegrate:
 
     def test_damped_mode_near_coalescent_roots(self):
         """At Gamma = 1 and E0 = 1e-8 the roots -1 -+ 1e-8 i nearly coincide,
-        and rounding E0^2 + Gamma^2 to 1 moves them by O(sqrt(eps)): within
-        the root check's allowance, so the equation integrates."""
+        and rounding E0^2 + Gamma^2 to 1 moves them by O(sqrt(eps)); the
+        equation is accepted and integrates."""
         p = ResonanceParams(1e-8, 1.0)
         times = np.linspace(0.0, 5.0, 51)
         series = integrate(damped_oscillator_ivp(p, times, step=1e-3))

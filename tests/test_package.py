@@ -158,6 +158,24 @@ def test_one_frobenius_norm():
     assert _functions_calling(other_norm) == ["ptresonance.linalg._frobenius"]
 
 
+def test_one_guard_per_propagator_value():
+    """In ``response`` and ``odes`` the range rule ``_require_normal_range`` is
+    the only function that raises ``OverflowRangeError`` itself: no propagator
+    value, two-pole form or characteristic root is checked again once the
+    rule has accepted it (other quantities beyond the double range are refused
+    through ``linalg._require_finite``)."""
+    def raises_range_error(node):
+        return isinstance(node, ast.Raise) and node.exc is not None \
+            and ast.unparse(node.exc).startswith("OverflowRangeError")
+
+    raisers = [f for f in _functions_with(raises_range_error)
+               if f.startswith(("ptresonance.response.", "ptresonance.odes."))]
+    assert raisers == ["ptresonance.response._require_normal_range"]
+    for module, name in ((response, "_FORM_CHECK_TOL"), (response, "_PART_TOL"),
+                         (odes, "_check_roots")):
+        assert not hasattr(module, name)
+
+
 def test_no_module_imports_dataclasses():
     """Records are NamedTuples: no module of the package imports ``dataclasses``."""
     importers = []

@@ -24,7 +24,7 @@ from ptresonance import (
     time_delay,
 )
 from ptresonance import response
-from ptresonance.response import _PANEL_BLOCK, _checked_inverse, energy_response
+from ptresonance.response import _PANEL_BLOCK, _reciprocal, energy_response
 
 P = ResonanceParams(1.0, 0.8)
 
@@ -173,16 +173,19 @@ class TestFormCheckVerdicts:
     @pytest.mark.parametrize("e0, gamma", [(1.0, 0.8), (1.0, 0.3), (2.0, 0.5)])
     def test_quadrature_nodes_pass_both_checks(self, e0, gamma, monkeypatch):
         """Every node of the cross-check's rule at N = 200000, L = 1e4 Gamma,
-        passes the identity check and the real-arithmetic one.  The nodes are
-        offsets from E0, so the reference reads them with E0 = 0."""
+        goes through the kernel with Gamma as its imaginary part and passes
+        the real-arithmetic form check; the identity ``G (x + i Gamma) = 1``
+        holds wherever the range rule accepts (``test_range_properties.py``).
+        The nodes are offsets from E0, so the reference reads them with
+        E0 = 0."""
         seen = []
 
         def spy(z, *work):
             assert np.all(z.imag == gamma)
             seen.append(z.real.copy())  # the work array is reused by the next block
-            return _checked_inverse(z, *work)
+            return _reciprocal(z, *work)
 
-        monkeypatch.setattr("ptresonance.response._checked_inverse", spy)
+        monkeypatch.setattr("ptresonance.response._reciprocal", spy)
         quadrature_ift(ResonanceParams(e0, gamma), 0.5, 1e4 * gamma, 200000)
         nodes = np.concatenate([d.ravel() for d in seen])
         assert nodes.size == 6 * 100000
@@ -585,8 +588,8 @@ class TestRangeRulePerCall:
         """The first of three blocks lies within the range and a later one
         beyond it; the call is refused before the first block is evaluated."""
         blocks = []
-        monkeypatch.setattr("ptresonance.response._checked_inverse",
-                            lambda z, *work: blocks.append(z.size) or _checked_inverse(z, *work))
+        monkeypatch.setattr("ptresonance.response._reciprocal",
+                            lambda z, *work: blocks.append(z.size) or _reciprocal(z, *work))
         with pytest.raises(OverflowRangeError, match="normal double range"):
             quadrature_ift(ResonanceParams(0.0, 0.5 * self.TOP), 0.5, self.TOP,
                            4 * _PANEL_BLOCK + 3)
@@ -638,14 +641,15 @@ class TestQuadratureFold:
 
     def test_two_form_check_runs_on_every_node(self, monkeypatch):
         """The x >= 0 half of N = 4 B + 3 panels is 2 B + 2 panels of 6 nodes,
-        in three blocks of at most B panels, each checked by the kernel."""
+        in three blocks of at most B panels, each inverted by the kernel
+        ``_reciprocal``."""
         seen = []
 
         def counting(z, *work):
             seen.append(np.size(z))
-            return _checked_inverse(z, *work)
+            return _reciprocal(z, *work)
 
-        monkeypatch.setattr("ptresonance.response._checked_inverse", counting)
+        monkeypatch.setattr("ptresonance.response._reciprocal", counting)
         quadrature_ift(P, 0.5, 40.0, 4 * _PANEL_BLOCK + 3)
         assert sum(seen) == 6 * (2 * _PANEL_BLOCK + 2)
         assert len(seen) == 3

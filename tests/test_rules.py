@@ -283,6 +283,22 @@ def test_refusal_names_the_cause():
             call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ptr.bw_propagator("ab", P), "E must be real numbers, got text"),
+    (lambda: ptr.evolve(H, STATE, ["x", 1.0]), "times must be real numbers, got text"),
+    (lambda: ptr.as_matrix(np.array([["a"]])), "matrix entries must be numbers, got text"),
+    (lambda: ResonanceParams(b"ab", 1.0), "resonance parameters must be real numbers, got bytes"),
+    (lambda: ptr.bw_propagator(1 + 2j, P), "E must be real numbers, got complex"),
+    (lambda: ptr.matrix_from_json({"n": 1, "entries": [[["1", 0]]]}),
+     "matrix JSON: entries[0][0] must be real numbers, got text"),
+], ids=["str", "str-in-list", "str-array", "bytes", "complex", "json-entry"])
+def test_refusal_names_the_input_kind(call, message):
+    """Text, bytes and a complex number where a real one is due are named by
+    their kind, not by numpy's dtype with its byte width (``str64``)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("number", [np.float64, np.int64, np.float32, np.array],
                          ids=["float64", "int64", "float32", "0-d array"])
 def test_numpy_scalars_keep_their_bits(number):
