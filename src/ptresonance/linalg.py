@@ -255,6 +255,7 @@ def _holds_bool(seq) -> bool:
 # What a refusal says it got, by numpy's dtype kind; an object array is what
 # numpy makes of None, an int beyond 64 bits or another Python object.
 _INPUT_KINDS = {"b": "bool", "c": "complex", "U": "text", "S": "bytes",
+                "V": "structured record", "M": "date-time", "m": "duration",
                 "O": "object (None, an int beyond 64 bits or another Python object)"}
 
 
@@ -263,10 +264,11 @@ def _numbers(data, name: str, dtype=float, what: str = "finite") -> np.ndarray:
 
     Raises ``ValueError`` naming ``name`` unless numpy reads ``data`` as ints
     or floats, or as complex numbers where ``dtype`` is complex: a bool (also
-    one inside a list or tuple), text, None, an int beyond 64 bits or any
-    other object is refused, as are a ragged list and a complex number where a
-    real one is due, each by its kind (``_INPUT_KINDS``).  An entry that is NaN or infinite in double precision is
-    refused too, saying ``name`` must be ``what``.
+    one inside a list or tuple), text, bytes, a structured record, a date-time,
+    a duration, None, an int beyond 64 bits or any other object is refused, as
+    are a ragged list and a complex number where a real one is due, each by its
+    kind (``_INPUT_KINDS``).  An entry that is NaN or infinite in double
+    precision is refused too, saying ``name`` must be ``what``.
     """
     kinds = "iuf" if dtype is float else "iufc"
     try:

@@ -228,6 +228,13 @@ class QuadratureResult(NamedTuple):
 # truncation tail at the panel counts used here.
 _GL_POINTS = 6
 
+# The 6-point rule on [-1, 1], the doubles numpy's leggauss(6) returns, written
+# as shortest reprs (which round-trip), so no call imports numpy.polynomial.
+_GL_NODES = (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+             0.2386191860831969, 0.6612093864662645, 0.9324695142031519)
+_GL_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+               0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
+
 # Panels evaluated per block, so the working arrays stay small at any N.
 _PANEL_BLOCK = 2048
 
@@ -255,7 +262,7 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     tail = _require_finite(1.0 / (np.pi * L), "the tail estimate 1/(pi L)")
     # every phase below, E0 t and the node and panel-step phases, is at most this
     _require_finite((abs(p.e0) + 2.0 * L) * t, "phase E t")
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
+    nodes, weights = np.array((_GL_NODES, _GL_WEIGHTS))
     h = L / N
     node_weights = h * weights * np.exp(-1j * h * t * nodes)
     # Centres of the panels on x >= 0 are h q, q = q0 + 2m ascending from q0 =

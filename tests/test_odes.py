@@ -1,5 +1,6 @@
 """Tests for the wave equations and the RK4 integrator."""
 
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from ptresonance import (
     pt_wave_equation,
     pt_wave_ivp,
 )
+from ptresonance import odes
 from ptresonance.odes import MAX_SUBSTEPS, characteristic_roots
 
 P = ResonanceParams(1.0, 0.8)
@@ -298,3 +300,98 @@ class TestStabilityPolynomial:
         expected = _stagewise_rk4(ivp)
         npt.assert_allclose(series.psi, expected[:, 0], rtol=1e-14, atol=0)
         npt.assert_allclose(series.dpsi, expected[:, 1], rtol=1e-14, atol=0)
+
+
+def _rk4_span(c1, c0, y, t0, t1, step):
+    """The per-span kernel: the increment ``D = R(hA) - I`` rebuilt by Horner
+    for every grid span, then applied as ``y <- y + D y`` on its substeps."""
+    span = t1 - t0
+    if span == 0.0:
+        return y
+    nsub = max(1, math.ceil(span / step - 1e-12))
+    h = span / nsub
+    a10, a11 = -c0 * h, -c1 * h
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for k in (4.0, 3.0, 2.0):
+        m00, m01, m10, m11 = (
+            1.0 + h * m10 / k,
+            h * m11 / k,
+            (a10 * m00 + a11 * m10) / k,
+            1.0 + (a10 * m01 + a11 * m11) / k,
+        )
+    d00, d01 = h * m10, h * m11
+    d10, d11 = a10 * m00 + a11 * m10, a10 * m01 + a11 * m11
+    psi, dpsi = y
+    for _ in range(nsub):
+        psi, dpsi = psi + (d00 * psi + d01 * dpsi), dpsi + (d10 * psi + d11 * dpsi)
+    return psi, dpsi
+
+
+def _per_span_rk4(ivp):
+    """``integrate``'s output from the per-span kernel, as (psi, dpsi)."""
+    y, t_prev = (ivp.psi0, ivp.dpsi0), 0.0
+    psi, dpsi = np.empty((2, ivp.times.size), dtype=complex)
+    for k, tk in enumerate(ivp.times.tolist()):
+        y = _rk4_span(ivp.c1, ivp.c0, y, t_prev, tk, ivp.step)
+        psi[k], dpsi[k] = y
+        t_prev = tk
+    return psi, dpsi
+
+
+class TestSharedIncrements:
+    """The increment is built once per distinct substep length of a call, and
+    the output keeps every bit of the per-span kernel."""
+
+    COARSE = np.linspace(0.0, 5.0, 51)
+    GRIDS = {
+        "501": (np.linspace(0.0, 5.0, 501), 1e-3),
+        "5001": (np.linspace(0.0, 5.0, 5001), 1e-3),
+        "51-coarse": (COARSE, 0.02),
+        "51-fine": (COARSE, 0.01),
+        "one-span": (np.array([0.0, 5.0]), 1e-3),
+        "uneven": (TestStabilityPolynomial.GRIDS["uneven"], 1e-3),
+        "late-start": (np.linspace(0.37, 4.2, 97), 1e-3),
+    }
+
+    @staticmethod
+    def _assert_same_bits(ivp):
+        series = integrate(ivp)
+        psi, dpsi = _per_span_rk4(ivp)
+        npt.assert_array_equal(series.psi.view(np.uint64), psi.view(np.uint64))
+        npt.assert_array_equal(series.dpsi.view(np.uint64), dpsi.view(np.uint64))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("make_ivp", [pt_wave_ivp, damped_oscillator_ivp])
+    def test_same_bits_as_per_span_kernel(self, make_ivp, grid):
+        times, step = self.GRIDS[grid]
+        self._assert_same_bits(make_ivp(P, times, step))
+
+    @pytest.mark.parametrize(
+        "c1, c0, psi0, dpsi0",
+        [(2e-320j, -0.0, 0.0, 2e-320j), (2e-320, 0.0, 1.0, -1e-320 - 1e-320j)],
+        ids=["pt_wave_ivp", "damped_oscillator_ivp"],
+    )
+    def test_same_bits_with_subnormal_coefficients(self, c1, c0, psi0, dpsi0):
+        """The IVPs of ``test_subnormal_parameters_integrate``."""
+        self._assert_same_bits(SecondOrderIVP(c1=c1, c0=c0, psi0=psi0, dpsi0=dpsi0,
+                                              times=np.linspace(0.0, 1.0, 3), step=1e-2))
+
+    @pytest.mark.parametrize("grid, builds", [("501", 11), ("5001", 12), ("51-coarse", 7),
+                                              ("one-span", 1)])
+    def test_one_build_per_substep_length(self, grid, builds, monkeypatch):
+        """The 501-point grid has 500 spans but 11 substep lengths; a second
+        call builds its increments again, as none outlives a call."""
+        lengths = []
+        increment = odes._increment
+
+        def spy(c1, c0, h):
+            lengths.append(h)
+            return increment(c1, c0, h)
+
+        monkeypatch.setattr(odes, "_increment", spy)
+        times, step = self.GRIDS[grid]
+        ivp = pt_wave_ivp(P, times, step)
+        integrate(ivp)
+        assert len(lengths) == len(set(lengths)) == builds
+        integrate(ivp)
+        assert lengths[builds:] == lengths[:builds]

@@ -506,6 +506,16 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="point count"):
             default_energy_grid(P, points=True)
 
+    def test_gauss_legendre_table_is_leggauss(self):
+        """The rule kept as constants is numpy's ``leggauss(6)`` to within
+        1 ulp per entry; LAPACK computes leggauss's nodes, so a build may move
+        one by an ulp, and the table is not compared bit for bit."""
+        for table, expected in zip((response._GL_NODES, response._GL_WEIGHTS),
+                                   np.polynomial.legendre.leggauss(response._GL_POINTS)):
+            table = np.array(table)
+            assert table.shape == expected.shape
+            assert np.all(np.abs(table - expected) <= np.spacing(np.abs(expected)))
+
 
 def _unfolded_quadrature(p, t, L, N):
     """The composite rule summed over all 6N nodes in absolute energy.

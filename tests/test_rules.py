@@ -291,10 +291,19 @@ def test_refusal_names_the_cause():
     (lambda: ptr.bw_propagator(1 + 2j, P), "E must be real numbers, got complex"),
     (lambda: ptr.matrix_from_json({"n": 1, "entries": [[["1", 0]]]}),
      "matrix JSON: entries[0][0] must be real numbers, got text"),
-], ids=["str", "str-in-list", "str-array", "bytes", "complex", "json-entry"])
+    (lambda: ptr.bw_propagator(np.zeros(2, dtype=[("a", float)]), P),
+     "E must be real numbers, got structured record"),
+    (lambda: ptr.evolve(H, STATE, np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")),
+     "times must be real numbers, got date-time"),
+    (lambda: ResonanceParams(np.timedelta64(3, "s"), 1.0),
+     "resonance parameters must be real numbers, got duration"),
+], ids=["str", "str-in-list", "str-array", "bytes", "complex", "json-entry", "structured",
+        "datetime", "timedelta"])
 def test_refusal_names_the_input_kind(call, message):
-    """Text, bytes and a complex number where a real one is due are named by
-    their kind, not by numpy's dtype with its byte width (``str64``)."""
+    """Text, bytes, a structured record, a date-time, a duration and a complex
+    number where a real one is due are named by their kind, not by numpy's
+    dtype with its byte width or unit (``str64``, ``void64``,
+    ``datetime64[D]``, ``timedelta64[s]``)."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
