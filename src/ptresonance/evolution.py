@@ -19,6 +19,7 @@ from .linalg import (
     _require_finite,
     _require_grid,
     _spectral_phases,
+    _times_fixed,
     _unit,
     as_matrix,
     eig,
@@ -107,7 +108,8 @@ def pseudounitarity_residual(H, V, times) -> PseudoUnitarityResult:
     U = mat_exp_evolution(eig(H), t)  # U[k] = U(t_k)
     UH = np.conj(np.swapaxes(U, 1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = _frobenius(np.linalg.inv(Vm) @ UH @ Vm @ U - np.eye(H.shape[0]), (-2, -1))
+        residuals = _frobenius(_times_fixed(np.linalg.inv(Vm) @ UH, Vm) @ U - np.eye(H.shape[0]),
+                               (-2, -1))
     _require_finite(residuals, "pseudounitarity residual")
     return PseudoUnitarityResult(residuals=residuals, maximum=float(np.max(residuals)))
 

@@ -701,6 +701,12 @@ def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
     return _phases(t, eigsys.eigenvalues, "growing-mode exponent")
 
 
+def _times_fixed(stack: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``stack @ M`` for a stack of n x n matrices and one n x n factor M, as
+    one product of the stack's rows, shape ``(-1, n)``, with M."""
+    return (stack.reshape(-1, M.shape[0]) @ M).reshape(stack.shape)
+
+
 def mat_exp_evolution(eigsys: EigenSystem, t) -> np.ndarray:
     """Evolution operator ``U(t) = sum_i exp(-i lambda_i t) R_i L_i``.
 
@@ -711,4 +717,6 @@ def mat_exp_evolution(eigsys: EigenSystem, t) -> np.ndarray:
     ``lambda t`` beyond the double range.
     """
     phases = _spectral_phases(eigsys, _numbers(t, "t"))
-    return (eigsys.right * np.expand_dims(phases, -2)) @ eigsys.left
+    # C order, so the stack's rows reshape without a copy
+    stack = np.multiply(eigsys.right, np.expand_dims(phases, -2), order="C")
+    return _times_fixed(stack, eigsys.left)

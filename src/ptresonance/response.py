@@ -87,13 +87,6 @@ def _branch_sign(branch: str) -> float:
     return 1.0 if _require_choice(branch, BRANCHES, "branch") == "delay" else -1.0
 
 
-def _reciprocal(z: np.ndarray, out=None) -> np.ndarray:
-    """``1/z``, written to ``out`` when given: every propagator value is formed
-    here, from ``z = d + i Gamma`` whose ``d^2 + Gamma^2`` has passed
-    ``_require_normal_range``."""
-    return np.divide(1.0, z, out=out)
-
-
 def bw_propagator(E, p: ResonanceParams):
     """Single-pole resonance propagator ``1/(E - E0 + i Gamma)``.
 
@@ -103,7 +96,7 @@ def bw_propagator(E, p: ResonanceParams):
     """
     d, scalar = _offsets(E, "E", p.e0)
     _require_normal_range(d, p.gamma, "propagator check")
-    value = _reciprocal(d + 1j * p.gamma)
+    value = 1.0 / (d + 1j * p.gamma)
     return complex(value[0]) if scalar else value
 
 
@@ -239,22 +232,35 @@ _GL_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
 _PANEL_BLOCK = 2048
 
 
+def _inverse_parts(xy: np.ndarray, gamma: float) -> None:
+    """``1/(x + i Gamma) = x r - i Gamma r``, ``r = 1/(x^2 + Gamma^2)``, in real
+    arithmetic and in place: the offsets x in the top half of ``xy``'s rows
+    become ``x r`` and the bottom half ``Gamma r``, for x whose
+    ``x^2 + Gamma^2`` has passed ``_require_normal_range``."""
+    half = len(xy) // 2
+    x, r = xy[:half], xy[half:]
+    np.multiply(x, x, out=r)
+    r += gamma * gamma
+    np.divide(1.0, r, out=r)
+    x *= r
+    r *= gamma
+
+
 def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> QuadratureResult:
     """Direct quadrature of the single-pole inverse Fourier integral, the
     independent cross-check of ``inverse_ft`` for ``breit-wigner``.
 
     Composite N-panel, 6-point Gauss-Legendre rule over ``[E0 - L, E0 + L]``
-    for ``(1/2 pi) integral exp(-i E t) / (E - E0 + i Gamma) dE``; the balanced
-    pair has a growing mode and no convergent real-axis integral.  The tail
-    estimate ``1/(pi L)`` bounds the truncated |E - E0| > L contribution up to
-    oscillation.  Only the ``E - E0 >= 0`` half of the symmetric rule is
-    evaluated, by ``g(-x) = -conj(g(x))``, in blocks of panels whose phases come
-    from one step table per call.
+    for ``(1/2 pi) integral exp(-i E t) / (E - E0 + i Gamma) dE``, returned
+    with the tail estimate ``1/(pi L)`` of the truncated |E - E0| > L part.
+    Only the ``x = E - E0 >= 0`` half of the rule is evaluated, by
+    ``g(-x) = -conj(g(x))``, and each node enters in real arithmetic as
+    ``(x, Gamma) / (x^2 + Gamma^2)``.
 
     ``ValueError`` unless t and L > 0 are numbers and N a count;
     ``OverflowRangeError`` where a node's ``(E - E0)^2 + Gamma^2`` leaves the
-    normal double range (decided once per call, before any block runs), or a
-    phase ``E t`` or the tail estimate leaves the double range.
+    normal double range (decided before any node is evaluated), or a phase
+    ``E t`` or the tail estimate leaves the double range.
     """
     t, L, N = _number(t, "t"), _number(L, "truncation half-width L"), _count(N, "panel count N")
     if not L > 0:
@@ -264,7 +270,10 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     _require_finite((abs(p.e0) + 2.0 * L) * t, "phase E t")
     nodes, weights = np.array((_GL_NODES, _GL_WEIGHTS))
     h = L / N
-    node_weights = h * weights * np.exp(-1j * h * t * nodes)
+    a = h * weights * np.exp(-1j * h * t * nodes)
+    # the 2 x 12 weights of a panel's sum a @ (x r - i Gamma r), transposed:
+    # column 0 gives its imaginary part and column 1 its real part
+    panel_weights = np.block([[a.imag, -a.real], [a.real, a.imag]]).T
     # Centres of the panels on x >= 0 are h q, q = q0 + 2m ascending from q0 =
     # 0 or 1 to N - 1; for odd N, q = 0 is the centre panel.  A block writes
     # its q, exact integers, into the centres buffer before multiplying by h.
@@ -273,27 +282,29 @@ def quadrature_ift(p: ResonanceParams, t: float, L: float, N: int) -> Quadrature
     # Rounding is monotone, so the nearest |offset| lies in the first panel and
     # the farthest in the last: one range rule for every block.
     _require_normal_range(offsets + h * np.array([q0, N - 1.0]), p.gamma, "propagator check")
+    row_offsets = offsets.ravel().tolist()  # Python floats, one per row add
     size = min(count, _PANEL_BLOCK)
     twice = np.arange(0.0, 2 * size, 2.0)  # 2m for the m < size panels of a block
     steps = np.exp(-1j * h * t * twice)
-    # work arrays made once per call: the nodes go into the real part of z
-    z = np.empty(_GL_POINTS * size, dtype=complex)
-    z.imag = p.gamma
-    f = np.empty_like(z)
-    centres = np.empty(size)
-    total = 0.0j
+    # work arrays made once per call
+    xy, sums, centres = np.empty(2 * _GL_POINTS * size), np.empty(2 * size), np.empty(size)
+    total = 0.0
     for start in range(0, count, _PANEL_BLOCK):
         m = min(count - start, _PANEL_BLOCK)
-        zb, fb = (w[: _GL_POINTS * m].reshape(_GL_POINTS, m) for w in (z, f))
+        block = xy[: 2 * _GL_POINTS * m].reshape(2 * _GL_POINTS, m)
         np.multiply(np.add(twice[:m], q0 + 2 * start, out=centres[:m]), h, out=centres[:m])
-        np.add(offsets, centres[:m], out=zb.real)
-        _reciprocal(zb, fb)
+        for row, offset in zip(block, row_offsets):  # x = h node + h q, row by row
+            np.add(centres[:m], offset, out=row)
+        _inverse_parts(block, p.gamma)
+        # (Im, Re) of each panel's sum, interleaved as the phases' (Re, Im)
+        np.matmul(block.T, panel_weights, out=sums[: 2 * m].reshape(m, 2))
         phases = np.exp(-1j * h * t * (q0 + 2 * start)) * steps[:m]
         if start == 0 and N % 2:
             phases[0] *= 0.5  # the centre panel is its own mirror image
-        total += (node_weights @ fb) @ phases
-    # the mirror half adds -conj(total), and 2 pi is the transform's normalization
-    value = complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total.imag)
+        total += sums[: 2 * m] @ phases.view(float)  # Im of the panel sums times phases
+    # the mirror half adds -conj of this half's sum, leaving 2i times its imaginary
+    # part, total; 2 pi is the transform's normalization
+    value = complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total)
     return QuadratureResult(value=value, tail_estimate=tail)
 
 

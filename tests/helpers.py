@@ -29,6 +29,20 @@ def random_involution(rng, n, max_cond=50.0):
     return S @ np.diag(signs) @ np.linalg.inv(S)
 
 
+def conditioned_involution(rng, n, max_cond=50.0):
+    """Real P with P @ P = I and its similarity S, with cond(S) <= max_cond by
+    construction rather than by rejection: ``S = Q1 diag(sigma) Q2`` with Q1
+    and Q2 orthogonal and sigma drawn from [1, max_cond], and
+    ``P = S D S^-1`` for a diagonal D of signs.  Returns ``(P, S)``."""
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    sigma = rng.uniform(1.0, max_cond, size=n)
+    signs = rng.choice([-1.0, 1.0], size=n)
+    S = (q1 * sigma) @ q2
+    # S^-1 = Q2^T diag(1/sigma) Q1^T, exactly in exact arithmetic
+    P = (q1 * sigma) @ ((q2 * signs) @ q2.T) @ (q1 / sigma).T
+    return P, S
+
+
 def random_pt_symmetric(rng, n):
     """Random H with P conj(H) P^-1 = H for a real involution P.
 

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import random_complex_matrix, random_pt_symmetric
+from helpers import conditioned_involution, random_complex_matrix, random_pt_symmetric
 from ptresonance import (
     PAPER_GAUGE_V,
     DefectiveMatrixError,
@@ -15,6 +15,7 @@ from ptresonance import (
     eig,
     evolve,
     gain_loss_dimer,
+    linalg,
     mat_exp_evolution,
     pseudounitarity_residual,
     solve_intertwiner,
@@ -138,6 +139,38 @@ class TestPseudoUnitarity:
             for U in (mat_exp_evolution(es, t) for t in times)
         ]
         npt.assert_allclose(pseudounitarity_residual(H, V, times).residuals, expected, rtol=1e-14)
+
+    # the benchmark's three dimers [[E0 + i, s], [s, E0 - i]], s^2 = 1 - Gamma^2,
+    # at 2001 times, and dense H at n = 8, 16 and 32 at 51 times
+    @pytest.mark.parametrize("case", ["1,0.8", "1,0.3", "2,0.5", "8", "16", "32"])
+    def test_fixed_factors_keep_the_batched_bits(self, case):
+        """U(t) and the residuals, whose products by a fixed right factor run
+        as one product of the stacked rows, equal the per-matrix batched
+        formula bit for bit, for an array of times and a scalar time."""
+        if "," in case:
+            e0, gamma = map(float, case.split(","))
+            s = np.sqrt(1.0 - gamma * gamma)
+            H, times = np.array([[e0 + 1j, s], [s, e0 - 1j]]), np.linspace(0.0, 5.0, 2001)
+        else:
+            rng, n = np.random.default_rng(int(case)), int(case)
+            P, _ = conditioned_involution(rng, n)
+            B = random_complex_matrix(rng, n)
+            H, times = B + P @ B.conj() @ np.linalg.inv(P), np.linspace(0.0, 5.0, 51)
+        n = H.shape[0]
+        es = eig(H)
+        V = build_metric(es, solve_intertwiner(H), H=H).V
+
+        def batched(t):
+            U = (es.right * np.expand_dims(linalg._spectral_phases(es, t), -2)) @ es.left
+            UH = np.conj(np.swapaxes(U, -1, -2))
+            return U, linalg._frobenius(np.linalg.inv(V) @ UH @ V @ U - np.eye(n), (-2, -1))
+
+        U, residuals = batched(times)
+        npt.assert_array_equal(mat_exp_evolution(es, times).view(np.uint64), U.view(np.uint64))
+        npt.assert_array_equal(pseudounitarity_residual(H, V, times).residuals.view(np.uint64),
+                               residuals.view(np.uint64))
+        npt.assert_array_equal(mat_exp_evolution(es, 1.7).view(np.uint64),
+                               batched(1.7)[0].view(np.uint64))
 
     def test_defect_and_overflow_rejected(self):
         with pytest.raises(DefectiveMatrixError):

@@ -24,7 +24,7 @@ from ptresonance import (
     time_delay,
 )
 from ptresonance import response
-from ptresonance.response import _PANEL_BLOCK, _reciprocal, energy_response
+from ptresonance.response import _GL_POINTS, _PANEL_BLOCK, _inverse_parts, energy_response
 
 P = ResonanceParams(1.0, 0.8)
 
@@ -173,23 +173,29 @@ class TestFormCheckVerdicts:
     @pytest.mark.parametrize("e0, gamma", [(1.0, 0.8), (1.0, 0.3), (2.0, 0.5)])
     def test_quadrature_nodes_pass_both_checks(self, e0, gamma, monkeypatch):
         """Every node of the cross-check's rule at N = 200000, L = 1e4 Gamma,
-        goes through the kernel with Gamma as its imaginary part and passes
-        the real-arithmetic form check; the identity ``G (x + i Gamma) = 1``
-        holds wherever the range rule accepts (``test_range_properties.py``).
-        The nodes are offsets from E0, so the reference reads them with
-        E0 = 0."""
-        seen = []
+        goes through the kernel with Gamma as the propagator's imaginary part
+        and passes the real-arithmetic form check, and the kernel's parts
+        ``(x r, Gamma r)`` are those of ``1/(x + i Gamma)``; the identity
+        ``G (x + i Gamma) = 1`` holds wherever the range rule accepts
+        (``test_range_properties.py``).  The nodes are offsets from E0, so
+        the reference reads them with E0 = 0."""
+        seen, parts = [], []
 
-        def spy(z, *work):
-            assert np.all(z.imag == gamma)
-            seen.append(z.real.copy())  # the work array is reused by the next block
-            return _reciprocal(z, *work)
+        def spy(xy, g):
+            assert g == gamma
+            seen.append(xy[:_GL_POINTS].copy())  # the work array is reused by the next block
+            _inverse_parts(xy, g)
+            parts.append(xy.copy())
 
-        monkeypatch.setattr("ptresonance.response._reciprocal", spy)
+        monkeypatch.setattr("ptresonance.response._inverse_parts", spy)
         quadrature_ift(ResonanceParams(e0, gamma), 0.5, 1e4 * gamma, 200000)
         nodes = np.concatenate([d.ravel() for d in seen])
         assert nodes.size == 6 * 100000
         assert np.max(_real_form_check(nodes, ResonanceParams(0.0, gamma))) <= 1e-13**2
+        re = np.concatenate([b[:_GL_POINTS].ravel() for b in parts])
+        minus_im = np.concatenate([b[_GL_POINTS:].ravel() for b in parts])
+        G = 1.0 / (nodes + 1j * gamma)
+        assert np.max(np.abs(re - 1j * minus_im - G) / np.abs(G)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize(
         "band",
@@ -318,6 +324,24 @@ class TestTimeDelay:
         npt.assert_array_equal(
             time_delay(grid, P, "delay"), -time_delay(grid, P, "advance")
         )
+
+    @pytest.mark.parametrize("e0, gamma", [(1.0, 0.8), (1.0, 0.3), (2.0, 0.5)])
+    def test_each_branch_is_the_wigner_delay_of_its_pole(self, e0, gamma):
+        """Each branch against an independent formula, the Wigner delay
+        ``-Im 1/(E - lambda)`` of its own pole: the decay pole E0 - i Gamma for
+        the delay branch and the excitation pole E0 + i Gamma for the advance
+        branch; the two poles' delays cancel, so the advance is equal and
+        opposite to the delay."""
+        p = ResonanceParams(e0, gamma)
+        E = default_energy_grid(p)
+        assert E.size == 2001
+        decay, excitation = build_model("pt-pair", p).poles
+        assert (decay, excitation) == (e0 - 1j * gamma, e0 + 1j * gamma)
+        tau = {pole: -(1.0 / (E - pole)).imag for pole in (decay, excitation)}
+        bound = 1e-15 / gamma  # relative to the peak 1/Gamma
+        assert np.max(np.abs(time_delay(E, p, "delay") - tau[decay])) <= bound
+        assert np.max(np.abs(time_delay(E, p, "advance") - tau[excitation])) <= bound
+        assert np.max(np.abs(tau[decay] + tau[excitation])) <= bound
 
     @pytest.mark.parametrize("gamma", [1e-160, 1e160])
     def test_fails_closed_outside_the_normal_range(self, gamma):
@@ -536,23 +560,28 @@ def _unfolded_quadrature(p, t, L, N):
 
 def _allocating_quadrature(p, t, L, N):
     """``quadrature_ift``'s folded sum with fresh arrays in every block and the
-    range rule on every block."""
+    range rule on every block.  Each node's ``1/(d + i Gamma)`` enters as
+    ``(d r, Gamma r)``, ``r = 1/(d^2 + Gamma^2)``, and a panel's sum
+    ``a @ (d r - i Gamma r)`` with complex node weights a as its imaginary
+    and real parts, in the order of each phase's real and imaginary parts."""
     nodes, weights = np.polynomial.legendre.leggauss(6)
     h = L / N
-    node_weights = h * weights * np.exp(-1j * h * t * nodes)
+    a = h * weights * np.exp(-1j * h * t * nodes)
+    W = np.array([np.concatenate([a.imag, -a.real]), np.concatenate([a.real, a.imag])])
     q = np.arange((N + 1) % 2, N, 2, dtype=float)
     steps = np.exp(-2j * h * t * np.arange(min(q.size, _PANEL_BLOCK)))
-    total = 0.0j
+    total = 0.0
     for start in range(0, q.size, _PANEL_BLOCK):
         centres = h * q[start : start + _PANEL_BLOCK]
         d = h * nodes[:, None] + centres
         response._require_normal_range(d, p.gamma, "propagator check")
-        f = 1.0 / (d + 1j * p.gamma)
+        r = 1.0 / (d * d + p.gamma * p.gamma)
+        sums = np.concatenate([d * r, p.gamma * r]).T @ W.T  # (Im, Re) per panel
         phases = np.exp(-1j * h * t * q[start]) * steps[: centres.size]
         if start == 0 and N % 2:
             phases[0] *= 0.5
-        total += (node_weights @ f) @ phases
-    return complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total.imag)
+        total += sums.ravel() @ np.column_stack([phases.real, phases.imag]).ravel()
+    return complex(np.exp(-1j * p.e0 * t) * (1j / np.pi) * total)
 
 
 def _outcome(call):
@@ -598,8 +627,8 @@ class TestRangeRulePerCall:
         """The first of three blocks lies within the range and a later one
         beyond it; the call is refused before the first block is evaluated."""
         blocks = []
-        monkeypatch.setattr("ptresonance.response._reciprocal",
-                            lambda z, *work: blocks.append(z.size) or _reciprocal(z, *work))
+        monkeypatch.setattr("ptresonance.response._inverse_parts",
+                            lambda xy, g: blocks.append(xy.size) or _inverse_parts(xy, g))
         with pytest.raises(OverflowRangeError, match="normal double range"):
             quadrature_ift(ResonanceParams(0.0, 0.5 * self.TOP), 0.5, self.TOP,
                            4 * _PANEL_BLOCK + 3)
@@ -645,6 +674,27 @@ class TestQuadratureFold:
             npt.assert_array_equal(np.array([quadrature_ift(p, t, L, N).value]).view(np.uint64),
                                    expected.view(np.uint64))
 
+    # Gamma and L where x^2 + Gamma^2 passes the range rule but
+    # r = 1/(x^2 + Gamma^2) is subnormal at some or all nodes (above 1/tiny,
+    # about 4.5e307), and where x^2 + Gamma^2 lies near the smallest normal
+    # double (about sqrt(tiny) = 1.5e-154 each), with t = c / L so that the
+    # phases E t stay at unit scale.
+    @pytest.mark.parametrize(
+        "gamma, L",
+        [(7e153, 1e153), (7e153, 1e154), (1e154, 5e153), (1.3e154, 1e150), (1e150, 1.3e154),
+         (2e-154, 1e-154), (1.5e-154, 1e-152), (1e-160, 1e-150), (1.492e-154, 1e-153)],
+    )
+    @pytest.mark.parametrize("N", [7, 8, 1001])
+    @pytest.mark.parametrize("c", [-1.0, 0.5, 3.0])
+    def test_matches_unfolded_rule_at_the_range_edges(self, gamma, L, N, c):
+        p = ResonanceParams(0.0, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected, size = _unfolded_quadrature(p, c / L, L, N)
+            got = quadrature_ift(p, c / L, L, N).value
+        assert size > 0
+        assert abs(got - expected) <= 1e-13 * size
+
     def test_tail_estimate_unchanged(self):
         for L in (0.5, 40.0, 8000.0):
             assert quadrature_ift(P, 1.0, L, 7).tail_estimate == 1.0 / (np.pi * L)
@@ -652,14 +702,14 @@ class TestQuadratureFold:
     def test_two_form_check_runs_on_every_node(self, monkeypatch):
         """The x >= 0 half of N = 4 B + 3 panels is 2 B + 2 panels of 6 nodes,
         in three blocks of at most B panels, each inverted by the kernel
-        ``_reciprocal``."""
+        ``_inverse_parts``, whose work block holds two parts per node."""
         seen = []
 
-        def counting(z, *work):
-            seen.append(np.size(z))
-            return _reciprocal(z, *work)
+        def counting(xy, g):
+            seen.append(np.size(xy) // 2)
+            return _inverse_parts(xy, g)
 
-        monkeypatch.setattr("ptresonance.response._reciprocal", counting)
+        monkeypatch.setattr("ptresonance.response._inverse_parts", counting)
         quadrature_ift(P, 0.5, 40.0, 4 * _PANEL_BLOCK + 3)
         assert sum(seen) == 6 * (2 * _PANEL_BLOCK + 2)
         assert len(seen) == 3

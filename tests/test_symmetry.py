@@ -1,10 +1,12 @@
 """Tests for the antilinear-symmetry check and spectrum classification."""
 
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import random_pt_symmetric
+from helpers import conditioned_involution, random_pt_symmetric
 from ptresonance import (
     PAULI_X,
     AntilinearSymmetry,
@@ -18,6 +20,25 @@ from ptresonance import (
 )
 
 SIGMA_X = AntilinearSymmetry(PAULI_X)
+
+
+def test_conditioned_involution_at_n_96():
+    """The constructive builder gives a real involution with cond(S) <= 50 at
+    n = 96 in well under a second (rejection sampling takes about 80 s
+    there), and P conj(B) P^-1 symmetrizes a random B."""
+    rng = np.random.default_rng(96)
+    start = time.perf_counter()
+    P, S = conditioned_involution(rng, 96)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert P.dtype == float and S.dtype == float
+    assert np.linalg.cond(S) <= 50.0
+    npt.assert_allclose(P @ P, np.eye(96), atol=1e-11)
+    D = np.linalg.solve(S, P @ S)  # S^-1 P S, a diagonal of signs
+    npt.assert_allclose(D, np.diag(np.sign(np.diag(D))), atol=1e-11)
+    B = rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96))
+    ok, _ = check_pt(B + P @ B.conj() @ np.linalg.inv(P), AntilinearSymmetry(P))
+    assert ok
 
 
 class TestCheckPt:
