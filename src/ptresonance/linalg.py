@@ -161,10 +161,25 @@ def _unit(x: np.ndarray, *more):
     return (unit, *(np.ldexp(_parts(y), -e).view(np.result_type(y)) for y in more))
 
 
+def _norm2(M: np.ndarray):
+    """The 2-norm of the matrix M: its largest singular value, the first that
+    LAPACK returns, which ``np.linalg.norm(M, 2)`` reads through a wrapper."""
+    return np.linalg.svd(M, compute_uv=False)[0]
+
+
 def _condition(M: np.ndarray) -> tuple[float, bool]:
-    """M's 2-norm condition number and the package's one invertibility verdict
-    on it: finite and at most ``_CONDITION_CAP``."""
-    cond = float(np.linalg.cond(M, 2))
+    """The finite matrix M's 2-norm condition number and the package's one
+    invertibility verdict on it: finite and at most ``_CONDITION_CAP``.
+
+    The condition number is the largest singular value over the smallest: inf
+    where the smallest is zero (0 / 0 for a zero M too) or the quotient
+    overflows.  That is ``np.linalg.cond(M, 2)``, bit for bit, from the same
+    LAPACK call without that wrapper."""
+    s = np.linalg.svd(M, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = float(s[0] / s[-1])
+    if math.isnan(cond):  # 0 / 0
+        cond = math.inf
     return cond, cond <= _CONDITION_CAP
 
 
@@ -545,7 +560,7 @@ def eig(H) -> EigenSystem:
     w = w[order]
     R_raw = R_raw[:, order]
 
-    h_norm = float(np.linalg.norm(H, 2))
+    h_norm = float(_norm2(H))
     # H, its values and its norm at unit scale; LAPACK can return an infinite
     # eigenvalue of a finite H near the top of the range, whose residual is refused
     with np.errstate(over="ignore", invalid="ignore"):
@@ -597,23 +612,29 @@ def _null_space_correction(res, H, right, paired, pin: float) -> np.ndarray:
     at zero by a row of ``pin`` on the diagonal.  Unlike a solve in
     eigenvector coordinates, the triangular solves stay accurate when the
     eigenvectors are ill-conditioned.  H and res come at unit scale.
+
+    The products by a fixed right factor, ``... @ U`` and ``... @ U^dag``, run
+    as one product of the stacked rows (``_times_fixed``), and the prefix sum
+    of column c as one product of reshaped views; each gives the bits of the
+    batched product and of ``tensordot``.
     """
     n = H.shape[0]
     U, _ = np.linalg.qr(right)
     S = np.triu(U.conj().T @ H @ U)
     # Y[c] holds column c of each res[m] until it is overwritten by its solution.
-    Y = np.moveaxis(U.conj().T @ res @ U, 2, 0).copy()
-    eye, SH = np.eye(n), S.conj().T
+    Y = np.moveaxis(_times_fixed(U.conj().T @ res, U), 2, 0).copy()
+    eye, SH, size = np.eye(n), S.conj().T, Y[0].size
     for c in range(n):
-        A = S[c, c] * eye - SH
-        rhs = Y[c] - np.tensordot(S[:c, c], Y[:c], axes=(0, 0))
+        A = S[c, c] * eye - SH  # one A per column: a stack of all n takes n^3
+        # sum_i S[i, c] Y[i] over i < c, as the one product tensordot forms
+        rhs = Y[c] - np.dot(S[:c, c].reshape(1, c), Y[:c].reshape(c, size)).reshape(Y[c].shape)
         free = paired[:, c]
         A[free, :] = 0.0
         A[free, free] = pin
         rhs[:, free] = 0.0
         Y[c] = np.linalg.solve(A, rhs.T).T
     Y = U @ np.moveaxis(Y, 0, 2)  # rebinding frees the solved Y before the last product
-    return Y @ U.conj().T
+    return _times_fixed(Y, U.conj().T)
 
 
 def solve_intertwiner(H) -> IntertwinerSpace:

@@ -21,6 +21,7 @@ from .linalg import (
     _condition,
     _conjugate_permutation,
     _frobenius,
+    _norm2,
     _numbers,
     _radii,
     _require_choice,
@@ -114,13 +115,28 @@ def _is_hermitian(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return skew / (scale + (scale == 0.0)) <= tol
 
 
-def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """``||VH - H^dag V||_F / (||V||_F ||H||_F)`` for V and H at unit scale, as
-    its callers give them: H put there once per ``build_metric`` call, and V a
+def _residual_against(H: np.ndarray):
+    """The intertwiner residual ``||VH - H^dag V||_F / (||V||_F ||H||_F)`` as a
+    function of V (or a stack of them), for V and H at unit scale, as the
+    callers give them: H put there once per ``build_metric`` call, and V a
     metric of unit 2-norm, a search candidate (a combination of orthonormal
-    generators) or one put there by ``linalg._unit``.  Zero for a zero V or H."""
-    v_norm, h_norm = (x + (x == 0.0) for x in (_frobenius(V, (-2, -1)), _frobenius(H)))
-    return _frobenius(V @ H - H.conj().T @ V, (-2, -1)) / (v_norm * h_norm)
+    generators) or one put there by ``linalg._unit``.  Zero for a zero V or H.
+    H's adjoint and Frobenius norm are formed here, once: ``build_metric``
+    reads all its residuals from one such function."""
+    H_dag, h_norm = H.conj().T, _frobenius(H)
+    h_norm = h_norm + (h_norm == 0.0)
+
+    def residual(V: np.ndarray) -> np.ndarray:
+        v_norm = _frobenius(V, (-2, -1))
+        return _frobenius(V @ H - H_dag @ V, (-2, -1)) / ((v_norm + (v_norm == 0.0)) * h_norm)
+
+    return residual
+
+
+def _intertwiner_residual(V: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """``_residual_against(H)`` at V (or a stack of them), with H's adjoint and
+    norm formed for this one call."""
+    return _residual_against(H)(V)
 
 
 def _fix_sign(V: np.ndarray) -> np.ndarray:
@@ -135,9 +151,10 @@ def _fix_sign(V: np.ndarray) -> np.ndarray:
     return V if key > 0 else -V
 
 
-def _certify(V: np.ndarray, H: np.ndarray, policy: str, unmatched) -> MetricOperator:
-    """Certify V against H; a singular V, or any V of a spectrum with
-    ``unmatched`` eigenvalues, raises ``NoMetricError`` with it."""
+def _certify(V: np.ndarray, residual, policy: str, unmatched) -> MetricOperator:
+    """Certify V against H, whose ``_residual_against`` is ``residual``; a
+    singular V, or any V of a spectrum with ``unmatched`` eigenvalues, raises
+    ``NoMetricError`` with it."""
     cond, invertible = _condition(V)
     if not invertible or len(unmatched):
         err = NoMetricError(
@@ -154,7 +171,7 @@ def _certify(V: np.ndarray, H: np.ndarray, policy: str, unmatched) -> MetricOper
         hermitian=bool(_is_hermitian(V)),
         invertible=invertible,
         condition_estimate=cond,
-        residual=float(_intertwiner_residual(V, H)),
+        residual=float(residual(V)),
     )
 
 
@@ -180,7 +197,8 @@ def build_metric(
         search holds the generators, one block and a copy of the leader,
         never all candidates at once.
         The nonzero and residual filters each look at one candidate, so they
-        run only on a candidate that would take the lead.
+        run only on a candidate that would take the lead; every residual of
+        a call reads H's adjoint and norm, formed once.
         The Hermitian part of ``basis[0]``, the matching sum ``L^dag P L``,
         comes first and wins ties, so a Hermitian Hamiltonian with
         orthonormal eigenvectors yields the identity.
@@ -213,6 +231,7 @@ def build_metric(
         raise NoMetricError("empty intertwiner space: no solution of V H = H^dag V")
 
     H = _unit(as_matrix(H))  # once per call, for every residual below
+    residual = _residual_against(H)
     n = H.shape[0]
     sizes = (n, eigsys.n, len(space.basis[0]))
     if len(set(sizes)) > 1:
@@ -221,16 +240,16 @@ def build_metric(
     perm = _conjugate_permutation(w, _radii(eigsys.kappa, eigsys.norm))
     unmatched = w[perm < 0]
     cap = RESIDUAL_CAP + (0.0 if len(unmatched) else
-                          _intertwiner_residual(_unit(L.conj().T @ L[perm]), H))
+                          residual(_unit(L.conj().T @ L[perm])))
 
     if policy == "paper-gauge":
-        if n != 2 or _intertwiner_residual(PAPER_GAUGE_V, H) > cap:
+        if n != 2 or residual(PAPER_GAUGE_V) > cap:
             raise ValueError("paper-gauge needs a 2x2 H that [[0, -1], [1, 0]] intertwines")
-        return _certify(PAPER_GAUGE_V.copy(), H, policy, unmatched)
+        return _certify(PAPER_GAUGE_V.copy(), residual, policy, unmatched)
 
     if policy == "first-basis":
         V = space.basis[0]
-        return _certify(_fix_sign(V / np.linalg.norm(V, 2)), H, policy, unmatched)
+        return _certify(_fix_sign(V / _norm2(V)), residual, policy, unmatched)
 
     # hermitian-representative: Hermitian candidates in a fixed order (the
     # Hermitian and anti-Hermitian parts of each basis element, then seeded
@@ -257,14 +276,14 @@ def build_metric(
         score = s.min(axis=1) / np.where(smax >= 1e-14, smax, 1.0)
         for j, score_j in enumerate(score.tolist()):
             if score_j > best_score * (1.0 + 1e-9) and smax[j] >= 1e-14:
-                if _intertwiner_residual(cand[j], H) <= cap:
+                if residual(cand[j]) <= cap:
                     best, best_score = cand[j].copy(), score_j
 
     if best is None:
         raise NoMetricError("no Hermitian intertwiner found in the searched combinations")
     # Normalize the winner by its largest singular value, not by its largest
     # eigenvalue, so that V does not depend on the eigensolver.
-    return _certify(_fix_sign(best / np.linalg.norm(best, 2)), H, policy, unmatched)
+    return _certify(_fix_sign(best / _norm2(best)), residual, policy, unmatched)
 
 
 def _candidate_blocks(gens: np.ndarray, coeffs: np.ndarray, size: int):

@@ -527,6 +527,7 @@ class TestInvertibilityVerdict:
         assert linalg._condition(np.diag([1.0, 2e-12])) == (5e11, True)
         assert linalg._condition(np.diag([1.0, 5e-13])) == (2e12, False)
         assert linalg._condition(np.zeros((2, 2))) == (np.inf, False)
+        assert linalg._condition(np.eye(3)) == (1.0, True)
 
     @pytest.mark.parametrize("policy", ["hermitian-representative", "first-basis"])
     @pytest.mark.parametrize(
