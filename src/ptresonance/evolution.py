@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import (
     _as_vector,
     _Checked,
+    _evolution_operators,
     _frobenius,
     _require_finite,
     _require_grid,
@@ -23,9 +24,8 @@ from .linalg import (
     _unit,
     as_matrix,
     eig,
-    mat_exp_evolution,
 )
-from .metric import PAPER_GAUGE_V, _metric_matrix
+from .metric import _BLOCK_BYTES, PAPER_GAUGE_V, _metric_matrix
 from .response import ResonanceParams
 
 __all__ = [
@@ -96,20 +96,52 @@ def evolve(H, psi0, times, V=None) -> StateTrajectory:
 
 
 class PseudoUnitarityResult(NamedTuple):
+    """Per-time residuals ``||V^-1 U^dag(t) V U(t) - I||_F`` and their maximum."""
+
     residuals: np.ndarray
     maximum: float
 
 
 def pseudounitarity_residual(H, V, times) -> PseudoUnitarityResult:
-    """Residual curve of ``V^-1 U^dag(t) V U(t) = I`` and its maximum."""
+    """Residual curve of ``V^-1 U^dag(t) V U(t) = I`` and its maximum.
+
+    Parameters
+    ----------
+    H : array_like, square
+        Generator; must have a complete (non-defective) spectrum.
+    V : MetricOperator or array_like
+        Metric of H's size, invertible (condition number at most 1e12).
+    times : array_like
+        Finite, strictly ascending time grid.
+
+    Returns the Frobenius norm of ``V^-1 U^dag(t) V U(t) - I`` at each time,
+    with ``U(t) = exp(-i H t)`` from the spectral formula, and the largest of
+    them.  ``ValueError`` for a bad grid or V, ``DefectiveMatrixError`` for a
+    defective H, and ``OverflowRangeError`` for a growing mode past
+    ``exp(300)``, a phase beyond the double range (both judged on the whole
+    grid, before any U is formed) or a residual beyond it.
+
+    U(t) and the residuals are formed one block of times at a time, each U
+    stack within the package's block budget (``metric._BLOCK_BYTES``, 256
+    KiB; one time a block where a single U is larger), so beyond the phase
+    table (times x n) the working memory does not grow with the grid.  Each
+    time's products are its own, so the residuals have the bits of one stack.
+    """
     H = as_matrix(H)
-    Vm = _metric_matrix(V, H.shape[0])
+    n = H.shape[0]
+    Vm = _metric_matrix(V, n)
     t = _require_grid(times)
-    U = mat_exp_evolution(eig(H), t)  # U[k] = U(t_k)
-    UH = np.conj(np.swapaxes(U, 1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = _frobenius(_times_fixed(np.linalg.inv(Vm) @ UH, Vm) @ U - np.eye(H.shape[0]),
-                               (-2, -1))
+    eigsys = eig(H)
+    phases = _spectral_phases(eigsys, t)
+    V_inv, eye = np.linalg.inv(Vm), np.eye(n)
+    size = max(1, _BLOCK_BYTES // (phases.itemsize * n * n))
+    residuals = np.empty(t.size)
+    for start in range(0, t.size, size):
+        U = _evolution_operators(eigsys, phases[start:start + size])
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = _times_fixed(V_inv @ np.conj(np.swapaxes(U, 1, 2)), Vm) @ U
+            W -= eye
+            residuals[start:start + size] = _frobenius(W, (-2, -1))
     _require_finite(residuals, "pseudounitarity residual")
     return PseudoUnitarityResult(residuals=residuals, maximum=float(np.max(residuals)))
 

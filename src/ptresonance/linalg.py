@@ -713,7 +713,9 @@ def _phases(t, values: np.ndarray, what: str) -> np.ndarray:
     _guard_exponent(t, values.imag, what)
     with np.errstate(over="ignore"):
         phase = np.multiply.outer(t, values)
-    return np.exp(-1j * _require_finite(phase, "phase lambda t"))
+    # in place: the phase table is the one array here that grows with the grid
+    np.multiply(-1j, _require_finite(phase, "phase lambda t"), out=phase)
+    return np.exp(phase, out=phase)
 
 
 def _spectral_phases(eigsys: EigenSystem, t) -> np.ndarray:
@@ -737,7 +739,14 @@ def mat_exp_evolution(eigsys: EigenSystem, t) -> np.ndarray:
     ``OverflowRangeError`` for a growing mode past ``exp(300)`` or a phase
     ``lambda t`` beyond the double range.
     """
-    phases = _spectral_phases(eigsys, _numbers(t, "t"))
+    return _evolution_operators(eigsys, _spectral_phases(eigsys, _numbers(t, "t")))
+
+
+def _evolution_operators(eigsys: EigenSystem, phases: np.ndarray) -> np.ndarray:
+    """``U = R diag(phases) L`` for each row of ``phases`` (shape ``(..., n)``,
+    from ``_spectral_phases``), shape ``phases.shape[:-1] + (n, n)``.  Each
+    U's bits depend only on its own row of phases, so a caller may form the
+    stack in blocks of rows."""
     # C order, so the stack's rows reshape without a copy
     stack = np.multiply(eigsys.right, np.expand_dims(phases, -2), order="C")
     return _times_fixed(stack, eigsys.left)

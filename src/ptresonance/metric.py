@@ -52,13 +52,16 @@ POLICIES = ("hermitian-representative", "paper-gauge", "first-basis")
 PAPER_GAUGE_V = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
 _SEARCH_SAMPLES = 128
-# Combined candidates scored at once: as many as fit in 256 KiB (all 128 up
-# to n = 11), and at least 16, since each block reads the whole generator
-# stack: blocks of one candidate made the search at n = 96 take 1.3 times as
-# long.  No block holds a single candidate (128 = q * size + 1 needs a size of
-# 127, which no n gives): numpy would take a matrix-vector product for it,
-# which rounds differently from the matrix product.
-_SEARCH_BLOCK_BYTES = 1 << 18
+# The package's one block budget, 256 KiB, for a stack of n x n matrices
+# formed a block at a time.  The metric search scores as many combined
+# candidates at once as fit in it (all 128 up to n = 11), and at least 16,
+# since each block reads the whole generator stack: blocks of one candidate
+# made the search at n = 96 take 1.3 times as long.  No block holds a single
+# candidate (128 = q * size + 1 needs a size of 127, which no n gives): numpy
+# would take a matrix-vector product for it, which rounds differently from the
+# matrix product.  ``evolution.pseudounitarity_residual`` forms U(t) for as
+# many times at once as fit in it, and at least one.
+_BLOCK_BYTES = 1 << 18
 _SEARCH_BLOCK_MIN = 16
 
 
@@ -266,7 +269,7 @@ def build_metric(
         anti /= 2.0j
     gens = gens.reshape(2 * k, n, n)
     coeffs = np.random.default_rng(20250513).standard_normal((_SEARCH_SAMPLES, 2 * k))
-    size = max(_SEARCH_BLOCK_MIN, _SEARCH_BLOCK_BYTES // gens[0].nbytes)
+    size = max(_SEARCH_BLOCK_MIN, _BLOCK_BYTES // gens[0].nbytes)
 
     best = None
     best_score = -1.0

@@ -1,6 +1,8 @@
 """Tests for state evolution, norm tracks, pseudounitarity and the
 two-channel scenario."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,6 +19,7 @@ from ptresonance import (
     gain_loss_dimer,
     linalg,
     mat_exp_evolution,
+    metric,
     pseudounitarity_residual,
     solve_intertwiner,
     two_level_hamiltonian,
@@ -25,6 +28,15 @@ from ptresonance import (
 
 DIAG_PAIR = np.diag([1 + 0.8j, 1 - 0.8j])
 TIMES = np.linspace(0.0, 5.0, 201)
+
+
+def _dense_pt_symmetric(n):
+    """``B + P conj(B) P^-1`` for a real involution P of condition at most 50,
+    drawn from seed n."""
+    rng = np.random.default_rng(n)
+    P, _ = conditioned_involution(rng, n)
+    B = random_complex_matrix(rng, n)
+    return B + P @ B.conj() @ np.linalg.inv(P)
 
 
 class TestEvolve:
@@ -141,21 +153,25 @@ class TestPseudoUnitarity:
         npt.assert_allclose(pseudounitarity_residual(H, V, times).residuals, expected, rtol=1e-14)
 
     # the benchmark's three dimers [[E0 + i, s], [s, E0 - i]], s^2 = 1 - Gamma^2,
-    # at 2001 times, and dense H at n = 8, 16 and 32 at 51 times
-    @pytest.mark.parametrize("case", ["1,0.8", "1,0.3", "2,0.5", "8", "16", "32"])
+    # at 2001 times, and dense H at n = 8, 16, 24 and 32 at 51 times; "n x T"
+    # is n at T times.  The residual runs in blocks of 256 KiB of U: n <= 16
+    # and the dimers in one, n = 24 in blocks of 28 and 23, n = 32 in blocks
+    # of 16 (four blocks, 126 at 2001 times with one time in the last, and a
+    # block of two for the 2-point grid)
+    @pytest.mark.parametrize("case", ["1,0.8", "1,0.3", "2,0.5", "8", "16", "24", "32",
+                                      "32x2001", "32x2"])
     def test_fixed_factors_keep_the_batched_bits(self, case):
         """U(t) and the residuals, whose products by a fixed right factor run
-        as one product of the stacked rows, equal the per-matrix batched
-        formula bit for bit, for an array of times and a scalar time."""
+        as one product of the stacked rows, block by block, equal the
+        per-matrix batched formula over the whole grid bit for bit, for an
+        array of times and a scalar time."""
         if "," in case:
             e0, gamma = map(float, case.split(","))
             s = np.sqrt(1.0 - gamma * gamma)
             H, times = np.array([[e0 + 1j, s], [s, e0 - 1j]]), np.linspace(0.0, 5.0, 2001)
         else:
-            rng, n = np.random.default_rng(int(case)), int(case)
-            P, _ = conditioned_involution(rng, n)
-            B = random_complex_matrix(rng, n)
-            H, times = B + P @ B.conj() @ np.linalg.inv(P), np.linspace(0.0, 5.0, 51)
+            n, _, points = case.partition("x")
+            H, times = _dense_pt_symmetric(int(n)), np.linspace(0.0, 5.0, int(points or 51))
         n = H.shape[0]
         es = eig(H)
         V = build_metric(es, solve_intertwiner(H), H=H).V
@@ -177,6 +193,48 @@ class TestPseudoUnitarity:
             pseudounitarity_residual(gain_loss_dimer(1.0), np.eye(2), TIMES)
         with pytest.raises(OverflowRangeError):
             pseudounitarity_residual(DIAG_PAIR, PAPER_GAUGE_V, np.linspace(0.0, 400.0, 5))
+
+    def test_refusals_judge_the_whole_grid(self):
+        """At n = 32 the residual runs in four blocks of times; the growing
+        mode's refusal names the exponent of the whole grid, not of the first
+        block past the cap, and a phase beyond the double range in the last
+        block is refused as on one stack."""
+        H = _dense_pt_symmetric(32)
+        H /= np.linalg.norm(H, 2)
+        times = np.linspace(0.0, 6e4, 51)
+        top = float(np.max(eig(H).eigenvalues.imag)) * times
+        assert top[15] <= 300.0 < top[31] < top[-1]  # the second block is past the cap
+        with pytest.raises(OverflowRangeError,
+                           match=rf"^growing-mode exponent {top[-1]:.3g} exceeds cap 300$"):
+            pseudounitarity_residual(H, np.eye(32), times)
+        # real eigenvalues up to 2: only the last block's phases leave the range
+        H = np.diag(np.linspace(-2.0, 2.0, 32)).astype(complex)
+        with pytest.raises(OverflowRangeError, match=r"^phase lambda t is beyond the double range$"):
+            pseudounitarity_residual(H, np.eye(32), np.linspace(0.0, 1e308, 51))
+
+
+class TestWorkingMemory:
+    """The residual forms U(t) one block of times at a time, each block's U
+    stack within the package's block budget (256 KiB), so its working memory
+    is a few budgets besides the phase table ``exp(-i lambda_j t_k)`` over the
+    whole grid (T x n) and ``eig``'s arrays.  Measured by ``tracemalloc``,
+    which counts numpy's array data; with U over the whole grid at once it
+    peaked at 131 MB at n = 32 over 2001 times and 30 MB at n = 96 over 51."""
+
+    @pytest.mark.parametrize("n, points", [(32, 2001), (96, 51)])
+    def test_residual(self, n, points):
+        H = _dense_pt_symmetric(n)
+        H /= np.linalg.norm(H, 2)
+        times = np.linspace(0.0, 5.0, points)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = pseudounitarity_residual(H, np.eye(n), times)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result.residuals.shape == (points,)
+        assert peak <= 8 * metric._BLOCK_BYTES + 16 * n * points
 
 
 class TestTwoLevelScenario:

@@ -291,7 +291,7 @@ class TestBlockedSearch:
     @staticmethod
     def _search(monkeypatch, H, eigsys, space, size):
         """``build_metric`` with blocks of ``size`` combinations."""
-        monkeypatch.setattr(metric, "_SEARCH_BLOCK_BYTES", 0)
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", 0)
         monkeypatch.setattr(metric, "_SEARCH_BLOCK_MIN", size)
         return build_metric(eigsys, space, H=H).V
 
@@ -299,7 +299,7 @@ class TestBlockedSearch:
         for H, eigsys, space, V, _ in systems:
             assert np.array_equal(_bits(build_metric(eigsys, space, H=H).V), _bits(V))
         # n = 24 takes 28 combinations a block: 128 is not a multiple of it
-        assert 128 % (metric._SEARCH_BLOCK_BYTES // (16 * 24 * 24)) != 0
+        assert 128 % (metric._BLOCK_BYTES // (16 * 24 * 24)) != 0
 
     @pytest.mark.parametrize("size", [2, 3, 5, 126, 128])
     def test_block_sizes(self, monkeypatch, systems, size):

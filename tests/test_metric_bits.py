@@ -78,7 +78,7 @@ def _ref_metric(eigsys, space, policy, H):
             anti /= 2.0j
         gens = gens.reshape(2 * k, n, n)
         coeffs = np.random.default_rng(20250513).standard_normal((128, 2 * k))
-        size = max(metric._SEARCH_BLOCK_MIN, metric._SEARCH_BLOCK_BYTES // gens[0].nbytes)
+        size = max(metric._SEARCH_BLOCK_MIN, metric._BLOCK_BYTES // gens[0].nbytes)
         blocks = [gens] + [np.tensordot(coeffs[s : s + size], gens, axes=1)
                            for s in range(0, len(coeffs), size)]
         best, best_score = None, -1.0
